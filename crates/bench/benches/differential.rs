@@ -1,24 +1,22 @@
 //! Benchmark: the csmith-lite differential validation workload (experiment
-//! E15/E16 — Cerberus vs the reference oracle), plus the two optimisations
-//! layered on the Session/DifferentialRunner pipeline:
+//! E15/E16 — Cerberus vs the reference oracle), plus the Session artifact
+//! cache on the Session/DifferentialRunner pipeline:
 //!
-//! * `model_matrix_shared_artifact` is the **baseline**: one elaboration,
-//!   every named model executed sequentially on the calling thread.
-//! * `model_matrix_parallel` runs the same matrix through the parallel
-//!   runner (one scoped thread per model) — the win scales with cores.
+//! * `model_matrix_shared_artifact`: one elaboration, every named model
+//!   executed in runner order on the calling thread.
+//! * `end_to_end_uncached_sequential`: re-elaborate and run the full matrix
+//!   on every iteration.
 //! * `elaborate_uncached` vs `elaborate_memoized` measure the Session
 //!   artifact cache: the memoized path resolves a repeated source by hash
 //!   lookup instead of re-running parse/desugar/elaborate.
-//! * `seed_batch_sequential` vs `seed_batch_parallel` measure batching
-//!   csmith-lite seeds across threads over one shared session.
+//! * `seed_batch_sequential` runs a batch of csmith-lite seeds over one
+//!   shared session.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
-use cerberus_gen::{
-    diff_one, generate, run_differential, run_differential_parallel, to_c_source, GenConfig,
-};
+use cerberus_gen::{diff_one, generate, run_differential, to_c_source, GenConfig};
 
 fn bench_differential(c: &mut Criterion) {
     let mut group = c.benchmark_group("differential");
@@ -32,38 +30,20 @@ fn bench_differential(c: &mut Criterion) {
         b.iter(|| diff_one(&program, 2_000_000))
     });
     // One elaboration shared across the full model matrix (the Session-API
-    // fast path: no per-model re-parse or re-elaboration). Sequential
-    // execution — this is the baseline the parallel runner is measured
-    // against.
+    // fast path: no per-model re-parse or re-elaboration).
     group.bench_function("model_matrix_shared_artifact", |b| {
-        let source = to_c_source(&generate(1, GenConfig::small()));
-        let program = Session::default().elaborate(&source).unwrap();
-        let runner = DifferentialRunner::all_named();
-        b.iter(|| runner.run_sequential(&program))
-    });
-    // The same matrix with the rows chunked across the available cores
-    // (degrades to the sequential path on a single-core host).
-    group.bench_function("model_matrix_parallel", |b| {
         let source = to_c_source(&generate(1, GenConfig::small()));
         let program = Session::default().elaborate(&source).unwrap();
         let runner = DifferentialRunner::all_named();
         b.iter(|| runner.run(&program))
     });
-    // The exploration workflow end to end: resolve the source to an artifact
-    // and run the full matrix, per iteration. The optimised path combines
-    // the memo cache (elaboration becomes a hash lookup) with the parallel
-    // runner; the baseline re-elaborates and runs sequentially.
+    // The exploration workflow end to end: re-elaborate the source and run
+    // the full matrix, per iteration.
     group.bench_function("end_to_end_uncached_sequential", |b| {
         let source = to_c_source(&generate(1, GenConfig::small()));
         let session = Session::default();
         let runner = DifferentialRunner::all_named();
-        b.iter(|| runner.run_sequential(&session.elaborate_uncached(&source).unwrap()))
-    });
-    group.bench_function("end_to_end_memoized_parallel", |b| {
-        let source = to_c_source(&generate(1, GenConfig::small()));
-        let session = Session::default();
-        let runner = DifferentialRunner::all_named();
-        b.iter(|| runner.run(&session.elaborate(&source).unwrap()))
+        b.iter(|| runner.run(&session.elaborate_uncached(&source).unwrap()))
     });
     group.finish();
 
@@ -86,9 +66,6 @@ fn bench_differential(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("seed_batch_sequential", |b| {
         b.iter(|| run_differential(16, GenConfig::small(), 2_000_000))
-    });
-    group.bench_function("seed_batch_parallel_4", |b| {
-        b.iter(|| run_differential_parallel(16, GenConfig::small(), 2_000_000, 4))
     });
     group.finish();
 }

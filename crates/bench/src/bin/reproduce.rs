@@ -45,9 +45,9 @@ use cerberus_memory::cheri;
 use cerberus_memory::config::{ModelConfig, ToolProfile};
 use cerberus_memory::value::Provenance;
 use cerberus_queue::JobQueue;
-use cerberus_server::json::Json;
 use cerberus_server::render;
 use cerberus_survey as survey;
+use cerberus_wire::json::Json;
 
 fn heading(id: &str, title: &str) {
     println!("\n=== {id}: {title} ===");

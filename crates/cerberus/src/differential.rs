@@ -9,23 +9,18 @@
 //! agreement and per-model verdicts.
 //!
 //! Rows are *independent*: every model executes a pristine engine against the
-//! same `Arc`-shared Core program. [`DifferentialRunner::run`] therefore
-//! executes the rows **in parallel** — chunked over the available cores with
-//! scoped threads — and reassembles the matrix in runner order so the result
-//! is bit-identical to the sequential path
-//! ([`DifferentialRunner::run_sequential`], kept as the baseline for
-//! `benches/differential.rs`). With the symbolic engine
-//! registered in [`ModelConfig::all_named`], the default matrix now mixes
-//! two genuinely different [`cerberus_memory::MemoryModel`] implementations,
-//! not just configurations of one.
+//! same `Arc`-shared Core program. [`DifferentialRunner::run`] executes them
+//! in runner order on the calling thread; running many programs at once is
+//! the job queue's work (`cerberus-queue`), not the runner's. With the
+//! symbolic engine registered in [`ModelConfig::all_named`], the default
+//! matrix mixes two genuinely different [`cerberus_memory::MemoryModel`]
+//! implementations, not just configurations of one.
 //!
 //! Rows are also *fault-isolated*: each row runs behind
 //! [`std::panic::catch_unwind`], so a panicking memory-model implementation
 //! (an engine defect, not a program verdict) becomes an
 //! [`ExecResult::EngineFault`] row carrying the captured payload while every
-//! other row completes normally. A retry-once policy
-//! ([`DifferentialRunner::with_fault_retry`]) re-runs a faulted row before
-//! recording the fault, for engines with transient defects.
+//! other row completes normally.
 
 use cerberus_exec::driver::{ExecMode, ExecResult, ProgramOutcome};
 use cerberus_memory::config::ModelConfig;
@@ -67,7 +62,6 @@ pub struct DifferentialRunner {
     models: Vec<ModelConfig>,
     mode: ExecMode,
     limits: ResourceLimits,
-    retry_faults: bool,
 }
 
 impl DifferentialRunner {
@@ -79,7 +73,6 @@ impl DifferentialRunner {
             models,
             mode: defaults.mode,
             limits: defaults.limits,
-            retry_faults: false,
         }
     }
 
@@ -108,39 +101,15 @@ impl DifferentialRunner {
         self
     }
 
-    /// Retry a row exactly once before recording it as an
-    /// [`ExecResult::EngineFault`] (for engines with transient defects;
-    /// default: off, faults are recorded immediately).
-    pub fn with_fault_retry(mut self, retry: bool) -> Self {
-        self.retry_faults = retry;
-        self
-    }
-
-    /// The resource budget every row runs under.
-    pub fn limits(&self) -> &ResourceLimits {
-        &self.limits
-    }
-
-    /// The models this runner executes under, in order.
-    pub fn models(&self) -> &[ModelConfig] {
-        &self.models
-    }
-
     /// Execute one row with panic containment: an unwinding engine becomes an
     /// [`ExecResult::EngineFault`] row instead of tearing down the run. The
     /// interpreter borrows no external state across the unwind boundary
     /// (program and model are shared immutably, all mutable state is created
     /// inside the closure), so `AssertUnwindSafe` is sound here.
     fn run_row(&self, program: &Elaborated, model: &ModelConfig) -> ModelRun {
-        let attempt = || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                program.execute_bounded(model, self.mode, &self.limits)
-            }))
-        };
-        let mut result = attempt();
-        if result.is_err() && self.retry_faults {
-            result = attempt();
-        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            program.execute_bounded(model, self.mode, &self.limits)
+        }));
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(panic) => RunOutcome {
@@ -159,48 +128,10 @@ impl DifferentialRunner {
         }
     }
 
-    /// Execute `program` under every model, spreading the rows across the
-    /// machine's cores with scoped threads. The elaborated artifact is
-    /// shared — each row reuses the same `Arc`'d Core program — and the
-    /// matrix is assembled in runner order, so the result is identical to
-    /// [`DifferentialRunner::run_sequential`].
-    ///
-    /// The worker count adapts to [`std::thread::available_parallelism`]:
-    /// rows are dealt to at most that many threads (contiguous chunks, so
-    /// each spawn amortises over several models), and a single-core machine
-    /// falls back to the sequential path with no spawn overhead at all.
-    pub fn run(&self, program: &Elaborated) -> OutcomeMatrix {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.models.len());
-        if workers <= 1 {
-            return self.run_sequential(program);
-        }
-        let chunk = self.models.len().div_ceil(workers);
-        let mut rows: Vec<Option<ModelRun>> = self.models.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (slots, models) in rows.chunks_mut(chunk).zip(self.models.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, model) in slots.iter_mut().zip(models.iter()) {
-                        // run_row contains engine panics, so every slot is
-                        // filled even when a model faults.
-                        *slot = Some(self.run_row(program, model));
-                    }
-                });
-            }
-        });
-        OutcomeMatrix::new(
-            rows.into_iter()
-                .map(|row| row.expect("every scoped row thread ran to completion"))
-                .collect(),
-        )
-    }
-
     /// Execute `program` under every model on the calling thread, in runner
-    /// order (the baseline the parallel [`DifferentialRunner::run`] is
-    /// benchmarked — and tested for determinism — against).
-    pub fn run_sequential(&self, program: &Elaborated) -> OutcomeMatrix {
+    /// order. The elaborated artifact is shared: each row reuses the same
+    /// `Arc`'d Core program.
+    pub fn run(&self, program: &Elaborated) -> OutcomeMatrix {
         OutcomeMatrix::new(
             self.models
                 .iter()
@@ -405,19 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_runs_yield_the_same_matrix() {
-        let program = Session::default().elaborate(DR260).unwrap();
-        let runner = DifferentialRunner::all_named();
-        let parallel = runner.run(&program);
-        let sequential = runner.run_sequential(&program);
-        assert_eq!(parallel, sequential);
-        // Row order is the runner order in both paths.
-        let names: Vec<_> = parallel.rows().iter().map(|r| r.model).collect();
-        let expected: Vec<_> = ModelConfig::all_named().iter().map(|m| m.name).collect();
-        assert_eq!(names, expected);
-    }
-
-    #[test]
     fn duplicate_model_names_resolve_to_the_first_row() {
         // Two rows named "de-facto" with different step limits: the first one
         // completes, the second times out. `outcome_for` must return the
@@ -480,24 +398,6 @@ mod tests {
         let fault_classes: Vec<_> = classes.iter().filter(|c| c.faulted).collect();
         assert_eq!(fault_classes.len(), 1);
         assert_eq!(fault_classes[0].models, vec!["panicking"]);
-    }
-
-    #[test]
-    fn fault_containment_is_identical_in_both_execution_paths() {
-        let program = Session::default()
-            .elaborate("int main(void) { return 1; }")
-            .unwrap();
-        let runner = DifferentialRunner::new(vec![
-            ModelConfig::de_facto(),
-            ModelConfig::panicking(),
-            ModelConfig::symbolic(),
-        ]);
-        assert_eq!(runner.run(&program), runner.run_sequential(&program));
-        // The retry-once policy re-runs the row; a deterministic fault still
-        // ends as a fault row.
-        let retrying = runner.clone().with_fault_retry(true);
-        let matrix = retrying.run(&program);
-        assert_eq!(matrix.faulted_models(), vec!["panicking"]);
     }
 
     #[test]

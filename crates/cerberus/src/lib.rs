@@ -15,8 +15,7 @@
 //! elaboration per source; an [`pipeline::Elaborated`] program can be
 //! executed any number of times under different models, and
 //! [`differential::DifferentialRunner`] runs one artifact across a whole
-//! model list **in parallel** (rows chunked over the available cores,
-//! deterministically equal to the sequential path), returning the §3-style
+//! model list, in runner order on the calling thread, returning the §3-style
 //! outcome matrix. The named model list mixes both in-tree engines — the
 //! concrete byte-representation engine and the symbolic provenance engine
 //! (`cerberus_memory::symbolic`).

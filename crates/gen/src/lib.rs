@@ -582,67 +582,9 @@ pub fn run_differential(count: usize, config: GenConfig, step_limit: u64) -> Dif
     summary
 }
 
-/// Run the differential harness over `count` programs generated from
-/// consecutive seeds, batching the seeds across up to `threads` worker
-/// threads (capped at the machine's available parallelism — a single-core
-/// host degrades to one worker rather than paying spawn overhead).
-///
-/// All workers share one [`Session`], so its memoised `Elaborated` artifacts
-/// are shared across seeds and threads (the memoisation-of-shared-subgoals
-/// idea); generation, elaboration and both evaluations of each seed happen
-/// entirely on its worker. The summary is a sum of per-seed tallies, so the
-/// result equals [`run_differential`]'s regardless of scheduling.
-pub fn run_differential_parallel(
-    count: usize,
-    config: GenConfig,
-    step_limit: u64,
-    threads: usize,
-) -> DiffSummary {
-    let threads = threads
-        .max(1)
-        .min(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-        .min(count.max(1));
-    if threads <= 1 {
-        // One worker: run inline rather than paying a spawn/park round trip.
-        return run_differential(count, config, step_limit);
-    }
-    let session = Session::with_model(ModelConfig::concrete());
-    let mut partials: Vec<DiffSummary> = vec![DiffSummary::default(); threads];
-    std::thread::scope(|scope| {
-        for (worker, partial) in partials.iter_mut().enumerate() {
-            let session = &session;
-            scope.spawn(move || {
-                // Seeds are dealt round-robin: worker w takes w, w+T, w+2T, …
-                let mut seed = worker as u64;
-                while seed < count as u64 {
-                    let program = generate(seed, config);
-                    tally(partial, diff_one_in(session, &program, step_limit));
-                    seed += threads as u64;
-                }
-            });
-        }
-    });
-    let mut summary = DiffSummary {
-        total: count,
-        ..DiffSummary::default()
-    };
-    for partial in partials {
-        summary.agree += partial.agree;
-        summary.disagree += partial.disagree;
-        summary.timeout += partial.timeout;
-        summary.failed += partial.failed;
-        summary.faulted += partial.faulted;
-    }
-    summary
-}
-
 /// Differentially test one generated program as a queued job, and `count`
 /// programs as a fanned-out batch: the §6 fuzz harness routed through a
-/// [`cerberus_queue::JobQueue`] instead of ad-hoc scoped threads.
+/// [`cerberus_queue::JobQueue`].
 ///
 /// Each seed becomes one (program × concrete-model) job under exactly the
 /// mode and budget [`diff_one_in`] uses, so the per-seed [`DiffOutcome`]s —
@@ -739,15 +681,6 @@ mod tests {
     fn reference_eval_is_pure() {
         let p = generate(5, GenConfig::small());
         assert_eq!(reference_eval(&p), reference_eval(&p));
-    }
-
-    #[test]
-    fn parallel_batching_matches_the_sequential_summary() {
-        let sequential = run_differential(12, GenConfig::small(), 2_000_000);
-        for threads in [1, 3, 8] {
-            let parallel = run_differential_parallel(12, GenConfig::small(), 2_000_000, threads);
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The golden-file fixture corpus: discovery, metadata parsing, expectation
-//! loading and expectation-document building.
+//! loading, and the one rendering of a verdict cell ([`cell`]) that both the
+//! suite checks and the `.expect` documents use.
 //!
 //! Each litmus test is a pair of files under the fixture root (by default
 //! `tests/fixtures/` at the workspace root, overridable with the
@@ -22,12 +23,11 @@
 use std::path::{Path, PathBuf};
 
 use cerberus::memory::config::ModelConfig;
-use cerberus::OutcomeMatrix;
+use cerberus::{OutcomeMatrix, RunOutcome};
 use cerberus_ast::questions::QuestionCategory;
-use cerberus_ast::ub::UbKind;
 use cerberus_wire::json::Json;
 
-use crate::{Expected, LitmusTest};
+use crate::LitmusTest;
 
 /// The fixture corpus root: `$CERBERUS_FIXTURES` if set, otherwise
 /// `tests/fixtures/` at the workspace root (resolved at compile time, so the
@@ -56,7 +56,7 @@ pub struct FixtureEntry {
 
 /// Discover every fixture under `root`, sorted by `(group, name)` so every
 /// traversal of the corpus is deterministic. Entries whose name starts with
-/// `_` (for example the `_snapshots` directory) are not fixtures.
+/// `_` are not fixtures.
 pub fn discover(root: &Path) -> Vec<FixtureEntry> {
     let mut entries = Vec::new();
     let groups = std::fs::read_dir(root)
@@ -126,38 +126,6 @@ fn parse_metadata(name: &str, source: &str) -> (Option<u32>, QuestionCategory) {
     (question, category)
 }
 
-/// Parse one expectation cell — a rendered program outcome — into the
-/// [`Expected`] verdict used by the suite runners.
-fn expected_from_cell(name: &str, model: &str, cell: &Json) -> Expected {
-    let kind = cell
-        .get("kind")
-        .and_then(Json::as_str)
-        .unwrap_or_else(|| panic!("fixture {name}: cell for {model} has no \"kind\""));
-    match kind {
-        "return" => Expected::Defined {
-            value: cell
-                .get("value")
-                .and_then(Json::as_int)
-                .unwrap_or_else(|| panic!("fixture {name}: return cell for {model} needs value")),
-            stdout: cell
-                .get("stdout")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-        },
-        "undef" => {
-            let ub = cell
-                .get("ub")
-                .and_then(Json::as_str)
-                .unwrap_or_else(|| panic!("fixture {name}: undef cell for {model} needs ub"));
-            Expected::Undef(UbKind::from_core_name(ub).unwrap_or_else(|| {
-                panic!("fixture {name}: unknown undefined behaviour {ub:?} for {model}")
-            }))
-        }
-        other => Expected::Abnormal(other.to_owned()),
-    }
-}
-
 /// Load one fixture into a [`LitmusTest`]. A missing `.expect` file yields a
 /// test with no recorded expectations (regeneration bootstraps from that);
 /// a malformed one panics — the corpus is well-formed by construction.
@@ -174,7 +142,7 @@ pub fn load(entry: &FixtureEntry) -> LitmusTest {
                     entry.expect_path.display()
                 )
             });
-            let Some(Json::Obj(matrix)) = document.get("matrix").cloned() else {
+            let Some(Json::Obj(matrix)) = document.get("matrix") else {
                 panic!(
                     "expectation file {} has no \"matrix\" object",
                     entry.expect_path.display()
@@ -186,10 +154,7 @@ pub fn load(entry: &FixtureEntry) -> LitmusTest {
             let mut expectations = Vec::with_capacity(matrix.len());
             for config in ModelConfig::all_named() {
                 if let Some(cell) = matrix.get(config.name) {
-                    expectations.push((
-                        config.name,
-                        expected_from_cell(&entry.name, config.name, cell),
-                    ));
+                    expectations.push((config.name, cell.clone()));
                 }
             }
             for model in matrix.keys() {
@@ -216,16 +181,24 @@ pub fn catalogue_from(root: &Path) -> Vec<LitmusTest> {
     discover(root).iter().map(load).collect()
 }
 
+/// Render one verdict cell: the first program outcome of a run in the wire
+/// shape ([`cerberus_wire::outcome::program_outcome_to_json`]), or `null` for
+/// a run without one. `.expect` files store these cells, and an observed
+/// outcome is as expected exactly when its cell equals the recorded one.
+pub fn cell(outcome: &RunOutcome) -> Json {
+    match outcome.outcomes.first() {
+        Some(first) => cerberus_wire::outcome::program_outcome_to_json(first),
+        None => Json::Null,
+    }
+}
+
 /// Build the expectation document for an observed outcome matrix — the exact
-/// content of a `.expect` file: one rendered program outcome per model row.
+/// content of a `.expect` file: one rendered [`cell`] per model row.
 pub fn expectation_document(matrix: &OutcomeMatrix) -> Json {
-    let cells = matrix.rows().iter().map(|row| {
-        let cell = match row.outcome.outcomes.first() {
-            Some(outcome) => cerberus_wire::outcome::program_outcome_to_json(outcome),
-            None => Json::Null,
-        };
-        (row.model, cell)
-    });
+    let cells = matrix
+        .rows()
+        .iter()
+        .map(|row| (row.model, cell(&row.outcome)));
     Json::obj([("matrix", Json::obj(cells))])
 }
 
@@ -322,30 +295,6 @@ mod tests {
     #[should_panic(expected = "missing `// @category:")]
     fn a_missing_category_header_is_rejected() {
         parse_metadata("t", "int main(void) { return 0; }\n");
-    }
-
-    #[test]
-    fn expectation_cells_parse_to_verdicts() {
-        let cell = Json::parse(r#"{"kind":"return","value":7,"stdout":"x\n"}"#).unwrap();
-        assert_eq!(
-            expected_from_cell("t", "concrete", &cell),
-            Expected::Defined {
-                value: 7,
-                stdout: "x\n".into()
-            }
-        );
-        let cell =
-            Json::parse(r#"{"kind":"undef","ub":"Null_pointer_dereference","clause":"6.5.3.2p4","detail":"","stdout":""}"#)
-                .unwrap();
-        assert_eq!(
-            expected_from_cell("t", "concrete", &cell),
-            Expected::Undef(UbKind::NullPointerDeref)
-        );
-        let cell = Json::parse(r#"{"kind":"timeout","budget":"steps","stdout":""}"#).unwrap();
-        assert_eq!(
-            expected_from_cell("t", "concrete", &cell),
-            Expected::Abnormal("timeout".into())
-        );
     }
 
     #[test]

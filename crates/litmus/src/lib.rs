@@ -13,41 +13,13 @@
 //! toward the paper's 196 tests is data entry, not code (see the [`fixtures`]
 //! module and `docs/FIXTURES.md`).
 
-use cerberus::exec::driver::ExecResult;
 use cerberus::memory::config::ModelConfig;
 use cerberus::pipeline::{Elaborated, RunOutcome, Session};
 use cerberus::{DifferentialRunner, OutcomeMatrix};
 use cerberus_ast::questions::QuestionCategory;
-use cerberus_ast::ub::UbKind;
+use cerberus_wire::json::Json;
 
 pub mod fixtures;
-
-/// The expected verdict of a test under one memory model configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Expected {
-    /// The program is defined and `main` returns this value (stdout is not
-    /// checked — the legacy embedded-catalogue shape, still used by the
-    /// pre-migration parity snapshot).
-    Returns(i128),
-    /// The program is defined and prints exactly this text.
-    Prints(String),
-    /// The program is defined, `main` returns this value, and it prints
-    /// exactly this text — the golden shape a fixture `return` cell loads as.
-    Defined {
-        /// The value `main` returns.
-        value: i128,
-        /// The exact captured stdout.
-        stdout: String,
-    },
-    /// The execution reaches this undefined behaviour.
-    Undef(UbKind),
-    /// The execution reaches *some* undefined behaviour.
-    SomeUndef,
-    /// The execution ends abnormally with this wire `kind` tag (`error`,
-    /// `timeout`, `resource-exhausted`, `exit`, ... — see
-    /// [`cerberus_wire::outcome::exec_result_kind`]).
-    Abnormal(String),
-}
 
 /// One semantic test case.
 #[derive(Debug, Clone)]
@@ -61,36 +33,20 @@ pub struct LitmusTest {
     pub category: QuestionCategory,
     /// The C source.
     pub source: String,
-    /// Expected verdicts per memory-model name (from
-    /// [`ModelConfig::all_named`]); models without an entry have no recorded
-    /// expectation.
-    pub expectations: Vec<(&'static str, Expected)>,
+    /// Recorded verdict cells per memory-model name (from
+    /// [`ModelConfig::all_named`]), each exactly as the `.expect` file stores
+    /// it (the shape [`fixtures::cell`] renders); models without an entry
+    /// have no recorded expectation.
+    pub expectations: Vec<(&'static str, Json)>,
 }
 
 impl LitmusTest {
     /// The expectation recorded for a model, if any.
-    pub fn expectation_for(&self, model_name: &str) -> Option<&Expected> {
+    pub fn expectation_for(&self, model_name: &str) -> Option<&Json> {
         self.expectations
             .iter()
             .find(|(m, _)| *m == model_name)
             .map(|(_, e)| e)
-    }
-}
-
-/// Whether an observed outcome satisfies an expectation.
-pub fn satisfies(outcome: &RunOutcome, expected: &Expected) -> bool {
-    let Some(first) = outcome.outcomes.first() else {
-        return false;
-    };
-    match expected {
-        Expected::Returns(v) => matches!(first.result, ExecResult::Return(x) if x == *v),
-        Expected::Prints(s) => matches!(first.result, ExecResult::Return(_)) && first.stdout == *s,
-        Expected::Defined { value, stdout } => {
-            matches!(first.result, ExecResult::Return(x) if x == *value) && first.stdout == *stdout
-        }
-        Expected::Undef(ub) => first.result.ub_kind() == Some(*ub),
-        Expected::SomeUndef => first.result.is_undef(),
-        Expected::Abnormal(kind) => cerberus_wire::outcome::exec_result_kind(&first.result) == kind,
     }
 }
 
@@ -136,22 +92,24 @@ pub fn check(test: &LitmusTest, model: &ModelConfig) -> Verdict {
     }
 }
 
-/// Check an already-computed outcome against the recorded expectation.
+/// Check an already-computed outcome against the recorded expectation. The
+/// outcome is as expected exactly when its rendered cell
+/// ([`fixtures::cell`]) equals the recorded one, which is the comparison the
+/// golden harness makes with [`fixtures::diff_expectations`].
 pub fn check_outcome(test: &LitmusTest, model_name: &str, outcome: &RunOutcome) -> Verdict {
-    match test.expectation_for(model_name) {
-        None => Verdict::NoExpectation,
-        Some(expected) => {
-            if satisfies(outcome, expected) {
-                Verdict::AsExpected
-            } else {
-                Verdict::Unexpected(format!(
-                    "{}: expected {:?}, observed {:?}",
-                    test.name,
-                    expected,
-                    outcome.outcomes.first().map(|o| &o.result)
-                ))
-            }
-        }
+    let Some(expected) = test.expectation_for(model_name) else {
+        return Verdict::NoExpectation;
+    };
+    let observed = fixtures::cell(outcome);
+    if observed == *expected {
+        Verdict::AsExpected
+    } else {
+        Verdict::Unexpected(format!(
+            "{}: expected {}, observed {}",
+            test.name,
+            expected.encode(),
+            observed.encode()
+        ))
     }
 }
 
@@ -229,10 +187,10 @@ pub fn run_suite_queued(queue: &cerberus_queue::JobQueue, model: &ModelConfig) -
 /// with the queue's default mode and budget (the same `Config::default()`
 /// values [`Elaborated::run_under`] uses), and faulted rows — contained
 /// engine panics, surfaced by the differential runner as
-/// [`ExecResult::EngineFault`] rows — count as [`SuiteSummary::faulted`]
-/// exactly like the sequential path's caught unwinds. Front-end rejections
-/// or panics still abort: they indicate a broken catalogue, not a broken
-/// engine.
+/// [`ExecResult::EngineFault`](cerberus::exec::driver::ExecResult::EngineFault)
+/// rows — count as [`SuiteSummary::faulted`] exactly like the sequential
+/// path's caught unwinds. Front-end rejections or panics still abort: they
+/// indicate a broken catalogue, not a broken engine.
 pub fn run_suite_queued_on(
     queue: &cerberus_queue::JobQueue,
     suite: &[LitmusTest],
@@ -515,6 +473,34 @@ mod tests {
             summary
         );
         queue.shutdown();
+    }
+
+    #[test]
+    fn a_ub_cell_with_another_detail_is_unexpected() {
+        // One oracle judges the corpus: a recorded cell is as expected only
+        // when it equals the rendered outcome. An `undef` cell that names the
+        // observed UB kind but carries another detail string is a mismatch,
+        // both for `check` and in the suite tallies.
+        let mut test = catalogue()
+            .into_iter()
+            .find(|t| t.name == "provenance_basic_global_xy")
+            .unwrap();
+        let (_, cell) = test
+            .expectations
+            .iter_mut()
+            .find(|(m, _)| *m == "de-facto")
+            .unwrap();
+        assert_eq!(cell.get("kind").and_then(Json::as_str), Some("undef"));
+        let Json::Obj(members) = cell else {
+            panic!("a verdict cell is a JSON object")
+        };
+        members.insert("detail".to_owned(), Json::str("another detail"));
+
+        let model = ModelConfig::de_facto();
+        assert!(matches!(check(&test, &model), Verdict::Unexpected(_)));
+        let summary = run_suite_on(std::slice::from_ref(&test), &model);
+        assert_eq!(summary.with_expectation, 1);
+        assert_eq!(summary.as_expected, 0);
     }
 
     #[test]

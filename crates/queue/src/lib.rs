@@ -1,11 +1,11 @@
 //! A program-level work-stealing job queue for differential UB exploration.
 //!
-//! The differential runner parallelises the rows of *one* outcome matrix;
-//! real workloads — the litmus catalogue, `cerberus-gen` fuzz corpora, HTTP
-//! submissions from many users — are many *(program × model-set)* pairs. This
-//! crate turns each pair into a [`Job`] and fans whole suites out across a
-//! pool of worker threads pulling from a work-stealing queue
-//! ([`JobQueue::start`]):
+//! The differential runner executes the rows of *one* outcome matrix on the
+//! calling thread; real workloads — the litmus catalogue, `cerberus-gen` fuzz
+//! corpora, HTTP submissions from many users — are many *(program ×
+//! model-set)* pairs. This crate is the one place work runs concurrently: it
+//! turns each pair into a [`Job`] and fans whole suites out across a pool of
+//! worker threads pulling from a work-stealing queue ([`JobQueue::start`]):
 //!
 //! * **one elaboration per source** — workers share one memoising
 //!   [`Session`], so every model row (and every re-submission) of a source
@@ -303,7 +303,7 @@ pub(crate) fn run_job(session: &Session, job: &Job) -> JobOutcome {
     let runner = DifferentialRunner::new(job.models.clone())
         .with_mode(job.mode)
         .with_limits(job.limits.clone());
-    JobOutcome::Matrix(runner.run_sequential(&elaborated))
+    JobOutcome::Matrix(runner.run(&elaborated))
 }
 
 #[cfg(test)]

@@ -127,20 +127,15 @@ pub struct JobQueue {
 }
 
 impl JobQueue {
-    /// Start a pool of `workers` threads (at least one).
+    /// Start a pool of `workers` threads (at least one) that elaborate
+    /// through one shared [`Session`].
     pub fn start(workers: usize) -> Self {
-        JobQueue::start_with_session(workers, Session::default())
-    }
-
-    /// Start a pool whose workers elaborate through `session` — pass a
-    /// pre-warmed session to share its artifact memo with other harnesses.
-    pub fn start_with_session(workers: usize, session: Session) -> Self {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
             scheduler: Scheduler::new(workers),
             table: JobTable::default(),
             cache: ResultCache::default(),
-            session,
+            session: Session::default(),
             sleep: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -326,8 +321,8 @@ mod tests {
         let outcomes = queue.run_batch(sources.iter().map(|src| Job::new(src.clone(), models())));
         let session = Session::default();
         for (source, outcome) in sources.iter().zip(outcomes) {
-            let expected = DifferentialRunner::new(models())
-                .run_sequential(&session.elaborate(source).unwrap());
+            let expected =
+                DifferentialRunner::new(models()).run(&session.elaborate(source).unwrap());
             assert_eq!(outcome.into_matrix().unwrap(), expected, "source {source}");
         }
         queue.shutdown();

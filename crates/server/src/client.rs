@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
+use cerberus_wire::json::Json;
 
 /// Issue one request and parse the JSON response body.
 ///

@@ -6,7 +6,7 @@
 //! with a job id, and serves the §3-style outcome matrix once the workers
 //! finish. Everything is hand-rolled on `std::net` — the build environment is
 //! offline, so there is no HTTP framework, no async runtime, and no JSON
-//! dependency (see [`json`]).
+//! dependency (see [`cerberus_wire::json`]).
 //!
 //! # Routes (versioned under `/api/v0`)
 //!
@@ -44,13 +44,6 @@ pub mod client;
 pub mod http;
 pub mod render;
 
-/// The deterministic JSON value, encoder and decoder — re-exported from
-/// [`cerberus_wire`], the shared wire layer that also backs the litmus
-/// fixture expectation files.
-pub mod json {
-    pub use cerberus_wire::json::{Json, JsonError};
-}
-
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,9 +51,9 @@ use std::time::Duration;
 
 use cerberus_memory::{ModelConfig, ResourceLimits};
 use cerberus_queue::{Job, JobId, JobOutcome, JobQueue, JobStatus};
+use cerberus_wire::json::Json;
 
 use http::{read_request, write_response, Request};
-use json::Json;
 
 /// How the service is provisioned.
 #[derive(Debug, Clone)]

@@ -4,10 +4,10 @@
 //! --json` go through these functions, so the CLI and the service emit the
 //! same documents.
 
-use crate::json::Json;
 use cerberus::{CacheStats, OutcomeMatrix, PipelineError, PipelineErrorKind};
 use cerberus_litmus::SuiteSummary;
 use cerberus_queue::QueueStats;
+use cerberus_wire::json::Json;
 
 // The per-execution wire shape lives in `cerberus-wire` (the litmus fixture
 // expectation files are built from the same functions); re-exported here so
@@ -160,7 +160,7 @@ mod tests {
             .unwrap();
         let matrix =
             DifferentialRunner::new(vec![ModelConfig::concrete(), ModelConfig::symbolic()])
-                .run_sequential(&program);
+                .run(&program);
         let json = matrix_to_json(&matrix);
         assert_eq!(json.get("all_agree"), Some(&Json::Bool(true)));
         let rows = json.get("rows").and_then(Json::as_array).unwrap();
@@ -177,8 +177,7 @@ mod tests {
         let program = Session::default()
             .elaborate("int main(void) { return 0; }")
             .unwrap();
-        let matrix =
-            DifferentialRunner::new(vec![ModelConfig::panicking()]).run_sequential(&program);
+        let matrix = DifferentialRunner::new(vec![ModelConfig::panicking()]).run(&program);
         let json = matrix_to_json(&matrix);
         let rows = json.get("rows").and_then(Json::as_array).unwrap();
         let outcome = &rows[0].get("outcomes").and_then(Json::as_array).unwrap()[0];

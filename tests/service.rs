@@ -7,8 +7,8 @@
 use std::time::Duration;
 
 use cerberus_rs::cerberus_server::client::{http_request, poll_job};
-use cerberus_rs::cerberus_server::json::Json;
 use cerberus_rs::cerberus_server::{serve, Server, ServerConfig};
+use cerberus_wire::json::Json;
 
 /// Binding loopback can be forbidden in sandboxed environments; skip (rather
 /// than fail) when the listener cannot come up at all.

@@ -1,17 +1,16 @@
 //! Integration tests: the symbolic provenance engine as a genuinely
 //! different second `MemoryModel`, exercised through the full pipeline and
-//! the parallel differential runner.
+//! the differential runner.
 //!
 //! These assert the known concrete-vs-symbolic disagreement classes (cross-
 //! object pointer comparison, intptr round trips resolved through provenance
-//! rather than through the concrete address space) and the determinism of
-//! the parallel runner against the sequential path.
+//! rather than through the concrete address space).
 
 use cerberus::memory::config::ModelConfig;
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_ast::ub::UbKind;
-use cerberus_litmus::{catalogue, differential, elaborate};
+use cerberus_litmus::{catalogue, differential};
 
 #[test]
 fn cross_object_pointer_comparison_splits_concrete_and_symbolic() {
@@ -86,27 +85,6 @@ fn intptr_round_trips_split_concrete_and_symbolic() {
         Some(UbKind::OutOfBoundsAccess)
     );
     assert!(!matrix.all_agree());
-}
-
-#[test]
-fn every_litmus_differential_matrix_is_deterministic_under_parallelism() {
-    // The parallel runner must produce exactly the sequential matrix for
-    // every litmus test that records expectations (rows in runner order,
-    // identical outcomes).
-    for test in catalogue() {
-        let models: Vec<ModelConfig> = ModelConfig::all_named()
-            .into_iter()
-            .filter(|m| test.expectation_for(m.name).is_some())
-            .collect();
-        let runner = DifferentialRunner::new(models);
-        let program = elaborate(&test);
-        assert_eq!(
-            runner.run(&program),
-            runner.run_sequential(&program),
-            "test {}",
-            test.name
-        );
-    }
 }
 
 #[test]
