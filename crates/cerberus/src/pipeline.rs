@@ -41,9 +41,9 @@ use cerberus_ast::env::ImplEnv;
 use cerberus_ast::loc::Span;
 use cerberus_core::program::CoreProgram;
 use cerberus_elab::elaborate_program;
-use cerberus_exec::driver::{Driver, ExecMode, ProgramOutcome};
+use cerberus_exec::driver::{Driver, ExecMode, ExecResult, ProgramOutcome};
 use cerberus_memory::config::ModelConfig;
-use cerberus_memory::limits::ResourceLimits;
+use cerberus_memory::limits::{ResourceKind, ResourceLimits};
 use cerberus_memory::model::{AnyEngine, MemoryModel};
 use cerberus_parser::cabs::TranslationUnit;
 use cerberus_parser::parse_translation_unit;
@@ -667,18 +667,39 @@ impl Elaborated {
 
     /// Execute under `model` with an explicit mode and full resource budget
     /// (steps, wall-clock watchdog, allocation bounds, call depth).
+    ///
+    /// The execution runs on the caller's thread, which needs about 2 MiB of
+    /// free stack, what a default Rust thread has. That run caps the call
+    /// depth at 8, so the interpreter's stack guard holds it to 1 MiB. An
+    /// execution that exhausts the capped depth while `limits` allows more
+    /// reruns once, under `limits`, on a thread spawned with
+    /// [`ResourceLimits::host_stack_bytes`] of stack. Executions are
+    /// deterministic, so the rerun gives the outcome a single run would, but
+    /// the wall-clock watchdog can fire in each of the two runs. An engine
+    /// panic unwinds to the caller with its original payload.
     pub fn execute_bounded(
         &self,
         model: &ModelConfig,
         mode: ExecMode,
         limits: &ResourceLimits,
     ) -> RunOutcome {
-        // The interpreter recurses on the host stack, so the call-depth
-        // budget only protects the process if the executing stack is sized
-        // for it: run the driver on a worker thread with
-        // `limits.host_stack_bytes()` of stack. An engine panic unwinds the
-        // worker; rethrow it here so fault-isolating callers (the
-        // differential runner, the litmus suite) observe the original
+        /// The call depth an execution gets on the caller's thread: its
+        /// `host_stack_bytes()` is 1.5 MiB, of which the stack guard allows
+        /// 1 MiB, half of a default Rust thread's stack.
+        const INLINE_CALL_DEPTH: usize = 8;
+        let shallow = limits
+            .clone()
+            .with_call_depth(limits.call_depth.min(INLINE_CALL_DEPTH));
+        let outcomes = self.driver(model).with_limits(shallow).run(mode);
+        let too_deep = outcomes.iter().any(|outcome| {
+            outcome.result == ExecResult::ResourceExhausted(ResourceKind::CallDepth)
+        });
+        if !too_deep || limits.call_depth <= INLINE_CALL_DEPTH {
+            return RunOutcome { outcomes };
+        }
+        // Rerun on a thread sized for the whole budget. An engine panic
+        // unwinds the worker; rethrow it here so fault-isolating callers
+        // (the differential runner, the litmus suite) observe the original
         // payload.
         let result = std::thread::scope(|scope| {
             std::thread::Builder::new()

@@ -92,6 +92,21 @@ fn negative_conflicts(a: &[Access], b: &[Access]) -> bool {
         .any(|x| b.iter().any(|y| access_conflict(x, y)))
 }
 
+/// Host-stack bytes the guard keeps back from
+/// [`ResourceLimits::host_stack_bytes`]. The stack is checked only at each
+/// step and each call, so the frames pushed between two checks (a pure
+/// expression, an engine operation, a label search) must fit in it. Half of
+/// the 1 MiB headroom `host_stack_bytes` adds, so a call depth of 0 still
+/// leaves `main` 512 KiB.
+const STACK_MARGIN: usize = 512 * 1024;
+
+/// The current host-stack position: the address of a local in this frame.
+#[inline(always)]
+fn stack_position() -> usize {
+    let marker = 0u8;
+    std::hint::black_box(std::ptr::addr_of!(marker)) as usize
+}
+
 /// The interpreter state for one execution, generic over the memory object
 /// model it issues its actions against (§5.9).
 pub struct Interp<'a, M: MemoryModel> {
@@ -108,6 +123,10 @@ pub struct Interp<'a, M: MemoryModel> {
     /// at construction, checked periodically by [`Interp::tick`].
     deadline: Option<std::time::Instant>,
     call_depth: usize,
+    /// The host-stack position when the interpreter was built, and how many
+    /// bytes beyond it the execution may use before the guard stops it.
+    stack_base: usize,
+    stack_budget: usize,
     footprints: Vec<Vec<Access>>,
 }
 
@@ -123,6 +142,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         let deadline = limits
             .wall_clock_ms
             .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
+        let stack_budget = limits.host_stack_bytes().saturating_sub(STACK_MARGIN);
         Interp {
             program,
             mem,
@@ -133,6 +153,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             limits,
             deadline,
             call_depth: 0,
+            stack_base: stack_position(),
+            stack_budget,
             footprints: Vec::new(),
         }
     }
@@ -178,14 +200,14 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         if let Some(result) = builtins::call_builtin(self, name, &args) {
             return result;
         }
-        let proc = self
-            .program
+        let program: &'a CoreProgram = self.program;
+        let proc = program
             .proc(name)
-            .ok_or_else(|| Stop::Error(format!("call to undefined function {name}")))?
-            .clone();
+            .ok_or_else(|| Stop::Error(format!("call to undefined function {name}")))?;
         if self.call_depth > self.limits.call_depth {
             return Err(Stop::Resource(ResourceKind::CallDepth));
         }
+        self.check_stack()?;
         self.call_depth += 1;
         let mut env = Env::new();
         let mut param_ptrs = Vec::new();
@@ -211,11 +233,24 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
+    /// The host-stack guard. The interpreter recurses on the host stack, and
+    /// a C frame's share of it grows with the statements of its function, so
+    /// counting C frames alone cannot keep an execution within
+    /// [`ResourceLimits::host_stack_bytes`]. This check does: past that
+    /// size less [`STACK_MARGIN`], the call-depth budget is exhausted.
+    fn check_stack(&self) -> Result<(), Stop> {
+        if stack_position().abs_diff(self.stack_base) > self.stack_budget {
+            return Err(Stop::Resource(ResourceKind::CallDepth));
+        }
+        Ok(())
+    }
+
     fn tick(&mut self) -> Result<(), Stop> {
         self.steps += 1;
         if self.steps > self.limits.steps {
             return Err(Stop::Limit(TimeoutKind::StepBudget));
         }
+        self.check_stack()?;
         // Consult the wall clock only every 4096 steps: `Instant::now` is
         // orders of magnitude more expensive than a step.
         if self.steps & 0xFFF == 0 {

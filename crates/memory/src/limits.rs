@@ -118,16 +118,22 @@ impl ResourceLimits {
         self
     }
 
-    /// The host-stack size an execution under this budget needs.
+    /// The host-stack size an execution under this budget needs: 64 KiB per
+    /// C frame of [`ResourceLimits::call_depth`] plus 1 MiB of headroom.
     ///
-    /// The interpreter recurses on the host stack — one cluster of frames per
-    /// C call, tens of kilobytes in unoptimised builds — so
-    /// [`ResourceLimits::call_depth`] only protects the process if the
-    /// executing thread's stack is sized for it. Execution entry points run
-    /// the driver on a worker thread with this much stack, guaranteeing the
-    /// budget surfaces as [`ResourceKind::CallDepth`] before the host stack
-    /// runs out. Clamped to 1 GiB so an absurd depth cannot make spawning the
-    /// worker itself fail.
+    /// The interpreter recurses on the host stack, and a C frame's share
+    /// grows with the number of statements in the called function, because
+    /// the elaborator nests a block's statements one inside the next. On
+    /// x86-64 a frame takes about 17 KiB in an optimised build for a
+    /// two-statement function, 27 KiB for five statements and 84 KiB for
+    /// twenty-two; an unoptimised build takes about eight times as much. So
+    /// the 64 KiB per frame is only an estimate; the interpreter's
+    /// host-stack guard is what holds the bound. It keeps an execution within
+    /// this many bytes of where it started (less a margin for the frames
+    /// pushed between two checks), reporting [`ResourceKind::CallDepth`]
+    /// when recursion would take more, so a thread with this much free stack
+    /// runs the execution safely whatever the program. Clamped to 1 GiB so
+    /// an absurd depth cannot make spawning such a thread fail.
     pub fn host_stack_bytes(&self) -> usize {
         const BYTES_PER_C_FRAME: usize = 64 * 1024;
         const HEADROOM: usize = 1 << 20;

@@ -6,7 +6,8 @@
 //! leave every other row bit-identical to a run without the faulty engine.
 //! Separately, the watchdog budgets (wall clock, call depth, live
 //! allocations) must stop runaway programs with structured verdicts instead
-//! of hanging or aborting the process.
+//! of hanging or aborting the process, and an execution must fit a
+//! default-sized thread whatever its C frames cost in host stack.
 
 use std::time::{Duration, Instant};
 
@@ -115,6 +116,128 @@ fn runaway_recursion_exhausts_the_call_depth_budget() {
         ),
         "expected call-depth exhaustion, got {:?}",
         outcome.outcomes[0].result
+    );
+}
+
+/// A recursive function with twenty locals: 409 bytes of C whose frames
+/// outgrow the per-frame estimate behind `ResourceLimits::host_stack_bytes`.
+fn fat_recursion() -> String {
+    let locals: String = (0..20).map(|i| format!("int x{i} = n + {i}; ")).collect();
+    format!("int f(int n) {{ {locals}return f(n + 1) + 1; }} int main(void) {{ return f(0); }}")
+}
+
+const LEAN_RECURSION: &str =
+    "int f(int n) { return f(n + 1) + 1; } int main(void) { return f(0); }";
+
+/// A legal recursion 64 C frames deep: deeper than an execution may go on
+/// the caller's thread, well within the default call-depth budget.
+const DEEP_RECURSION: &str = "int f(int n) { int a = n; int b = a - 1; if (a == 0) return 0; \
+                              return f(b) + 1; } int main(void) { return f(63); }";
+
+const CALL_DEPTH_EXHAUSTED: ExecResult = ExecResult::ResourceExhausted(ResourceKind::CallDepth);
+
+fn run(source: &str, model: &ModelConfig, limits: &ResourceLimits) -> ExecResult {
+    let program = Session::default().elaborate(source).unwrap();
+    let outcome = program.execute_bounded(model, ExecMode::Random { seed: 0 }, limits);
+    outcome.outcomes[0].result.clone()
+}
+
+fn on_a_default_sized_thread<T: Send>(work: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(scope, work)
+            .unwrap()
+            .join()
+            .unwrap()
+    })
+}
+
+/// Runaway recursion at the default budget stops with the call-depth
+/// budget under both engines, even when its frames are larger than the
+/// budget's per-frame estimate and even in an unoptimised build, instead of
+/// overflowing the host stack and aborting the process.
+#[test]
+fn runaway_recursion_at_the_default_budget_exhausts_the_call_depth_budget() {
+    let fat = fat_recursion();
+    assert_eq!(fat.len(), 409);
+    for source in [LEAN_RECURSION, &fat] {
+        for model in [ModelConfig::de_facto(), ModelConfig::symbolic()] {
+            assert_eq!(
+                run(source, &model, &ResourceLimits::default()),
+                CALL_DEPTH_EXHAUSTED,
+                "{} on {source}",
+                model.name
+            );
+        }
+    }
+}
+
+/// Executions fit a default-sized Rust thread: shallow programs run there,
+/// and runaway recursion ends in a structured result.
+#[test]
+fn executions_fit_a_default_sized_thread() {
+    let fat = fat_recursion();
+    let results = on_a_default_sized_thread(|| {
+        [
+            "int main(void) { int x = 40; return x + 2; }",
+            LEAN_RECURSION,
+            &fat,
+        ]
+        .map(|source| run(source, &ModelConfig::de_facto(), &ResourceLimits::default()))
+    });
+    assert_eq!(
+        results,
+        [
+            ExecResult::Return(42),
+            CALL_DEPTH_EXHAUSTED,
+            CALL_DEPTH_EXHAUSTED
+        ]
+    );
+}
+
+/// A legal recursion deeper than the caller's thread hosts completes under
+/// every named model, both on the test thread and on a default-sized one.
+#[test]
+fn a_legal_deep_recursion_completes_under_every_model() {
+    let program = Session::default().elaborate(DEEP_RECURSION).unwrap();
+    let runner = DifferentialRunner::all_named();
+    for matrix in [
+        runner.run(&program),
+        on_a_default_sized_thread(|| runner.run(&program)),
+    ] {
+        assert_eq!(matrix.rows().len(), ModelConfig::all_named().len());
+        for row in matrix.rows() {
+            assert_eq!(
+                row.outcome.outcomes[0].result,
+                ExecResult::Return(63),
+                "{}",
+                row.model
+            );
+        }
+    }
+}
+
+/// A call depth of 0 lets `main` run and stops its first call.
+#[test]
+fn a_zero_call_depth_runs_main_but_no_call() {
+    let limits = ResourceLimits::default().with_call_depth(0);
+    let de_facto = ModelConfig::de_facto();
+    assert_eq!(
+        run(
+            "int main(void) { int x = 1; return x + 1; }",
+            &de_facto,
+            &limits
+        ),
+        ExecResult::Return(2)
+    );
+    assert_eq!(
+        run(
+            "int g(void) { return 1; } int main(void) { return g(); }",
+            &de_facto,
+            &limits
+        ),
+        CALL_DEPTH_EXHAUSTED
     );
 }
 

@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use cerberus_memory::config::ModelConfig;
 use cerberus_rs::cerberus_server::client::{http_request, poll_job};
 use cerberus_rs::cerberus_server::{serve, Server, ServerConfig};
 use cerberus_wire::json::Json;
@@ -176,6 +177,55 @@ fn the_service_answers_submissions_memoises_and_contains_faults() {
         .get("models")
         .and_then(Json::as_array)
         .is_some_and(|m| !m.is_empty()));
+
+    server.shutdown();
+}
+
+/// The first entry of the hostile-input corpus: a 409-byte recursive
+/// function whose frames outgrow the call-depth budget's per-frame estimate.
+/// Every model's row comes back as call-depth exhaustion, and the service
+/// keeps serving.
+#[test]
+fn a_recursion_with_fat_frames_cannot_take_the_service_down() {
+    let Some(server) = try_serve() else { return };
+    let addr = server.local_addr().to_string();
+
+    let locals: String = (0..20).map(|i| format!("int x{i} = n + {i}; ")).collect();
+    let source = format!(
+        "int f(int n) {{ {locals}return f(n + 1) + 1; }} int main(void) {{ return f(0); }}"
+    );
+    let body = Json::obj([("source", Json::str(&source))]).encode();
+    let document = submit_and_wait(&addr, &body);
+    assert_eq!(
+        document.get("status").and_then(Json::as_str),
+        Some("completed")
+    );
+    let outcomes: Vec<&Json> = result_rows(&document)
+        .iter()
+        .filter_map(|row| row.get("outcomes").and_then(Json::as_array))
+        .flatten()
+        .collect();
+    assert_eq!(
+        outcomes.len(),
+        ModelConfig::all_named().len(),
+        "one row per named model: {}",
+        document.encode()
+    );
+    for outcome in outcomes {
+        assert_eq!(
+            outcome.get("kind").and_then(Json::as_str),
+            Some("resource-exhausted"),
+            "{}",
+            document.encode()
+        );
+        assert_eq!(
+            outcome.get("budget").and_then(Json::as_str),
+            Some("call-depth budget")
+        );
+    }
+
+    let (status, _) = http_request(&addr, "GET", "/api/v0/stats", None).expect("stats");
+    assert_eq!(status, 200);
 
     server.shutdown();
 }
