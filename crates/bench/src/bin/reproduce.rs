@@ -30,8 +30,8 @@
 //! shorthand for the `cerberus-serve` binary).
 //!
 //! The suite-per-model and differential experiments are routed through the
-//! work-stealing [`cerberus_queue::JobQueue`] — the same worker pool the
-//! service runs on — with tallies bit-identical to the sequential paths.
+//! [`cerberus_queue::JobQueue`] — the same worker pool the service runs on —
+//! with tallies bit-identical to the sequential paths.
 
 use cerberus::core_lang::pretty::expr_to_string;
 use cerberus::pipeline::Session;

@@ -22,6 +22,7 @@ use cerberus::exec::driver::ExecResult;
 use cerberus::memory::config::ModelConfig;
 use cerberus::memory::limits::ResourceLimits;
 use cerberus::pipeline::Session;
+use cerberus::DifferentialRunner;
 
 /// Binary operators of the generated fragment (all defined at `unsigned
 /// long`).
@@ -517,24 +518,22 @@ pub fn diff_one_bounded_in(
         Err(e) => return DiffOutcome::Failure(e.to_string()),
     };
     let config = session.config();
-    // The execution runs behind an unwind boundary so an engine defect
-    // becomes a `Fault` tally for this program, not an abort of the whole
-    // fuzz batch.
-    let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        program.execute_bounded(&config.model, config.mode, limits)
-    })) {
-        Ok(outcome) => outcome,
-        Err(panic) => return DiffOutcome::Fault(cerberus::panic_payload(&*panic)),
-    };
-    classify(&reference, &outcome)
+    // A one-row matrix: the runner contains an engine defect as a fault row,
+    // so it becomes a `Fault` tally for this program, not an abort of the
+    // whole fuzz batch.
+    let matrix = DifferentialRunner::new(vec![config.model.clone()])
+        .with_mode(config.mode)
+        .with_limits(limits.clone())
+        .run(&program);
+    classify(&reference, &matrix.rows()[0].outcome)
 }
 
 /// Compare one observed [`RunOutcome`] against the reference result — the
 /// single [`DiffOutcome`] classifier shared by the in-thread harness and the
-/// queued harness. Contained engine panics arrive here in two shapes: the
-/// in-thread path catches the unwind itself, while the queued path receives
-/// them as [`ExecResult::EngineFault`] rows from the differential runner —
-/// both tally as [`DiffOutcome::Fault`] with the same payload.
+/// queued harness. Both run the program as a one-row differential-runner
+/// matrix, so a contained engine panic arrives here as an
+/// [`ExecResult::EngineFault`] row and tallies as [`DiffOutcome::Fault`]
+/// with its payload.
 fn classify(reference: &Reference, outcome: &cerberus::RunOutcome) -> DiffOutcome {
     let Some(first) = outcome.outcomes.first() else {
         return DiffOutcome::Failure("no outcome produced".into());
@@ -593,6 +592,9 @@ pub fn run_differential(count: usize, config: GenConfig, step_limit: u64) -> Dif
 /// [`ExecResult::EngineFault`] rows and tally as [`DiffSummary::faulted`];
 /// front-end rejections (impossible for the generated fragment, possible for
 /// hand-fed programs) tally as [`DiffSummary::failed`].
+///
+/// # Panics
+/// Panics if the queue has been shut down.
 pub fn run_differential_queued(
     queue: &cerberus_queue::JobQueue,
     count: usize,
@@ -601,15 +603,17 @@ pub fn run_differential_queued(
 ) -> DiffSummary {
     use cerberus_queue::{Job, JobOutcome};
     let programs: Vec<GenProgram> = (0..count as u64).map(|s| generate(s, config)).collect();
-    let ids = queue.submit_batch(programs.iter().map(|p| {
-        Job::new(to_c_source(p), vec![ModelConfig::concrete()])
-            .with_limits(ResourceLimits::with_steps(step_limit))
-    }));
+    let outcomes = queue
+        .run_batch(programs.iter().map(|p| {
+            Job::new(to_c_source(p), vec![ModelConfig::concrete()])
+                .with_limits(ResourceLimits::with_steps(step_limit))
+        }))
+        .expect("the fuzz batch's job queue is running");
     let mut summary = DiffSummary {
         total: count,
         ..DiffSummary::default()
     };
-    for (program, outcome) in programs.iter().zip(queue.wait_all(&ids)) {
+    for (program, outcome) in programs.iter().zip(outcomes) {
         let reference = reference_eval(program);
         let diff = match outcome {
             JobOutcome::Matrix(matrix) => {

@@ -154,24 +154,15 @@ pub fn run_suite(model: &ModelConfig) -> SuiteSummary {
 
 /// Run a suite of tests under one model configuration.
 ///
-/// Engine panics are contained per test: a model defect surfaces as
+/// Each test runs as a one-row [`DifferentialRunner`] matrix, so engine
+/// panics are contained per test: a model defect surfaces as
 /// [`SuiteSummary::faulted`] counts instead of tearing down the suite run.
 /// (Front-end panics from malformed catalogue sources are *not* contained —
 /// they indicate a broken catalogue, not a broken engine.)
 pub fn run_suite_on(suite: &[LitmusTest], model: &ModelConfig) -> SuiteSummary {
-    let outcomes: Vec<Option<RunOutcome>> = suite
-        .iter()
-        .map(|test| {
-            // One elaboration serves both the flagged count and the
-            // expectation check. Execution runs behind catch_unwind: all
-            // mutable state is created inside the closure, so
-            // AssertUnwindSafe is sound.
-            let artifact = elaborate(test);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| artifact.run_under(model)))
-                .ok()
-        })
-        .collect();
-    summarise(suite, model.name, outcomes)
+    let runner = DifferentialRunner::new(vec![model.clone()]);
+    let matrices = suite.iter().map(|test| runner.run(&elaborate(test)));
+    summarise(suite, model.name, matrices)
 }
 
 /// Run the whole fixture catalogue through a [`cerberus_queue::JobQueue`].
@@ -184,32 +175,34 @@ pub fn run_suite_queued(queue: &cerberus_queue::JobQueue, model: &ModelConfig) -
 /// per entry, fanned out across the pool's workers.
 ///
 /// The tallies are **bit-identical** to [`run_suite_on`]'s: each job runs
-/// with the queue's default mode and budget (the same `Config::default()`
-/// values [`Elaborated::run_under`] uses), and faulted rows — contained
-/// engine panics, surfaced by the differential runner as
+/// the same one-row matrix with the queue's default mode and budget (the
+/// same `Config::default()` values [`DifferentialRunner::new`] uses), so
+/// faulted rows — contained engine panics, surfaced as
 /// [`ExecResult::EngineFault`](cerberus::exec::driver::ExecResult::EngineFault)
-/// rows — count as [`SuiteSummary::faulted`] exactly like the sequential
-/// path's caught unwinds. Front-end rejections or panics still abort: they
-/// indicate a broken catalogue, not a broken engine.
+/// rows — count as [`SuiteSummary::faulted`] on both paths. Front-end
+/// rejections or panics still abort: they indicate a broken catalogue, not a
+/// broken engine.
+///
+/// # Panics
+/// Panics if the queue has been shut down.
 pub fn run_suite_queued_on(
     queue: &cerberus_queue::JobQueue,
     suite: &[LitmusTest],
     model: &ModelConfig,
 ) -> SuiteSummary {
     use cerberus_queue::{Job, JobOutcome};
-    let ids = queue.submit_batch(
-        suite
-            .iter()
-            .map(|test| Job::new(test.source.clone(), vec![model.clone()])),
-    );
-    let outcomes: Vec<Option<RunOutcome>> = suite
+    let outcomes = queue
+        .run_batch(
+            suite
+                .iter()
+                .map(|test| Job::new(test.source.clone(), vec![model.clone()])),
+        )
+        .expect("the suite's job queue is running");
+    let matrices = suite
         .iter()
-        .zip(queue.wait_all(&ids))
+        .zip(outcomes)
         .map(|(test, outcome)| match outcome {
-            JobOutcome::Matrix(matrix) => {
-                let row = matrix.rows().first().expect("one model per job");
-                (!row.is_fault()).then(|| row.outcome.clone())
-            }
+            JobOutcome::Matrix(matrix) => matrix,
             JobOutcome::Rejected(e) => {
                 panic!("litmus test {} failed in the front end: {e}", test.name)
             }
@@ -219,18 +212,17 @@ pub fn run_suite_queued_on(
                     test.name
                 )
             }
-        })
-        .collect();
-    summarise(suite, model.name, outcomes)
+        });
+    summarise(suite, model.name, matrices)
 }
 
-/// Fold per-test outcomes (`None` = contained engine fault) into a
-/// [`SuiteSummary`] — the single tally shared by the sequential and queued
-/// suite runners, so their counts cannot drift apart.
+/// Fold per-test one-row matrices into a [`SuiteSummary`] — the single tally
+/// shared by the sequential and queued suite runners, so their counts cannot
+/// drift apart.
 fn summarise(
     suite: &[LitmusTest],
     model_name: &'static str,
-    outcomes: impl IntoIterator<Item = Option<RunOutcome>>,
+    matrices: impl IntoIterator<Item = OutcomeMatrix>,
 ) -> SuiteSummary {
     let mut summary = SuiteSummary {
         model: model_name,
@@ -242,17 +234,19 @@ fn summarise(
         faulted: 0,
         total: suite.len(),
     };
-    for (test, outcome) in suite.iter().zip(outcomes) {
-        let Some(outcome) = outcome else {
+    for (test, matrix) in suite.iter().zip(matrices) {
+        let row = &matrix.rows()[0];
+        if row.is_fault() {
             summary.faulted += 1;
             continue;
-        };
+        }
+        let outcome = &row.outcome;
         if outcome.any_undef() {
             summary.flagged += 1;
         } else {
             summary.passed += 1;
         }
-        match check_outcome(test, model_name, &outcome) {
+        match check_outcome(test, model_name, outcome) {
             Verdict::AsExpected => {
                 summary.as_expected += 1;
                 summary.with_expectation += 1;

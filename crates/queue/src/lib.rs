@@ -1,11 +1,12 @@
-//! A program-level work-stealing job queue for differential UB exploration.
+//! A program-level job queue for differential UB exploration.
 //!
 //! The differential runner executes the rows of *one* outcome matrix on the
 //! calling thread; real workloads — the litmus catalogue, `cerberus-gen` fuzz
 //! corpora, HTTP submissions from many users — are many *(program ×
 //! model-set)* pairs. This crate is the one place work runs concurrently: it
-//! turns each pair into a [`Job`] and fans whole suites out across a pool of
-//! worker threads pulling from a work-stealing queue ([`JobQueue::start`]):
+//! turns each pair into a [`Job`] and runs whole suites on a pool of worker
+//! threads that take jobs from one FIFO in submission order
+//! ([`JobQueue::start`]):
 //!
 //! * **one elaboration per source** — workers share one memoising
 //!   [`Session`], so every model row (and every re-submission) of a source
@@ -20,13 +21,15 @@
 //!   hostile submission can never take down the pool;
 //! * **deterministic results** — outcomes are recorded per [`JobId`], so a
 //!   batch read back in submission order is bit-identical to running the
-//!   jobs sequentially, regardless of how stealing interleaved them.
+//!   jobs sequentially, whichever workers ran them.
 //!
 //! ```
 //! use cerberus_queue::{Job, JobQueue};
 //!
 //! let queue = JobQueue::start(2);
-//! let id = queue.submit(Job::differential("int main(void) { return 42; }"));
+//! let id = queue
+//!     .submit(Job::differential("int main(void) { return 42; }"))
+//!     .expect("the queue is running");
 //! let matrix = queue.wait(id).into_matrix().expect("well-formed program");
 //! assert!(matrix.all_agree());
 //! queue.shutdown();
@@ -38,7 +41,7 @@
 //! through it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
 use cerberus::pipeline::{CacheStats, Config, Session};
 use cerberus::{DifferentialRunner, OutcomeMatrix, PipelineError};
@@ -47,7 +50,6 @@ use cerberus_memory::config::ModelConfig;
 use cerberus_memory::limits::ResourceLimits;
 
 mod pool;
-mod scheduler;
 
 pub use pool::JobQueue;
 
@@ -204,9 +206,20 @@ impl JobOutcome {
 pub struct WorkerStats {
     /// Jobs this worker finished (cache hits included).
     pub executed: u64,
-    /// Jobs this worker stole from another worker's deque.
-    pub stolen: u64,
 }
+
+/// The error [`JobQueue::submit`] returns once the queue has been shut down:
+/// the job was not admitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueClosed;
+
+impl std::fmt::Display for QueueClosed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the job queue has been shut down")
+    }
+}
+
+impl std::error::Error for QueueClosed {}
 
 /// A point-in-time snapshot of the queue, exposed over `GET /api/v0/stats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -224,22 +237,6 @@ pub struct QueueStats {
     pub elaboration_cache: CacheStats,
     /// Per-worker counters, in worker order.
     pub workers: Vec<WorkerStats>,
-}
-
-/// The shared mutable state of one job: status plus (eventually) the
-/// outcome. Completion is broadcast on the owning table's condvar.
-#[derive(Debug)]
-pub(crate) struct JobEntry {
-    pub(crate) job: Arc<Job>,
-    pub(crate) status: JobStatus,
-    pub(crate) outcome: Option<JobOutcome>,
-}
-
-/// The (job id → entry) table plus the completion broadcast.
-#[derive(Debug, Default)]
-pub(crate) struct JobTable {
-    pub(crate) entries: Mutex<std::collections::HashMap<JobId, JobEntry>>,
-    pub(crate) finished: Condvar,
 }
 
 /// The bounded result cache. Like the session's elaboration memo it rolls

@@ -1,119 +1,113 @@
-//! The worker pool: threads pulling jobs from the work-stealing scheduler,
+//! The worker pool: threads taking jobs from one FIFO in submission order,
 //! executing them through the shared session, and recording outcomes.
+//!
+//! All queue state sits behind one mutex. A worker pops a job and marks it
+//! running under the lock, and records its outcome under the lock;
+//! [`JobQueue::submit`] and [`JobQueue::wait`] test their conditions under
+//! it too. So no wakeup can be lost between a test and a wait, and no wait
+//! needs a timeout.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use cerberus::pipeline::Session;
 
-use crate::scheduler::Scheduler;
-use crate::{
-    Job, JobEntry, JobId, JobOutcome, JobStatus, JobTable, QueueStats, ResultCache, WorkerStats,
-};
+use crate::{Job, JobId, JobOutcome, JobStatus, QueueClosed, QueueStats, ResultCache, WorkerStats};
+
+/// Where a submitted job is. Its [`JobStatus`] is derived from the slot, so
+/// a status can never disagree with a stored outcome.
+#[derive(Debug)]
+enum Slot {
+    Queued,
+    Running,
+    Finished(JobOutcome),
+}
+
+impl Slot {
+    fn status(&self) -> JobStatus {
+        match self {
+            Slot::Queued => JobStatus::Queued,
+            Slot::Running => JobStatus::Running,
+            Slot::Finished(outcome) => outcome.status(),
+        }
+    }
+}
+
+/// Everything the queue's one lock guards.
+#[derive(Debug, Default)]
+struct State {
+    /// Jobs no worker has taken yet, oldest first. A job moves out of the
+    /// queue to the worker that runs it.
+    fifo: VecDeque<(JobId, Job)>,
+    /// The slot of every job ever submitted.
+    slots: HashMap<JobId, Slot>,
+    /// The id of the next submission, which is also the number of jobs ever
+    /// submitted.
+    next_id: u64,
+    /// Jobs ever finished (completed or failed).
+    completed: u64,
+    /// Jobs each worker finished, in worker order.
+    executed: Vec<u64>,
+    /// Set by shutdown; a closed queue admits no job.
+    closed: bool,
+}
 
 /// State shared between the [`JobQueue`] handle and its worker threads.
 #[derive(Debug)]
 struct Inner {
-    scheduler: Scheduler,
-    table: JobTable,
+    state: Mutex<State>,
+    /// Signalled on submit and on shutdown.
+    work: Condvar,
+    /// Broadcast when a job finishes.
+    finished: Condvar,
     cache: ResultCache,
     session: Session,
-    /// Parking lot for idle workers: submissions notify `wake` under `sleep`.
-    sleep: Mutex<()>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-    next_id: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
 }
 
 impl Inner {
-    /// Execute one job on worker `w`: answer from the result cache when the
-    /// exact (source × models × mode × budget) has been run before, otherwise
-    /// run it and memoise the outcome.
-    fn execute(&self, w: usize, id: JobId) {
-        let job = {
-            let mut entries = self.table.entries.lock().expect("job table");
-            let entry = entries.get_mut(&id).expect("taken job is in the table");
-            entry.status = JobStatus::Running;
-            Arc::clone(&entry.job)
-        };
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("job queue state")
+    }
+
+    /// Answer from the result cache when the exact (source × models × mode ×
+    /// budget) has been run before, otherwise run the job and memoise its
+    /// outcome.
+    fn execute(&self, job: &Job) -> JobOutcome {
         let key = job.cache_key();
-        let outcome = match self.cache.lookup(&key) {
-            Some(hit) => hit,
-            None => {
-                let outcome = crate::run_job(&self.session, &job);
-                self.cache.insert(key, outcome.clone());
-                outcome
-            }
-        };
-        {
-            let mut entries = self.table.entries.lock().expect("job table");
-            let entry = entries.get_mut(&id).expect("running job is in the table");
-            entry.status = outcome.status();
-            entry.outcome = Some(outcome);
+        if let Some(hit) = self.cache.lookup(&key) {
+            return hit;
         }
-        self.scheduler.counters[w]
-            .executed
-            .fetch_add(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.table.finished.notify_all();
+        let outcome = crate::run_job(&self.session, job);
+        self.cache.insert(key, outcome.clone());
+        outcome
     }
 
-    /// The worker loop: drain the scheduler; when it runs dry either exit (a
-    /// draining shutdown leaves nothing behind) or park until the next
-    /// submission. The park re-checks emptiness under the sleep mutex — and
-    /// submitters notify under it — so a wakeup can never be lost; the
-    /// timeout is only a belt-and-braces backstop.
+    /// The worker loop: take the oldest job and run it outside the lock;
+    /// when the queue is empty, exit if it is closed (a draining shutdown
+    /// leaves nothing behind) or wait for the next submission.
     fn worker_loop(&self, w: usize) {
+        let mut state = self.lock();
         loop {
-            match self.scheduler.take(w) {
-                Some(id) => self.execute(w, id),
-                None => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let guard = self.sleep.lock().expect("sleep mutex");
-                    if self.scheduler.depth() == 0 && !self.shutdown.load(Ordering::SeqCst) {
-                        let _ = self
-                            .wake
-                            .wait_timeout(guard, Duration::from_millis(50))
-                            .expect("sleep mutex");
-                    }
-                }
+            if let Some((id, job)) = state.fifo.pop_front() {
+                state.slots.insert(id, Slot::Running);
+                drop(state);
+                let outcome = self.execute(&job);
+                state = self.lock();
+                state.slots.insert(id, Slot::Finished(outcome));
+                state.completed += 1;
+                state.executed[w] += 1;
+                self.finished.notify_all();
+            } else if state.closed {
+                return;
+            } else {
+                state = self.work.wait(state).expect("job queue state");
             }
         }
-    }
-
-    /// Register a job as queued and return its id (the caller still has to
-    /// place the id on a queue and wake a worker).
-    fn admit(&self, job: Job) -> JobId {
-        assert!(
-            !self.shutdown.load(Ordering::SeqCst),
-            "submit on a shut-down JobQueue"
-        );
-        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.table.entries.lock().expect("job table").insert(
-            id,
-            JobEntry {
-                job: Arc::new(job),
-                status: JobStatus::Queued,
-                outcome: None,
-            },
-        );
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    fn notify_workers(&self) {
-        let _guard = self.sleep.lock().expect("sleep mutex");
-        self.wake.notify_all();
     }
 }
 
-/// A running job queue: a work-stealing scheduler plus a pool of worker
-/// threads executing submitted [`Job`]s (see the crate docs for the full
+/// A running job queue: one FIFO plus a pool of worker threads that start
+/// submitted [`Job`]s in submission order (see the crate docs for the full
 /// contract). Cheap to share: the handle is a thin wrapper over `Arc`-shared
 /// state, and all methods take `&self`.
 ///
@@ -132,16 +126,14 @@ impl JobQueue {
     pub fn start(workers: usize) -> Self {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
-            scheduler: Scheduler::new(workers),
-            table: JobTable::default(),
+            state: Mutex::new(State {
+                executed: vec![0; workers],
+                ..State::default()
+            }),
+            work: Condvar::new(),
+            finished: Condvar::new(),
             cache: ResultCache::default(),
             session: Session::default(),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next_id: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|w| {
@@ -160,7 +152,7 @@ impl JobQueue {
 
     /// The number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.inner.scheduler.counters.len()
+        self.inner.lock().executed.len()
     }
 
     /// The session the workers elaborate through (its artifact memo is shared
@@ -169,58 +161,34 @@ impl JobQueue {
         &self.inner.session
     }
 
-    /// Submit one job on the shared injector queue; any worker picks it up.
-    ///
-    /// # Panics
-    /// Panics if the queue has been shut down.
-    pub fn submit(&self, job: Job) -> JobId {
-        let id = self.inner.admit(job);
-        self.inner.scheduler.inject(id);
-        self.inner.notify_workers();
-        id
-    }
-
-    /// Submit a batch, dealing the jobs round-robin onto the per-worker
-    /// deques: the batch starts out evenly spread, and idle workers steal
-    /// from any worker that falls behind a slow job. Returns the ids in
-    /// submission order.
-    ///
-    /// # Panics
-    /// Panics if the queue has been shut down.
-    pub fn submit_batch(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<JobId> {
-        let ids: Vec<JobId> = jobs
-            .into_iter()
-            .map(|job| {
-                let id = self.inner.admit(job);
-                self.inner.scheduler.deal(id);
-                id
-            })
-            .collect();
-        self.inner.notify_workers();
-        ids
+    /// Queue one job behind every job submitted before it; the next idle
+    /// worker picks it up. A queue that has been shut down refuses the job
+    /// with [`QueueClosed`] and admits nothing.
+    pub fn submit(&self, job: Job) -> Result<JobId, QueueClosed> {
+        let mut state = self.inner.lock();
+        if state.closed {
+            return Err(QueueClosed);
+        }
+        let id = JobId(state.next_id);
+        state.next_id += 1;
+        state.slots.insert(id, Slot::Queued);
+        state.fifo.push_back((id, job));
+        self.inner.work.notify_one();
+        Ok(id)
     }
 
     /// The status of a job, or `None` for an unknown id.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.inner
-            .table
-            .entries
-            .lock()
-            .expect("job table")
-            .get(&id)
-            .map(|entry| entry.status)
+        self.inner.lock().slots.get(&id).map(Slot::status)
     }
 
     /// The outcome of a finished job; `None` while it is queued or running
     /// (or for an unknown id — distinguish via [`JobQueue::status`]).
     pub fn outcome(&self, id: JobId) -> Option<JobOutcome> {
-        self.inner
-            .table
-            .entries
-            .lock()
-            .expect("job table")
-            .get(&id)
-            .and_then(|entry| entry.outcome.clone())
+        match self.inner.lock().slots.get(&id) {
+            Some(Slot::Finished(outcome)) => Some(outcome.clone()),
+            _ => None,
+        }
     }
 
     /// Block until `id` finishes and return its outcome.
@@ -228,52 +196,49 @@ impl JobQueue {
     /// # Panics
     /// Panics if `id` was never submitted to this queue.
     pub fn wait(&self, id: JobId) -> JobOutcome {
-        let mut entries = self.inner.table.entries.lock().expect("job table");
+        let mut state = self.inner.lock();
         loop {
-            match entries.get(&id) {
+            match state.slots.get(&id) {
                 None => panic!("wait on unknown job id {id}"),
-                Some(entry) => {
-                    if let Some(outcome) = &entry.outcome {
-                        return outcome.clone();
-                    }
-                }
+                Some(Slot::Finished(outcome)) => return outcome.clone(),
+                Some(_) => state = self.inner.finished.wait(state).expect("job queue state"),
             }
-            entries = self.inner.table.finished.wait(entries).expect("job table");
         }
     }
 
-    /// Block until every id finishes; outcomes come back in argument order
-    /// (deterministic regardless of how the pool interleaved the jobs).
-    pub fn wait_all(&self, ids: &[JobId]) -> Vec<JobOutcome> {
-        ids.iter().map(|&id| self.wait(id)).collect()
-    }
-
-    /// Submit a batch and wait for all of it, returning outcomes in
-    /// submission order.
-    pub fn run_batch(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<JobOutcome> {
-        let ids = self.submit_batch(jobs);
-        self.wait_all(&ids)
+    /// Submit every job, then wait for each; outcomes come back in
+    /// submission order, whichever workers ran the jobs. A queue that has
+    /// been shut down refuses the batch with [`QueueClosed`].
+    pub fn run_batch(
+        &self,
+        jobs: impl IntoIterator<Item = Job>,
+    ) -> Result<Vec<JobOutcome>, QueueClosed> {
+        let ids = jobs
+            .into_iter()
+            .map(|job| self.submit(job))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ids.into_iter().map(|id| self.wait(id)).collect())
     }
 
     /// A point-in-time snapshot of queue depth, lifetime counters, cache
     /// statistics and per-worker activity.
     pub fn stats(&self) -> QueueStats {
+        let (depth, submitted, completed, workers) = {
+            let state = self.inner.lock();
+            let workers = state
+                .executed
+                .iter()
+                .map(|&executed| WorkerStats { executed })
+                .collect();
+            (state.fifo.len(), state.next_id, state.completed, workers)
+        };
         QueueStats {
-            depth: self.inner.scheduler.depth(),
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            completed: self.inner.completed.load(Ordering::Relaxed),
+            depth,
+            submitted,
+            completed,
             result_cache: self.inner.cache.stats(),
             elaboration_cache: self.inner.session.cache_stats(),
-            workers: self
-                .inner
-                .scheduler
-                .counters
-                .iter()
-                .map(|c| WorkerStats {
-                    executed: c.executed.load(Ordering::Relaxed),
-                    stolen: c.stolen.load(Ordering::Relaxed),
-                })
-                .collect(),
+            workers,
         }
     }
 
@@ -281,8 +246,8 @@ impl JobQueue {
     /// queued job, and join them. Idempotent; results stay queryable through
     /// [`JobQueue::outcome`] afterwards.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.notify_workers();
+        self.inner.lock().closed = true;
+        self.inner.work.notify_all();
         let handles: Vec<_> = self
             .workers
             .lock()
@@ -318,7 +283,9 @@ mod tests {
         let queue = JobQueue::start(4);
         let models = || vec![ModelConfig::concrete(), ModelConfig::symbolic()];
         let sources: Vec<String> = (0..12).map(|i| return_n(i % 7)).collect();
-        let outcomes = queue.run_batch(sources.iter().map(|src| Job::new(src.clone(), models())));
+        let outcomes = queue
+            .run_batch(sources.iter().map(|src| Job::new(src.clone(), models())))
+            .unwrap();
         let session = Session::default();
         for (source, outcome) in sources.iter().zip(outcomes) {
             let expected =
@@ -331,8 +298,13 @@ mod tests {
     #[test]
     fn shutdown_drains_every_submitted_job() {
         let queue = JobQueue::start(2);
-        let ids = queue
-            .submit_batch((0..16).map(|i| Job::new(return_n(i), vec![ModelConfig::concrete()])));
+        let ids: Vec<JobId> = (0..16)
+            .map(|i| {
+                queue
+                    .submit(Job::new(return_n(i), vec![ModelConfig::concrete()]))
+                    .unwrap()
+            })
+            .collect();
         // Shut down immediately: the pool must finish the backlog first.
         queue.shutdown();
         for (i, id) in ids.iter().enumerate() {
@@ -348,20 +320,58 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "submit on a shut-down JobQueue")]
     fn submitting_after_shutdown_is_refused() {
         let queue = JobQueue::start(1);
         queue.shutdown();
-        queue.submit(Job::new(return_n(0), vec![ModelConfig::concrete()]));
+        let refused = queue.submit(Job::new(return_n(0), vec![ModelConfig::concrete()]));
+        assert_eq!(refused, Err(QueueClosed));
+        assert_eq!(queue.stats().submitted, 0);
+    }
+
+    #[test]
+    fn concurrent_submitters_all_complete() {
+        let queue = JobQueue::start(2);
+        let start = std::sync::Barrier::new(4);
+        // Each submitter returns (id, the value its job's `main` returns).
+        let submitted: Vec<(JobId, usize)> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..4)
+                .map(|t| {
+                    let (queue, start) = (&queue, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (t * 8..t * 8 + 8)
+                            .map(|n| {
+                                let job = Job::new(return_n(n), vec![ModelConfig::concrete()]);
+                                (queue.submit(job).unwrap(), n)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .flat_map(|submitter| submitter.join().unwrap())
+                .collect()
+        });
+        for &(id, n) in &submitted {
+            let matrix = queue.wait(id).into_matrix().unwrap();
+            let exit = matrix.outcome_for("concrete").unwrap().exit_value();
+            assert_eq!(exit, Some(n as i128), "job {id}");
+        }
+        let stats = queue.stats();
+        assert_eq!((stats.submitted, stats.completed, stats.depth), (32, 32, 0));
+        let executed: u64 = stats.workers.iter().map(|w| w.executed).sum();
+        assert_eq!(executed, 32);
+        queue.shutdown();
     }
 
     #[test]
     fn identical_resubmission_is_a_result_cache_hit() {
         let queue = JobQueue::start(2);
         let job = || Job::new(return_n(42), vec![ModelConfig::concrete()]);
-        let first = queue.wait(queue.submit(job()));
+        let first = queue.wait(queue.submit(job()).unwrap());
         assert_eq!(queue.stats().result_cache.hits, 0);
-        let second = queue.wait(queue.submit(job()));
+        let second = queue.wait(queue.submit(job()).unwrap());
         assert_eq!(first, second);
         let stats = queue.stats();
         assert_eq!(stats.result_cache.hits, 1);
@@ -369,7 +379,7 @@ mod tests {
         assert_eq!(stats.result_cache.entries, 1);
         // A different budget is a different job: no false sharing.
         let other = job().with_limits(ResourceLimits::with_steps(77));
-        queue.wait(queue.submit(other));
+        queue.wait(queue.submit(other).unwrap());
         assert_eq!(queue.stats().result_cache.hits, 1);
         assert_eq!(queue.stats().result_cache.misses, 2);
         queue.shutdown();
@@ -381,8 +391,10 @@ mod tests {
         let source = return_n(5);
         // Same source under two model sets: the second job's elaboration is a
         // session-memo hit even though its result-cache key differs.
-        queue.wait(queue.submit(Job::new(source.clone(), vec![ModelConfig::concrete()])));
-        queue.wait(queue.submit(Job::new(source.clone(), vec![ModelConfig::symbolic()])));
+        let concrete = Job::new(source.clone(), vec![ModelConfig::concrete()]);
+        queue.wait(queue.submit(concrete).unwrap());
+        let symbolic = Job::new(source.clone(), vec![ModelConfig::symbolic()]);
+        queue.wait(queue.submit(symbolic).unwrap());
         let elab = queue.stats().elaboration_cache;
         assert_eq!((elab.hits, elab.misses), (1, 1));
         queue.shutdown();
@@ -390,9 +402,10 @@ mod tests {
 
     #[test]
     fn a_slow_job_does_not_block_the_rest_of_the_batch() {
-        // Worker 0 gets a job that spins its full (wall-clock-bounded)
-        // budget; the fast jobs dealt behind it are stolen and finish. This
-        // also exercises per-job budget isolation: only the hog times out.
+        // The first worker takes a job that spins its full (wall-clock-
+        // bounded) budget; the other worker runs the fast jobs queued behind
+        // it. This also exercises per-job budget isolation: only the hog
+        // times out.
         let queue = JobQueue::start(2);
         let hog = Job::new(
             "int main(void) { unsigned long i = 0; while (1) i++; return 0; }",
@@ -404,7 +417,7 @@ mod tests {
             .collect();
         let mut jobs = vec![hog];
         jobs.extend(fast);
-        let outcomes = queue.run_batch(jobs);
+        let outcomes = queue.run_batch(jobs).unwrap();
         assert!(outcomes[0]
             .matrix()
             .unwrap()
@@ -428,11 +441,15 @@ mod tests {
     #[test]
     fn statuses_progress_to_a_terminal_state() {
         let queue = JobQueue::start(1);
-        let good = queue.submit(Job::new(return_n(0), vec![ModelConfig::concrete()]));
-        let bad = queue.submit(Job::new(
-            "int main(void) { return zz; }",
-            vec![ModelConfig::concrete()],
-        ));
+        let good = queue
+            .submit(Job::new(return_n(0), vec![ModelConfig::concrete()]))
+            .unwrap();
+        let bad = queue
+            .submit(Job::new(
+                "int main(void) { return zz; }",
+                vec![ModelConfig::concrete()],
+            ))
+            .unwrap();
         assert_eq!(queue.wait(good).status(), JobStatus::Completed);
         assert_eq!(queue.wait(bad).status(), JobStatus::Failed);
         assert_eq!(queue.status(good), Some(JobStatus::Completed));

@@ -2,7 +2,7 @@
 //! [`cerberus_queue::JobQueue`] worker pool.
 //!
 //! A client POSTs a C translation unit; the service enqueues one
-//! (program × model-set) job on the work-stealing pool, answers immediately
+//! (program × model-set) job on the pool's FIFO, answers immediately
 //! with a job id, and serves the §3-style outcome matrix once the workers
 //! finish. Everything is hand-rolled on `std::net` — the build environment is
 //! offline, so there is no HTTP framework, no async runtime, and no JSON
@@ -331,11 +331,9 @@ fn submit_route(queue: &JobQueue, default_limits: &ResourceLimits, body: &[u8]) 
             _ => return (400, error_body("\"seed\" must be a non-negative integer")),
         }
     }
-    // A submission racing queue shutdown panics in `submit`; contain it and
-    // answer 500 instead of silently dropping the connection.
-    let id = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| queue.submit(job))) {
-        Ok(id) => id,
-        Err(_) => return (500, error_body("service is shutting down")),
+    // Only a queue that has been shut down refuses a job.
+    let Ok(id) = queue.submit(job) else {
+        return (500, error_body("service is shutting down"));
     };
     // The static analysis runs synchronously in the acknowledgement: it is a
     // single memoised pass over the elaborated Core, cheap next to the
@@ -498,6 +496,22 @@ mod tests {
             assert!(error.contains(needle), "{error} should mention {needle}");
         }
         queue.shutdown();
+    }
+
+    #[test]
+    fn a_submission_after_shutdown_is_answered_500() {
+        let queue = JobQueue::start(1);
+        queue.shutdown();
+        let (status, body) = routed(
+            &queue,
+            &post(
+                "/api/v0/submit",
+                r#"{"source": "int main(void) { return 0; }"}"#,
+            ),
+        );
+        assert_eq!(status, 500, "{body:?}");
+        let error = body.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("shutting down"), "{error}");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   over the memory model;
 //! * [`cerberus_litmus`] — the de facto semantic test suite;
 //! * [`cerberus_gen`] — the csmith-lite differential-testing harness;
-//! * [`cerberus_queue`] — the work-stealing job queue fanning (program ×
-//!   model-set) jobs across a worker pool;
+//! * [`cerberus_queue`] — the job queue running (program × model-set) jobs
+//!   on a worker pool that takes them from one FIFO;
 //! * [`cerberus_server`] — the std-only HTTP/1.1 UB-oracle service over that
 //!   pool (see `docs/SERVICE.md`);
 //! * [`cerberus_survey`] — the survey datasets and analysis.

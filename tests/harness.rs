@@ -35,14 +35,16 @@ fn update_mode() -> bool {
 /// document. The queue elaborates the source once per job and reuses that
 /// artifact for all model executions.
 fn observed_documents(queue: &JobQueue, entries: &[FixtureEntry]) -> Vec<Json> {
-    let ids = queue.submit_batch(entries.iter().map(|entry| {
-        let source = std::fs::read_to_string(&entry.source_path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", entry.source_path.display()));
-        Job::new(source, ModelConfig::all_named())
-    }));
+    let outcomes = queue
+        .run_batch(entries.iter().map(|entry| {
+            let source = std::fs::read_to_string(&entry.source_path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", entry.source_path.display()));
+            Job::new(source, ModelConfig::all_named())
+        }))
+        .expect("the harness queue is running");
     entries
         .iter()
-        .zip(queue.wait_all(&ids))
+        .zip(outcomes)
         .map(|(entry, outcome)| match outcome {
             JobOutcome::Matrix(matrix) => expectation_document(&matrix),
             JobOutcome::Rejected(e) => panic!(
