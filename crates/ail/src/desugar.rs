@@ -16,43 +16,10 @@ use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::{self, TagKind, TagRegistry};
 use cerberus_ast::loc::Span;
 use cerberus_parser::cabs::{self, StorageClass, TranslationUnit};
-use cerberus_parser::parser::ParseError;
 use cerberus_parser::token::IntSuffix;
 
 use crate::ail::*;
 use crate::typing::{assignable, binary_result_type, choose_int_const_type};
-
-/// Errors from the whole front end: parsing or constraint checking.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrontendError {
-    /// A syntax error.
-    Parse(ParseError),
-    /// A constraint violation.
-    Constraint(ConstraintViolation),
-}
-
-impl std::fmt::Display for FrontendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrontendError::Parse(e) => write!(f, "{e}"),
-            FrontendError::Constraint(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrontendError {}
-
-impl From<ParseError> for FrontendError {
-    fn from(e: ParseError) -> Self {
-        FrontendError::Parse(e)
-    }
-}
-
-impl From<ConstraintViolation> for FrontendError {
-    fn from(e: ConstraintViolation) -> Self {
-        FrontendError::Constraint(e)
-    }
-}
 
 type DResult<T> = Result<T, ConstraintViolation>;
 
@@ -1380,27 +1347,7 @@ impl<'a> Desugarer<'a> {
         Ok(())
     }
 
-    fn run(mut self, tu: &TranslationUnit) -> DResult<AilProgram> {
-        for decl in &tu.declarations {
-            match decl {
-                cabs::ExternalDeclaration::FunctionDefinition(def) => {
-                    self.desugar_function_definition(def)?;
-                }
-                cabs::ExternalDeclaration::Declaration(d) => {
-                    debug_assert!(self.at_file_scope());
-                    self.desugar_file_scope_declaration(d)?;
-                }
-            }
-        }
-        Ok(AilProgram {
-            tags: self.tags,
-            globals: self.globals,
-            functions: self.func_defs,
-            declarations: self.decls,
-        })
-    }
-
-    /// Like [`Desugarer::run`], but recovers at external-declaration
+    /// Desugar every external declaration, recovering at declaration
     /// granularity: a violation inside one function or file-scope declaration
     /// is recorded and desugaring resumes at the next external declaration, so
     /// a single pass can report every independently diagnosable violation.
@@ -1475,19 +1422,6 @@ fn convert_binop(op: cabs::BinaryOp) -> BinOp {
     }
 }
 
-/// Desugar and type-check a parsed translation unit.
-///
-/// # Errors
-///
-/// Returns the first [`ConstraintViolation`] encountered, citing the ISO C11
-/// clause that the program violates.
-pub fn desugar_translation_unit(
-    tu: &TranslationUnit,
-    env: &ImplEnv,
-) -> Result<AilProgram, ConstraintViolation> {
-    Desugarer::new(env).run(tu)
-}
-
 /// Desugar and type-check a parsed translation unit, collecting **all**
 /// independently diagnosable constraint violations instead of stopping at the
 /// first.
@@ -1495,8 +1429,8 @@ pub fn desugar_translation_unit(
 /// Recovery is at external-declaration granularity: a violation inside one
 /// function or file-scope declaration abandons that declaration and resumes
 /// at the next, so one pass reports one violation per broken declaration (in
-/// source order). On a well-formed unit this is equivalent to
-/// [`desugar_translation_unit`].
+/// source order). The first violation is the one a pass stopping at the
+/// first error would report.
 ///
 /// # Errors
 ///
@@ -1508,26 +1442,22 @@ pub fn desugar_translation_unit_all(
     Desugarer::new(env).run_all(tu)
 }
 
-/// Parse, desugar and type-check C source text in one call.
-///
-/// # Errors
-///
-/// Returns a [`FrontendError`] for syntax errors or constraint violations.
-pub fn desugar(src: &str, env: &ImplEnv) -> Result<AilProgram, FrontendError> {
-    let tu = cerberus_parser::parse_translation_unit(src)?;
-    Ok(desugar_translation_unit(&tu, env)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run(src: &str) -> AilProgram {
-        desugar(src, &ImplEnv::lp64()).unwrap()
+    fn desugar(src: &str) -> Result<AilProgram, Vec<ConstraintViolation>> {
+        let tu = cerberus_parser::parse_translation_unit(src).unwrap();
+        desugar_translation_unit_all(&tu, &ImplEnv::lp64())
     }
 
-    fn run_err(src: &str) -> FrontendError {
-        desugar(src, &ImplEnv::lp64()).unwrap_err()
+    fn run(src: &str) -> AilProgram {
+        desugar(src).unwrap()
+    }
+
+    /// The first constraint violation of a source that parses.
+    fn run_err(src: &str) -> ConstraintViolation {
+        desugar(src).unwrap_err().remove(0)
     }
 
     #[test]
@@ -1552,16 +1482,6 @@ mod tests {
         assert!(
             violations[0].diagnostic.span.start.line <= violations[1].diagnostic.span.start.line
         );
-    }
-
-    #[test]
-    fn collect_all_agrees_with_first_error_mode_on_well_formed_units() {
-        let src = "int main(void) { int x = 40; return x + 2; }";
-        let tu = cerberus_parser::parse_translation_unit(src).unwrap();
-        let all = desugar_translation_unit_all(&tu, &ImplEnv::lp64()).unwrap();
-        let first = desugar_translation_unit(&tu, &ImplEnv::lp64()).unwrap();
-        assert_eq!(all.functions.len(), first.functions.len());
-        assert_eq!(all.globals.len(), first.globals.len());
     }
 
     #[test]
@@ -1646,45 +1566,32 @@ mod tests {
 
     #[test]
     fn undeclared_identifier_is_a_violation() {
-        let e = run_err("int main(void) { return zz; }");
-        let FrontendError::Constraint(c) = e else {
-            panic!("expected constraint violation")
-        };
+        let c = run_err("int main(void) { return zz; }");
         assert_eq!(c.iso_clause(), "6.5.1p2");
     }
 
     #[test]
     fn shift_of_pointer_is_a_violation() {
-        let e = run_err("int main(void) { int x = 0; int *p = &x; return (int)(p << 1); }");
-        let FrontendError::Constraint(c) = e else {
-            panic!("expected constraint violation")
-        };
+        let c = run_err("int main(void) { int x = 0; int *p = &x; return (int)(p << 1); }");
         assert_eq!(c.iso_clause(), "6.5.7p2");
     }
 
     #[test]
     fn assignment_to_rvalue_is_a_violation() {
-        let e = run_err("int main(void) { 3 = 4; return 0; }");
-        let FrontendError::Constraint(c) = e else {
-            panic!("expected constraint violation")
-        };
+        let c = run_err("int main(void) { 3 = 4; return 0; }");
         assert_eq!(c.iso_clause(), "6.5.16p2");
     }
 
     #[test]
     fn incompatible_pointer_assignment_is_a_violation() {
-        let e = run_err("int main(void) { int x; char *p = &x; return 0; }");
         // Initialisation constraints follow those of assignment; we reject at
         // the declaration (6.7.9p11 via 6.5.16.1p1) or assignment clause.
-        assert!(matches!(e, FrontendError::Constraint(_)));
+        run_err("int main(void) { int x; char *p = &x; return 0; }");
     }
 
     #[test]
     fn call_arity_is_checked() {
-        let e = run_err("int f(int a) { return a; } int main(void) { return f(1, 2); }");
-        let FrontendError::Constraint(c) = e else {
-            panic!("expected constraint violation")
-        };
+        let c = run_err("int f(int a) { return a; } int main(void) { return f(1, 2); }");
         assert_eq!(c.iso_clause(), "6.5.2.2p2");
     }
 
@@ -1749,12 +1656,11 @@ mod tests {
 
     #[test]
     fn incompatible_conditional_arms_are_rejected() {
-        let e = run_err(
+        run_err(
             "struct a { int x; }; struct b { int y; };\n\
              struct a ga; struct b gb;\n\
              int main(void) { int c = 1; return (c ? ga : gb).x; }",
         );
-        assert!(matches!(e, FrontendError::Constraint(_)));
     }
 
     #[test]

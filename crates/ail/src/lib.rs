@@ -15,12 +15,12 @@
 //! # Example
 //!
 //! ```
-//! use cerberus_ail::desugar::desugar_translation_unit;
+//! use cerberus_ail::desugar::desugar_translation_unit_all;
 //! use cerberus_ast::env::ImplEnv;
 //! use cerberus_parser::parse_translation_unit;
 //!
 //! let tu = parse_translation_unit("int main(void) { int x = 1; return x + 1; }").unwrap();
-//! let program = desugar_translation_unit(&tu, &ImplEnv::lp64()).unwrap();
+//! let program = desugar_translation_unit_all(&tu, &ImplEnv::lp64()).unwrap();
 //! assert_eq!(program.functions.len(), 1);
 //! ```
 
@@ -32,5 +32,4 @@ pub use ail::{
     AilExpr, AilExprKind, AilInit, AilProgram, AilStmt, BinOp, FunctionDef, GlobalDef, ObjectDecl,
     UnOp,
 };
-pub use desugar::{desugar, desugar_translation_unit};
 pub use typing::choose_int_const_type;

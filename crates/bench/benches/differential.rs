@@ -9,14 +9,16 @@
 //! * `elaborate_uncached` vs `elaborate_memoized` measure the Session
 //!   artifact cache: the memoized path resolves a repeated source by hash
 //!   lookup instead of re-running parse/desugar/elaborate.
-//! * `seed_batch_sequential` runs a batch of csmith-lite seeds over one
-//!   shared session.
+//! * `seed_batch_sequential` runs a batch of csmith-lite seeds on a fresh
+//!   one-worker job queue, so the batch runs on one thread and no iteration
+//!   reuses another's cached results.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_gen::{diff_one, generate, run_differential, to_c_source, GenConfig};
+use cerberus_queue::JobQueue;
 
 fn bench_differential(c: &mut Criterion) {
     let mut group = c.benchmark_group("differential");
@@ -65,7 +67,7 @@ fn bench_differential(c: &mut Criterion) {
     let mut group = c.benchmark_group("seed_batch");
     group.sample_size(10);
     group.bench_function("seed_batch_sequential", |b| {
-        b.iter(|| run_differential(16, GenConfig::small(), 2_000_000))
+        b.iter(|| run_differential(&JobQueue::start(1), 16, GenConfig::small(), 2_000_000))
     });
     group.finish();
 }

@@ -4,7 +4,7 @@
 //! reimplementation.
 //!
 //! Usage: `cargo run -p cerberus-bench --bin reproduce [--quick]
-//! [--models name,name,...] [--fuzz N] [--analyze] [--json] [--serve ADDR]`
+//! [--models name,name,...] [--fuzz N] [--analyze] [--json]`
 //!
 //! `--models` restricts the per-model experiments (E11/E17) to the named
 //! configurations of `ModelConfig::all_named()` — e.g.
@@ -26,21 +26,19 @@
 //! JSON document on stdout, using the same encoder the UB-oracle service's
 //! API responses use, plus the job-queue statistics of the run.
 //!
-//! `--serve ADDR` starts the UB-oracle HTTP service on `ADDR` and blocks (a
-//! shorthand for the `cerberus-serve` binary).
-//!
-//! The suite-per-model and differential experiments are routed through the
-//! [`cerberus_queue::JobQueue`] — the same worker pool the service runs on —
-//! with tallies bit-identical to the sequential paths.
+//! The litmus and differential experiments run as batches on the
+//! [`cerberus_queue::JobQueue`], the worker pool the service runs on: one
+//! multi-model job per litmus test, one job per generated seed. The
+//! UB-oracle HTTP service itself is the `cerberus-serve` binary.
 
 use cerberus::core_lang::pretty::expr_to_string;
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_ast::questions::{Question, QuestionCategory};
 use cerberus_gen::{
-    diff_one_bounded_in, generate, run_differential_queued, DiffOutcome, DiffSummary, GenConfig,
+    diff_one_bounded_in, generate, run_differential, DiffOutcome, DiffSummary, GenConfig,
 };
-use cerberus_litmus::{catalogue, check, run_suite_queued, Verdict};
+use cerberus_litmus::{catalogue, run_suite};
 use cerberus_memory::cheri;
 use cerberus_memory::config::{ModelConfig, ToolProfile};
 use cerberus_memory::value::Provenance;
@@ -240,42 +238,6 @@ fn analyze_corpus() -> ! {
     std::process::exit(if aborted > 0 { 1 } else { 0 });
 }
 
-/// The `--serve ADDR` target, if the flag is present.
-fn serve_addr(args: &[String]) -> Option<String> {
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(addr) = arg.strip_prefix("--serve=") {
-            return Some(addr.to_owned());
-        }
-        if arg == "--serve" {
-            match args.get(i + 1) {
-                Some(addr) if !addr.starts_with("--") => return Some(addr.clone()),
-                _ => {
-                    eprintln!("error: --serve requires a HOST:PORT address");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Run the UB-oracle service in the foreground (the `--serve` mode).
-fn serve_forever(addr: &str) -> ! {
-    let server = cerberus_server::serve(addr, cerberus_server::ServerConfig::default())
-        .unwrap_or_else(|e| {
-            eprintln!("error: cannot serve on {addr}: {e}");
-            std::process::exit(2);
-        });
-    println!(
-        "reproduce: UB-oracle service on {} ({} workers); POST /api/v0/submit",
-        server.local_addr(),
-        server.queue().worker_count()
-    );
-    loop {
-        std::thread::park();
-    }
-}
-
 fn diff_summary_to_json(summary: &DiffSummary) -> Json {
     Json::obj([
         ("agree", Json::Int(summary.agree as i128)),
@@ -305,18 +267,17 @@ fn json_report(queue: &JobQueue, models: &[ModelConfig], quick: bool) -> (Json, 
     ])
     .run(&cerberus_litmus::elaborate(dr260));
 
-    let litmus: Vec<Json> = models
+    let litmus: Vec<Json> = run_suite(queue, &suite, models)
         .iter()
-        .map(|model| {
-            let summary = run_suite_queued(queue, model);
+        .map(|summary| {
             engine_faults += summary.faulted;
-            render::suite_summary_to_json(&summary)
+            render::suite_summary_to_json(summary)
         })
         .collect();
 
     let (small_n, large_n) = if quick { (25, 5) } else { (200, 40) };
-    let small = run_differential_queued(queue, small_n, GenConfig::small(), 2_000_000);
-    let large = run_differential_queued(
+    let small = run_differential(queue, small_n, GenConfig::small(), 2_000_000);
+    let large = run_differential(
         queue,
         large_n,
         GenConfig::large(),
@@ -336,9 +297,6 @@ fn json_report(queue: &JobQueue, models: &[ModelConfig], quick: bool) -> (Json, 
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(addr) = serve_addr(&args) {
-        serve_forever(&addr);
-    }
     if let Some(count) = fuzz_count(&args) {
         fuzz_smoke(count);
     }
@@ -457,11 +415,16 @@ fn main() {
         "  {:<16} {:>8} {:>8} {:>14} {:>8} {:>8}",
         "model", "flagged", "passed", "as-expected", "skipped", "faulted"
     );
+    // One batch, one job per test: the selected models plus de-facto, whose
+    // column feeds the intended-behaviour line below but is printed only
+    // when selected.
+    let mut batch = models.clone();
+    if !models.iter().any(|m| m.name == "de-facto") {
+        batch.push(ModelConfig::de_facto());
+    }
+    let summaries = run_suite(&queue, &suite, &batch);
     let mut engine_faults = 0usize;
-    for model in &models {
-        // Fanned out over the shared worker pool; tallies bit-identical to
-        // the sequential `run_suite`.
-        let summary = run_suite_queued(&queue, model);
+    for summary in &summaries[..models.len()] {
         engine_faults += summary.faulted;
         println!(
             "  {:<16} {:>8} {:>8} {:>9}/{:<4} {:>8} {:>8}",
@@ -488,14 +451,13 @@ fn main() {
         }
     }
     println!("  paper (§3): sanitisers flag few unspecified/padding tests; tis-interpreter is strict; KCC mixed");
-    let de_facto_expectations = catalogue()
+    let de_facto = summaries
         .iter()
-        .map(|t| check(t, &ModelConfig::de_facto()))
-        .filter(|v| matches!(v, Verdict::AsExpected))
-        .count();
+        .find(|s| s.model == "de-facto")
+        .expect("de-facto is in the batch");
     println!(
-        "  candidate de facto model has the intended behaviour on {de_facto_expectations} of {} encoded tests (paper reports 9 of its much larger suite at submission time)",
-        catalogue().len()
+        "  candidate de facto model has the intended behaviour on {} of {} encoded tests (paper reports 9 of its much larger suite at submission time)",
+        de_facto.as_expected, de_facto.total
     );
 
     // E12 — CHERI findings.
@@ -579,13 +541,13 @@ fn main() {
         "E15",
         "differential validation on small generated programs (§6: 556/561 agree, 5 time out)",
     );
-    let small = run_differential_queued(&queue, small_n, GenConfig::small(), 2_000_000);
+    let small = run_differential(&queue, small_n, GenConfig::small(), 2_000_000);
     println!(
         "  measured: {}/{} agree, {} disagree, {} timeout, {} failed, {} faulted",
         small.agree, small.total, small.disagree, small.timeout, small.failed, small.faulted
     );
     heading("E16", "differential validation on larger generated programs (§6: 316 agree, 56 time out, 6 fail of 400)");
-    let large = run_differential_queued(
+    let large = run_differential(
         &queue,
         large_n,
         GenConfig::large(),

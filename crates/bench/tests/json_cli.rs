@@ -59,10 +59,10 @@ fn reproduce_json_reports_every_experiment_and_the_queue_counters() {
         }
     }
 
-    // Every queued job (2 × 96 suite jobs + 25 + 5 fuzz jobs) ran once.
+    // Every queued job (96 two-model suite jobs + 25 + 5 fuzz jobs) ran once.
     let queue = report.get("queue").expect("queue statistics");
-    assert_eq!(int(queue, "submitted"), 222, "{queue:?}");
-    assert_eq!(int(queue, "completed"), 222, "{queue:?}");
+    assert_eq!(int(queue, "submitted"), 126, "{queue:?}");
+    assert_eq!(int(queue, "completed"), 126, "{queue:?}");
     assert_eq!(int(queue, "depth"), 0, "{queue:?}");
     let workers = queue
         .get("workers")
@@ -70,7 +70,7 @@ fn reproduce_json_reports_every_experiment_and_the_queue_counters() {
         .expect("workers array");
     assert!(!workers.is_empty());
     let executed: i128 = workers.iter().map(|worker| int(worker, "executed")).sum();
-    assert_eq!(executed, 222, "{queue:?}");
+    assert_eq!(executed, 126, "{queue:?}");
     for worker in workers {
         assert!(worker.get("stolen").is_none(), "{worker:?}");
     }

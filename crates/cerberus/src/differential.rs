@@ -88,13 +88,6 @@ impl DifferentialRunner {
         self
     }
 
-    /// Use the given per-execution step budget (keeping the rest of the
-    /// resource budget).
-    pub fn with_step_limit(mut self, step_limit: u64) -> Self {
-        self.limits.steps = step_limit;
-        self
-    }
-
     /// Use the given full per-execution resource budget.
     pub fn with_limits(mut self, limits: ResourceLimits) -> Self {
         self.limits = limits;
@@ -345,7 +338,9 @@ mod tests {
             .elaborate("int main(void) { for (int i = 0; i < 100; i++) ; return 5; }")
             .unwrap();
         let completing = DifferentialRunner::new(vec![ModelConfig::de_facto()]);
-        let starving = completing.clone().with_step_limit(1);
+        let starving = completing
+            .clone()
+            .with_limits(ResourceLimits::with_steps(1));
         let mut rows = completing.run(&program).rows().to_vec();
         rows.extend(starving.run(&program).rows().to_vec());
         let matrix = OutcomeMatrix::new(rows);

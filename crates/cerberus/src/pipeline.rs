@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use cerberus_ail::ail::AilProgram;
-use cerberus_ail::desugar::{desugar_translation_unit_all, FrontendError};
+use cerberus_ail::desugar::desugar_translation_unit_all;
 use cerberus_analysis::{AnalysisConfig, AnalysisReport};
 use cerberus_ast::diag::{ConstraintViolation, Diagnostic};
 use cerberus_ast::env::ImplEnv;
@@ -236,15 +236,6 @@ impl From<Vec<ConstraintViolation>> for PipelineError {
     fn from(es: Vec<ConstraintViolation>) -> Self {
         debug_assert!(!es.is_empty(), "an empty violation list is not an error");
         PipelineError::Constraint(es)
-    }
-}
-
-impl From<FrontendError> for PipelineError {
-    fn from(e: FrontendError) -> Self {
-        match e {
-            FrontendError::Parse(e) => PipelineError::Syntax(e),
-            FrontendError::Constraint(e) => PipelineError::Constraint(vec![e]),
-        }
     }
 }
 
@@ -656,13 +647,6 @@ impl Elaborated {
     /// instantiation.
     pub fn driver_with<M: MemoryModel>(&self, model: M) -> Driver<M> {
         Driver::new(self.share(), model)
-    }
-
-    /// Execute under `model` with an explicit mode and step budget (a
-    /// shorthand for [`Elaborated::execute_bounded`] with a steps-only
-    /// [`ResourceLimits`]).
-    pub fn execute(&self, model: &ModelConfig, mode: ExecMode, step_limit: u64) -> RunOutcome {
-        self.execute_bounded(model, mode, &ResourceLimits::with_steps(step_limit))
     }
 
     /// Execute under `model` with an explicit mode and full resource budget

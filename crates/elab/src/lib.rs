@@ -13,12 +13,14 @@
 //! # Example
 //!
 //! ```
-//! use cerberus_ail::desugar::desugar;
+//! use cerberus_ail::desugar::desugar_translation_unit_all;
 //! use cerberus_ast::env::ImplEnv;
 //! use cerberus_elab::elaborate_program;
+//! use cerberus_parser::parse_translation_unit;
 //!
 //! let env = ImplEnv::lp64();
-//! let ail = desugar("int main(void) { return 1 << 3; }", &env).unwrap();
+//! let tu = parse_translation_unit("int main(void) { return 1 << 3; }").unwrap();
+//! let ail = desugar_translation_unit_all(&tu, &env).unwrap();
 //! let core = elaborate_program(&ail, &env);
 //! assert!(core.proc("main").is_some());
 //! ```
@@ -73,12 +75,14 @@ pub fn elaborate_program(program: &AilProgram, env: &ImplEnv) -> CoreProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cerberus_ail::desugar::desugar;
+    use cerberus_ail::desugar::desugar_translation_unit_all;
     use cerberus_core::pretty::expr_to_string;
+    use cerberus_parser::parse_translation_unit;
 
     fn elaborate(src: &str) -> CoreProgram {
         let env = ImplEnv::lp64();
-        let ail = desugar(src, &env).unwrap();
+        let tu = parse_translation_unit(src).unwrap();
+        let ail = desugar_translation_unit_all(&tu, &env).unwrap();
         elaborate_program(&ail, &env)
     }
 

@@ -213,12 +213,6 @@ impl<M: MemoryModel> Driver<M> {
         }
     }
 
-    /// Override the step budget (used to emulate the §6 timeouts).
-    pub fn with_step_limit(mut self, limit: u64) -> Self {
-        self.limits.steps = limit;
-        self
-    }
-
     /// Override the whole resource budget (steps, wall clock, allocation
     /// bounds, call depth).
     pub fn with_limits(mut self, limits: ResourceLimits) -> Self {

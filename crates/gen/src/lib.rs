@@ -23,6 +23,7 @@ use cerberus::memory::config::ModelConfig;
 use cerberus::memory::limits::ResourceLimits;
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
+use cerberus_queue::{Job, JobOutcome, JobQueue};
 
 /// Binary operators of the generated fragment (all defined at `unsigned
 /// long`).
@@ -491,21 +492,20 @@ pub struct DiffSummary {
 
 /// Differentially test one generated program with a throwaway session.
 pub fn diff_one(p: &GenProgram, step_limit: u64) -> DiffOutcome {
-    diff_one_in(&Session::with_model(ModelConfig::concrete()), p, step_limit)
+    diff_one_bounded_in(
+        &Session::with_model(ModelConfig::concrete()),
+        p,
+        &ResourceLimits::with_steps(step_limit),
+    )
 }
 
-/// Differentially test one generated program through an existing session,
-/// reusing its memoised `Elaborated` artifacts: re-testing a seed already
-/// elaborated (by any thread sharing the session) skips the whole front end.
-pub fn diff_one_in(session: &Session, p: &GenProgram, step_limit: u64) -> DiffOutcome {
-    diff_one_bounded_in(session, p, &ResourceLimits::with_steps(step_limit))
-}
-
-/// Differentially test one generated program under a full [`ResourceLimits`]
-/// budget (steps, wall-clock watchdog, allocation bounds, call depth) — the
-/// shape a fuzz worker runs: any budget exhaustion tallies as
-/// [`DiffOutcome::Timeout`], a contained engine panic as
-/// [`DiffOutcome::Fault`].
+/// Differentially test one generated program through an existing session
+/// under a full [`ResourceLimits`] budget (steps, wall-clock watchdog,
+/// allocation bounds, call depth) — the shape a fuzz worker runs: any budget
+/// exhaustion tallies as [`DiffOutcome::Timeout`], a contained engine panic
+/// as [`DiffOutcome::Fault`]. The session's memoised `Elaborated` artifacts
+/// are reused: re-testing a seed already elaborated (by any thread sharing
+/// the session) skips the whole front end.
 pub fn diff_one_bounded_in(
     session: &Session,
     p: &GenProgram,
@@ -529,8 +529,8 @@ pub fn diff_one_bounded_in(
 }
 
 /// Compare one observed [`RunOutcome`] against the reference result — the
-/// single [`DiffOutcome`] classifier shared by the in-thread harness and the
-/// queued harness. Both run the program as a one-row differential-runner
+/// single [`DiffOutcome`] classifier shared by the single-program harness and
+/// the queued batch. Both run the program as a one-row differential-runner
 /// matrix, so a contained engine panic arrives here as an
 /// [`ExecResult::EngineFault`] row and tallies as [`DiffOutcome::Fault`]
 /// with its payload.
@@ -567,41 +567,23 @@ fn tally(summary: &mut DiffSummary, outcome: DiffOutcome) {
 }
 
 /// Run the differential harness over `count` programs generated from
-/// consecutive seeds, on the calling thread.
-pub fn run_differential(count: usize, config: GenConfig, step_limit: u64) -> DiffSummary {
-    let session = Session::with_model(ModelConfig::concrete());
-    let mut summary = DiffSummary {
-        total: count,
-        ..DiffSummary::default()
-    };
-    for seed in 0..count as u64 {
-        let program = generate(seed, config);
-        tally(&mut summary, diff_one_in(&session, &program, step_limit));
-    }
-    summary
-}
-
-/// Differentially test one generated program as a queued job, and `count`
-/// programs as a fanned-out batch: the §6 fuzz harness routed through a
-/// [`cerberus_queue::JobQueue`].
+/// consecutive seeds, as one batch on a [`JobQueue`]: the §6 fuzz harness.
 ///
-/// Each seed becomes one (program × concrete-model) job under exactly the
-/// mode and budget [`diff_one_in`] uses, so the per-seed [`DiffOutcome`]s —
-/// and therefore the [`DiffSummary`] — are bit-identical to
-/// [`run_differential`]'s. Engine panics arrive as contained
-/// [`ExecResult::EngineFault`] rows and tally as [`DiffSummary::faulted`];
-/// front-end rejections (impossible for the generated fragment, possible for
-/// hand-fed programs) tally as [`DiffSummary::failed`].
+/// Each seed becomes one (program × concrete-model) job under the default
+/// mode and a `step_limit` step budget, the budget [`diff_one`] uses. Engine
+/// panics arrive as contained [`ExecResult::EngineFault`] rows and tally as
+/// [`DiffSummary::faulted`]; front-end rejections (impossible for the
+/// generated fragment, possible for hand-fed programs) tally as
+/// [`DiffSummary::failed`].
 ///
 /// # Panics
 /// Panics if the queue has been shut down.
-pub fn run_differential_queued(
-    queue: &cerberus_queue::JobQueue,
+pub fn run_differential(
+    queue: &JobQueue,
     count: usize,
     config: GenConfig,
     step_limit: u64,
 ) -> DiffSummary {
-    use cerberus_queue::{Job, JobOutcome};
     let programs: Vec<GenProgram> = (0..count as u64).map(|s| generate(s, config)).collect();
     let outcomes = queue
         .run_batch(programs.iter().map(|p| {
@@ -665,7 +647,7 @@ mod tests {
 
     #[test]
     fn differential_summary_counts_add_up() {
-        let summary = run_differential(6, GenConfig::small(), 2_000_000);
+        let summary = run_differential(&JobQueue::start(2), 6, GenConfig::small(), 2_000_000);
         assert_eq!(summary.total, 6);
         assert_eq!(
             summary.agree + summary.disagree + summary.timeout + summary.failed + summary.faulted,
@@ -688,30 +670,27 @@ mod tests {
     }
 
     #[test]
-    fn queued_batches_match_the_sequential_summary() {
-        let sequential = run_differential(12, GenConfig::small(), 2_000_000);
-        let queue = cerberus_queue::JobQueue::start(4);
-        let queued = run_differential_queued(&queue, 12, GenConfig::small(), 2_000_000);
-        assert_eq!(queued, sequential);
-        // Tiny budgets classify as timeouts through the queue as well.
-        let starved = run_differential_queued(&queue, 4, GenConfig::large(), 50);
-        assert_eq!(
-            starved,
-            run_differential(4, GenConfig::large(), 50),
-            "starved batches must tally identically"
-        );
-        assert!(starved.timeout > 0, "{starved:?}");
-        queue.shutdown();
+    fn starved_batches_register_as_timeouts() {
+        let summary = run_differential(&JobQueue::start(2), 4, GenConfig::large(), 50);
+        assert_eq!(summary.total, 4);
+        assert_eq!(summary.timeout, summary.total, "{summary:?}");
     }
 
     #[test]
     fn a_shared_session_memoises_repeated_seeds() {
         let session = Session::with_model(ModelConfig::concrete());
         let p = generate(2, GenConfig::small());
-        assert_eq!(diff_one_in(&session, &p, 2_000_000), DiffOutcome::Agree);
+        let limits = ResourceLimits::with_steps(2_000_000);
+        assert_eq!(
+            diff_one_bounded_in(&session, &p, &limits),
+            DiffOutcome::Agree
+        );
         assert_eq!(session.cached_artifacts(), 1);
         // The second run of the same seed is a cache hit, not a new artifact.
-        assert_eq!(diff_one_in(&session, &p, 2_000_000), DiffOutcome::Agree);
+        assert_eq!(
+            diff_one_bounded_in(&session, &p, &limits),
+            DiffOutcome::Agree
+        );
         assert_eq!(session.cached_artifacts(), 1);
     }
 }

@@ -15,8 +15,9 @@
 
 use cerberus::memory::config::ModelConfig;
 use cerberus::pipeline::{Elaborated, RunOutcome, Session};
-use cerberus::{DifferentialRunner, OutcomeMatrix};
+use cerberus::{DifferentialRunner, ModelRun, OutcomeMatrix};
 use cerberus_ast::questions::QuestionCategory;
+use cerberus_queue::{Job, JobOutcome, JobQueue};
 use cerberus_wire::json::Json;
 
 pub mod fixtures;
@@ -146,59 +147,32 @@ pub struct SuiteSummary {
     pub total: usize,
 }
 
-/// Run the whole fixture catalogue under one model configuration (experiment
-/// E11/E17). See [`run_suite_on`] for running a custom corpus.
-pub fn run_suite(model: &ModelConfig) -> SuiteSummary {
-    run_suite_on(&catalogue(), model)
-}
-
-/// Run a suite of tests under one model configuration.
+/// Run a suite through a [`JobQueue`] under several models at once
+/// (experiments E11/E17), returning one [`SuiteSummary`] per model, in
+/// `models` order.
 ///
-/// Each test runs as a one-row [`DifferentialRunner`] matrix, so engine
-/// panics are contained per test: a model defect surfaces as
-/// [`SuiteSummary::faulted`] counts instead of tearing down the suite run.
-/// (Front-end panics from malformed catalogue sources are *not* contained —
-/// they indicate a broken catalogue, not a broken engine.)
-pub fn run_suite_on(suite: &[LitmusTest], model: &ModelConfig) -> SuiteSummary {
-    let runner = DifferentialRunner::new(vec![model.clone()]);
-    let matrices = suite.iter().map(|test| runner.run(&elaborate(test)));
-    summarise(suite, model.name, matrices)
-}
-
-/// Run the whole fixture catalogue through a [`cerberus_queue::JobQueue`].
-/// See [`run_suite_queued_on`].
-pub fn run_suite_queued(queue: &cerberus_queue::JobQueue, model: &ModelConfig) -> SuiteSummary {
-    run_suite_queued_on(queue, &catalogue(), model)
-}
-
-/// Run a suite through a [`cerberus_queue::JobQueue`]: one (test × model) job
-/// per entry, fanned out across the pool's workers.
-///
-/// The tallies are **bit-identical** to [`run_suite_on`]'s: each job runs
-/// the same one-row matrix with the queue's default mode and budget (the
-/// same `Config::default()` values [`DifferentialRunner::new`] uses), so
-/// faulted rows — contained engine panics, surfaced as
-/// [`ExecResult::EngineFault`](cerberus::exec::driver::ExecResult::EngineFault)
-/// rows — count as [`SuiteSummary::faulted`] on both paths. Front-end
-/// rejections or panics still abort: they indicate a broken catalogue, not a
-/// broken engine.
+/// Each test is one job over all of `models`: it is elaborated once, and its
+/// matrix has one row per model. Engine panics are contained per row, so a
+/// model defect surfaces as that model's [`SuiteSummary::faulted`] count
+/// instead of tearing down the suite run or the other models' rows.
+/// Front-end rejections and panics still abort: they indicate a broken
+/// catalogue, not a broken engine.
 ///
 /// # Panics
-/// Panics if the queue has been shut down.
-pub fn run_suite_queued_on(
-    queue: &cerberus_queue::JobQueue,
+/// Panics if the queue has been shut down or a test fails in the front end.
+pub fn run_suite(
+    queue: &JobQueue,
     suite: &[LitmusTest],
-    model: &ModelConfig,
-) -> SuiteSummary {
-    use cerberus_queue::{Job, JobOutcome};
+    models: &[ModelConfig],
+) -> Vec<SuiteSummary> {
     let outcomes = queue
         .run_batch(
             suite
                 .iter()
-                .map(|test| Job::new(test.source.clone(), vec![model.clone()])),
+                .map(|test| Job::new(test.source.clone(), models.to_vec())),
         )
         .expect("the suite's job queue is running");
-    let matrices = suite
+    let matrices: Vec<OutcomeMatrix> = suite
         .iter()
         .zip(outcomes)
         .map(|(test, outcome)| match outcome {
@@ -212,17 +186,23 @@ pub fn run_suite_queued_on(
                     test.name
                 )
             }
-        });
-    summarise(suite, model.name, matrices)
+        })
+        .collect();
+    models
+        .iter()
+        .enumerate()
+        .map(|(column, model)| {
+            let rows = matrices.iter().map(|matrix| &matrix.rows()[column]);
+            summarise(suite, model.name, rows)
+        })
+        .collect()
 }
 
-/// Fold per-test one-row matrices into a [`SuiteSummary`] — the single tally
-/// shared by the sequential and queued suite runners, so their counts cannot
-/// drift apart.
-fn summarise(
+/// Fold one model's column of per-test rows into a [`SuiteSummary`].
+fn summarise<'a>(
     suite: &[LitmusTest],
     model_name: &'static str,
-    matrices: impl IntoIterator<Item = OutcomeMatrix>,
+    rows: impl IntoIterator<Item = &'a ModelRun>,
 ) -> SuiteSummary {
     let mut summary = SuiteSummary {
         model: model_name,
@@ -234,8 +214,7 @@ fn summarise(
         faulted: 0,
         total: suite.len(),
     };
-    for (test, matrix) in suite.iter().zip(matrices) {
-        let row = &matrix.rows()[0];
+    for (test, row) in suite.iter().zip(rows) {
         if row.is_fault() {
             summary.faulted += 1;
             continue;
@@ -268,6 +247,11 @@ pub fn catalogue() -> Vec<LitmusTest> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Run `suite` under `models` as one batch on a two-worker queue.
+    fn run_on(suite: &[LitmusTest], models: &[ModelConfig]) -> Vec<SuiteSummary> {
+        run_suite(&JobQueue::start(2), suite, models)
+    }
 
     #[test]
     fn catalogue_covers_the_headline_categories() {
@@ -332,19 +316,17 @@ mod tests {
         // The golden-file invariant: under every named model, every fixture's
         // recorded expectation holds, and no expectation is skipped (the
         // matrix is complete after the symbolic backfill).
-        let suite = catalogue();
-        for model in ModelConfig::all_named() {
-            let summary = run_suite_on(&suite, &model);
+        for summary in run_on(&catalogue(), &ModelConfig::all_named()) {
             assert_eq!(
                 summary.as_expected, summary.with_expectation,
                 "unexpected verdicts under {}",
-                model.name
+                summary.model
             );
             assert_eq!(
                 summary.skipped_expectations,
                 Vec::<String>::new(),
                 "expectation holes under {}",
-                model.name
+                summary.model
             );
             assert_eq!(summary.with_expectation, summary.total);
         }
@@ -352,8 +334,11 @@ mod tests {
 
     #[test]
     fn strict_iso_flags_more_tests_than_the_de_facto_model() {
-        let df = run_suite(&ModelConfig::de_facto());
-        let iso = run_suite(&ModelConfig::strict_iso());
+        let summaries = run_on(
+            &catalogue(),
+            &[ModelConfig::de_facto(), ModelConfig::strict_iso()],
+        );
+        let (df, iso) = (&summaries[0], &summaries[1]);
         assert!(
             iso.flagged > df.flagged,
             "iso {} vs de facto {}",
@@ -367,12 +352,15 @@ mod tests {
         // The §3 observation: the sanitisers flag few of the
         // unspecified-value/padding/provenance tests, tis-interpreter flags
         // many more.
-        let san = run_suite(&ModelConfig::tool(
-            cerberus::memory::config::ToolProfile::Sanitizer,
-        ));
-        let tis = run_suite(&ModelConfig::tool(
-            cerberus::memory::config::ToolProfile::TisInterpreter,
-        ));
+        use cerberus::memory::config::ToolProfile;
+        let summaries = run_on(
+            &catalogue(),
+            &[
+                ModelConfig::tool(ToolProfile::Sanitizer),
+                ModelConfig::tool(ToolProfile::TisInterpreter),
+            ],
+        );
+        let (san, tis) = (&summaries[0], &summaries[1]);
         assert!(
             san.flagged < tis.flagged,
             "sanitizer {} vs tis {}",
@@ -414,8 +402,11 @@ mod tests {
 
     #[test]
     fn the_symbolic_suite_run_is_stricter_than_concrete() {
-        let concrete = run_suite(&ModelConfig::concrete());
-        let symbolic = run_suite(&ModelConfig::symbolic());
+        let summaries = run_on(
+            &catalogue(),
+            &[ModelConfig::concrete(), ModelConfig::symbolic()],
+        );
+        let (concrete, symbolic) = (&summaries[0], &summaries[1]);
         assert!(
             symbolic.flagged > concrete.flagged,
             "symbolic {} vs concrete {}",
@@ -428,21 +419,35 @@ mod tests {
 
     #[test]
     fn a_faulting_engine_is_counted_not_crashed_on() {
-        // The injected always-panicking model: every test faults, none are
-        // flagged or passed, and the suite run itself survives.
-        let summary = run_suite(&ModelConfig::panicking());
-        assert_eq!(summary.faulted, summary.total);
-        assert_eq!(summary.flagged, 0);
-        assert_eq!(summary.passed, 0);
-        assert_eq!(summary.with_expectation, 0);
+        // The injected always-panicking model runs in the same jobs as two
+        // healthy ones: every test's panicking row faults, none is flagged
+        // or passed, and the suite run and the healthy rows survive intact.
+        let summaries = run_on(
+            &catalogue(),
+            &[
+                ModelConfig::panicking(),
+                ModelConfig::de_facto(),
+                ModelConfig::symbolic(),
+            ],
+        );
+        let names: Vec<&str> = summaries.iter().map(|s| s.model).collect();
+        assert_eq!(names, ["panicking", "de-facto", "symbolic"]);
+        let (panicking, healthy) = summaries.split_first().unwrap();
+        assert_eq!(panicking.faulted, panicking.total);
+        assert_eq!(panicking.flagged, 0);
+        assert_eq!(panicking.passed, 0);
+        assert_eq!(panicking.with_expectation, 0);
         // Faulted tests skip the expectation check entirely — they are not
         // "skipped expectations" (the fixture matrix does record cells for
         // the named models; the engine just never produced an outcome).
-        assert!(summary.skipped_expectations.is_empty());
-        // A healthy engine faults nowhere.
-        let healthy = run_suite(&ModelConfig::de_facto());
-        assert_eq!(healthy.faulted, 0);
-        assert_eq!(healthy.flagged + healthy.passed, healthy.total);
+        assert!(panicking.skipped_expectations.is_empty());
+        // The healthy rows of the same jobs fault nowhere and match every
+        // recorded expectation.
+        for summary in healthy {
+            assert_eq!(summary.faulted, 0, "{}", summary.model);
+            assert_eq!(summary.as_expected, summary.total, "{}", summary.model);
+            assert_eq!(summary.with_expectation, summary.total, "{}", summary.model);
+        }
     }
 
     #[test]
@@ -454,19 +459,12 @@ mod tests {
         for test in suite.iter_mut().take(2) {
             test.expectations.retain(|(m, _)| *m != "de-facto");
         }
-        let summary = run_suite_on(&suite, &ModelConfig::de_facto());
+        let summary = &run_on(&suite, &[ModelConfig::de_facto()])[0];
         let skipped_names: Vec<&str> = suite.iter().take(2).map(|t| t.name.as_str()).collect();
         assert_eq!(summary.skipped_expectations, skipped_names);
         assert_eq!(summary.with_expectation, 3);
         assert_eq!(summary.flagged + summary.passed, summary.total);
         assert_eq!(summary.total, 5);
-        // The queued runner tallies the same holes.
-        let queue = cerberus_queue::JobQueue::start(2);
-        assert_eq!(
-            run_suite_queued_on(&queue, &suite, &ModelConfig::de_facto()),
-            summary
-        );
-        queue.shutdown();
     }
 
     #[test]
@@ -492,39 +490,9 @@ mod tests {
 
         let model = ModelConfig::de_facto();
         assert!(matches!(check(&test, &model), Verdict::Unexpected(_)));
-        let summary = run_suite_on(std::slice::from_ref(&test), &model);
-        assert_eq!(summary.with_expectation, 1);
-        assert_eq!(summary.as_expected, 0);
-    }
-
-    #[test]
-    fn queued_suite_runs_are_bit_identical_to_sequential_ones() {
-        let queue = cerberus_queue::JobQueue::start(4);
-        for model in [
-            ModelConfig::de_facto(),
-            ModelConfig::strict_iso(),
-            ModelConfig::symbolic(),
-        ] {
-            assert_eq!(
-                run_suite_queued(&queue, &model),
-                run_suite(&model),
-                "model {}",
-                model.name
-            );
-        }
-        queue.shutdown();
-    }
-
-    #[test]
-    fn a_faulting_engine_is_contained_by_the_queued_suite_run_too() {
-        let queue = cerberus_queue::JobQueue::start(2);
-        let summary = run_suite_queued(&queue, &ModelConfig::panicking());
-        assert_eq!(summary, run_suite(&ModelConfig::panicking()));
-        assert_eq!(summary.faulted, summary.total);
-        // The pool survives a suite's worth of engine panics.
-        let healthy = run_suite_queued(&queue, &ModelConfig::de_facto());
-        assert_eq!(healthy.faulted, 0);
-        queue.shutdown();
+        let summaries = run_on(std::slice::from_ref(&test), std::slice::from_ref(&model));
+        assert_eq!(summaries[0].with_expectation, 1);
+        assert_eq!(summaries[0].as_expected, 0);
     }
 
     #[test]

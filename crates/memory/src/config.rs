@@ -67,9 +67,9 @@ pub enum EngineKind {
     /// ([`crate::symbolic::SymbolicEngine`]): per-allocation address regions,
     /// typed cells, lazy constraint checking.
     Symbolic,
-    /// The fault-injection engine ([`crate::fault::PanickingEngine`]): every
-    /// execution panics. Used to drill the harness's panic containment; never
-    /// part of [`ModelConfig::all_named`].
+    /// The fault-injection drill ([`crate::model::AnyEngine::Panicking`]):
+    /// every execution panics. Used to drill the harness's panic
+    /// containment; never part of [`ModelConfig::all_named`].
     Panicking,
 }
 
@@ -340,10 +340,11 @@ impl ModelConfig {
     }
 
     /// The always-panicking fault-injection model
-    /// ([`crate::fault::PanickingEngine`]): every execution under it panics,
-    /// exercising the differential harness's panic containment. Deliberately
-    /// *not* part of [`ModelConfig::all_named`] — it only enters a matrix
-    /// when injected explicitly by a test or a fault drill.
+    /// ([`crate::model::AnyEngine::Panicking`], with de-facto semantics):
+    /// every execution under it panics, exercising the differential
+    /// harness's panic containment. Deliberately *not* part of
+    /// [`ModelConfig::all_named`] — it only enters a matrix when injected
+    /// explicitly by a test or a fault drill.
     pub fn panicking() -> Self {
         ModelConfig {
             name: "panicking",

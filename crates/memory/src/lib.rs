@@ -35,9 +35,9 @@
 //!   model;
 //! * CHERI capability semantics ([`cheri`]) reproducing the §4 findings;
 //! * resource budgets ([`limits::ResourceLimits`]) enforced by both engines
-//!   at allocation time, and a fault-injection model
-//!   ([`fault::PanickingEngine`]) for drilling the differential harness's
-//!   panic containment.
+//!   at allocation time, and a fault-injection arm
+//!   ([`model::AnyEngine::Panicking`], see [`fault`]) for drilling the
+//!   differential harness's panic containment.
 //!
 //! How to implement and register a further model is documented in
 //! `docs/MEMORY_MODELS.md`.
@@ -73,7 +73,6 @@ pub use config::{
     EngineKind, IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics, ToolProfile,
     UninitSemantics,
 };
-pub use fault::PanickingEngine;
 pub use limits::{ResourceKind, ResourceLimits, TimeoutKind};
 pub use model::{AnyEngine, ConcreteEngine, MemoryModel, ModelResult};
 pub use state::{AllocKind, Allocation, MemError, MemErrorKind, MemState};

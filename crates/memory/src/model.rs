@@ -27,7 +27,7 @@ use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::TagRegistry;
 
 use crate::config::{EngineKind, ModelConfig};
-use crate::fault::PanickingEngine;
+use crate::fault::FAULT_MESSAGE;
 use crate::limits::ResourceLimits;
 use crate::state::{AllocKind, MemError, MemState};
 use crate::symbolic::SymbolicEngine;
@@ -329,18 +329,20 @@ pub enum AnyEngine {
     Concrete(ConcreteEngine),
     /// A symbolic provenance engine.
     Symbolic(SymbolicEngine),
-    /// The always-panicking fault-injection engine (tests and fault drills
-    /// only — see [`crate::fault`]).
-    Panicking(PanickingEngine),
+    /// The fault-injection drill (tests and fault drills only — see
+    /// [`crate::fault`]): a concrete engine whose [`MemoryModel::fresh`]
+    /// panics with [`FAULT_MESSAGE`], so every execution under it faults.
+    Panicking(ConcreteEngine),
 }
 
 /// Delegate one `MemoryModel` method to whichever engine is inside.
 macro_rules! delegate {
     ($self:ident . $method:ident ( $($arg:expr),* )) => {
         match $self {
-            AnyEngine::Concrete(engine) => engine.$method($($arg),*),
+            AnyEngine::Concrete(engine) | AnyEngine::Panicking(engine) => {
+                engine.$method($($arg),*)
+            }
             AnyEngine::Symbolic(engine) => engine.$method($($arg),*),
-            AnyEngine::Panicking(engine) => engine.$method($($arg),*),
         }
     };
 }
@@ -362,7 +364,7 @@ impl MemoryModel for AnyEngine {
         match self {
             AnyEngine::Concrete(engine) => AnyEngine::Concrete(MemoryModel::fresh(engine)),
             AnyEngine::Symbolic(engine) => AnyEngine::Symbolic(engine.fresh()),
-            AnyEngine::Panicking(engine) => AnyEngine::Panicking(engine.fresh()),
+            AnyEngine::Panicking(_) => panic!("{FAULT_MESSAGE}"),
         }
     }
 
@@ -494,9 +496,7 @@ impl ModelConfig {
             EngineKind::Symbolic => {
                 AnyEngine::Symbolic(SymbolicEngine::new(self.clone(), env, tags))
             }
-            EngineKind::Panicking => {
-                AnyEngine::Panicking(PanickingEngine::new(self.clone(), env, tags))
-            }
+            EngineKind::Panicking => AnyEngine::Panicking(MemState::new(self.clone(), env, tags)),
         }
     }
 

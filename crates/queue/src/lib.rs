@@ -36,9 +36,9 @@
 //! ```
 //!
 //! The HTTP service in `cerberus-server` exposes this queue over versioned
-//! routes; `cerberus-litmus` (`run_suite_queued`) and `cerberus-gen`
-//! (`run_differential_queued`) re-route the existing suite and fuzz paths
-//! through it.
+//! routes; `cerberus-litmus` (`run_suite`, one multi-model job per test) and
+//! `cerberus-gen` (`run_differential`, one job per seed) run their corpora
+//! only through it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -79,9 +79,9 @@ pub struct Job {
 
 impl Job {
     /// A job over the given models, with the default exploration mode and
-    /// resource budget of [`Config::default`] — the same parameters the
-    /// sequential suite and differential paths use, which is what keeps the
-    /// queued paths bit-identical to them.
+    /// resource budget of [`Config::default`] — the same parameters
+    /// [`DifferentialRunner::new`] and the single-program helpers use, so a
+    /// queued row is bit-identical to running the program directly.
     pub fn new(source: impl Into<String>, models: Vec<ModelConfig>) -> Self {
         let defaults = Config::default();
         Job {

@@ -60,8 +60,6 @@ use http::{read_request, write_response, Request};
 pub struct ServerConfig {
     /// Worker threads in the job pool.
     pub workers: usize,
-    /// The resource budget applied to submissions that do not override it.
-    pub default_limits: ResourceLimits,
 }
 
 impl Default for ServerConfig {
@@ -70,7 +68,6 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(2),
-            default_limits: ResourceLimits::default(),
         }
     }
 }
@@ -125,10 +122,9 @@ pub fn serve(addr: &str, config: ServerConfig) -> std::io::Result<Server> {
     let accept_thread = {
         let queue = Arc::clone(&queue);
         let stop = Arc::clone(&stop);
-        let default_limits = config.default_limits.clone();
         std::thread::Builder::new()
             .name("cerberus-serve-accept".to_owned())
-            .spawn(move || accept_loop(listener, queue, default_limits, stop))?
+            .spawn(move || accept_loop(listener, queue, stop))?
     };
     Ok(Server {
         local_addr,
@@ -138,21 +134,15 @@ pub fn serve(addr: &str, config: ServerConfig) -> std::io::Result<Server> {
     })
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    queue: Arc<JobQueue>,
-    default_limits: ResourceLimits,
-    stop: Arc<AtomicBool>,
-) {
+fn accept_loop(listener: TcpListener, queue: Arc<JobQueue>, stop: Arc<AtomicBool>) {
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let queue = Arc::clone(&queue);
-                let limits = default_limits.clone();
                 let handle = std::thread::Builder::new()
                     .name("cerberus-serve-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &queue, &limits));
+                    .spawn(move || handle_connection(stream, &queue));
                 match handle {
                     Ok(handle) => connections.push(handle),
                     Err(_) => continue, // thread spawn failed; drop the connection
@@ -170,10 +160,10 @@ fn accept_loop(
     }
 }
 
-fn handle_connection(mut stream: TcpStream, queue: &JobQueue, limits: &ResourceLimits) {
+fn handle_connection(mut stream: TcpStream, queue: &JobQueue) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let (status, body) = match read_request(&mut stream) {
-        Ok(request) => handle_request(queue, limits, &request),
+        Ok(request) => handle_request(queue, &request),
         Err(failure) => match http::error_status(&failure) {
             Some((status, _)) => (status, error_body(&format!("{failure:?}"))),
             None => return, // peer went away before sending a request
@@ -190,13 +180,9 @@ fn handle_connection(mut stream: TcpStream, queue: &JobQueue, limits: &ResourceL
 
 /// Dispatch one parsed request to its route. Pure apart from the queue —
 /// exercised directly by unit tests without a socket.
-pub fn handle_request(
-    queue: &JobQueue,
-    default_limits: &ResourceLimits,
-    request: &Request,
-) -> (u16, Json) {
+pub fn handle_request(queue: &JobQueue, request: &Request) -> (u16, Json) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/api/v0/submit") => submit_route(queue, default_limits, &request.body),
+        ("POST", "/api/v0/submit") => submit_route(queue, &request.body),
         ("GET", "/api/v0/models") => models_route(),
         ("GET", "/api/v0/stats") => (200, render::queue_stats_to_json(&queue.stats())),
         ("GET", path) if path.starts_with("/api/v0/jobs/") => {
@@ -256,7 +242,7 @@ fn model_by_name(name: &str) -> Option<ModelConfig> {
     }
 }
 
-fn submit_route(queue: &JobQueue, default_limits: &ResourceLimits, body: &[u8]) -> (u16, Json) {
+fn submit_route(queue: &JobQueue, body: &[u8]) -> (u16, Json) {
     let text = match std::str::from_utf8(body) {
         Ok(text) => text,
         Err(_) => return (400, error_body("body is not UTF-8")),
@@ -302,7 +288,7 @@ fn submit_route(queue: &JobQueue, default_limits: &ResourceLimits, body: &[u8]) 
             )
         }
     };
-    let mut limits = default_limits.clone();
+    let mut limits = ResourceLimits::default();
     if let Some(steps) = document.get("steps") {
         match steps.as_int() {
             Some(steps) if steps > 0 => limits.steps = steps.min(u64::MAX as i128) as u64,
@@ -411,14 +397,10 @@ mod tests {
         }
     }
 
-    fn routed(queue: &JobQueue, request: &Request) -> (u16, Json) {
-        handle_request(queue, &ResourceLimits::default(), request)
-    }
-
     #[test]
     fn submit_poll_and_stats_work_without_a_socket() {
         let queue = JobQueue::start(2);
-        let (status, body) = routed(
+        let (status, body) = handle_request(
             &queue,
             &post(
                 "/api/v0/submit",
@@ -431,13 +413,13 @@ mod tests {
         assert_eq!(poll, format!("/api/v0/jobs/{id}"));
 
         queue.wait(JobId(id));
-        let (status, body) = routed(&queue, &get(&poll));
+        let (status, body) = handle_request(&queue, &get(&poll));
         assert_eq!(status, 200);
         assert_eq!(body.get("status").and_then(Json::as_str), Some("completed"));
         let result = body.get("result").unwrap();
         assert_eq!(result.get("all_agree"), Some(&Json::Bool(true)));
 
-        let (status, stats) = routed(&queue, &get("/api/v0/stats"));
+        let (status, stats) = handle_request(&queue, &get("/api/v0/stats"));
         assert_eq!(status, 200);
         assert_eq!(stats.get("submitted").and_then(Json::as_int), Some(1));
         queue.shutdown();
@@ -446,7 +428,7 @@ mod tests {
     #[test]
     fn submissions_are_acknowledged_with_a_static_analysis() {
         let queue = JobQueue::start(1);
-        let (status, body) = routed(
+        let (status, body) = handle_request(
             &queue,
             &post(
                 "/api/v0/submit",
@@ -466,7 +448,7 @@ mod tests {
 
         // A front-end rejection still acknowledges the job; the analysis
         // member carries the error instead of findings.
-        let (status, body) = routed(
+        let (status, body) = handle_request(
             &queue,
             &post("/api/v0/submit", r#"{"source": "int main(void) {"}"#),
         );
@@ -490,7 +472,7 @@ mod tests {
             (r#"{"source": "int main(void){}", "steps": -3}"#, "steps"),
             (r#"{"source": "int main(void){}", "seed": -1}"#, "seed"),
         ] {
-            let (status, response) = routed(&queue, &post("/api/v0/submit", body));
+            let (status, response) = handle_request(&queue, &post("/api/v0/submit", body));
             assert_eq!(status, 400, "{body}");
             let error = response.get("error").and_then(Json::as_str).unwrap();
             assert!(error.contains(needle), "{error} should mention {needle}");
@@ -502,7 +484,7 @@ mod tests {
     fn a_submission_after_shutdown_is_answered_500() {
         let queue = JobQueue::start(1);
         queue.shutdown();
-        let (status, body) = routed(
+        let (status, body) = handle_request(
             &queue,
             &post(
                 "/api/v0/submit",
@@ -517,12 +499,12 @@ mod tests {
     #[test]
     fn unknown_jobs_routes_and_methods_are_mapped() {
         let queue = JobQueue::start(1);
-        assert_eq!(routed(&queue, &get("/api/v0/jobs/999")).0, 404);
-        assert_eq!(routed(&queue, &get("/api/v0/jobs/xyz")).0, 400);
-        assert_eq!(routed(&queue, &get("/nope")).0, 404);
-        assert_eq!(routed(&queue, &post("/api/v0/models", "")).0, 405);
-        assert_eq!(routed(&queue, &get("/")).0, 200);
-        let (status, body) = routed(&queue, &get("/api/v0/models"));
+        assert_eq!(handle_request(&queue, &get("/api/v0/jobs/999")).0, 404);
+        assert_eq!(handle_request(&queue, &get("/api/v0/jobs/xyz")).0, 400);
+        assert_eq!(handle_request(&queue, &get("/nope")).0, 404);
+        assert_eq!(handle_request(&queue, &post("/api/v0/models", "")).0, 405);
+        assert_eq!(handle_request(&queue, &get("/")).0, 200);
+        let (status, body) = handle_request(&queue, &get("/api/v0/models"));
         assert_eq!(status, 200);
         let models = body.get("models").and_then(Json::as_array).unwrap();
         assert!(models.iter().any(|m| m.as_str() == Some("concrete")));
@@ -533,7 +515,7 @@ mod tests {
     #[test]
     fn a_rejected_program_fails_with_structured_diagnostics() {
         let queue = JobQueue::start(1);
-        let (status, body) = routed(
+        let (status, body) = handle_request(
             &queue,
             &post(
                 "/api/v0/submit",
@@ -543,7 +525,7 @@ mod tests {
         assert_eq!(status, 202);
         let id = body.get("job").and_then(Json::as_int).unwrap() as u64;
         queue.wait(JobId(id));
-        let (_, body) = routed(&queue, &get(&format!("/api/v0/jobs/{id}")));
+        let (_, body) = handle_request(&queue, &get(&format!("/api/v0/jobs/{id}")));
         assert_eq!(body.get("status").and_then(Json::as_str), Some("failed"));
         assert_eq!(body.get("reason").and_then(Json::as_str), Some("rejected"));
         assert_eq!(
@@ -558,7 +540,7 @@ mod tests {
     #[test]
     fn a_panicking_model_surfaces_as_an_engine_fault_row() {
         let queue = JobQueue::start(1);
-        let (status, body) = routed(
+        let (status, body) = handle_request(
             &queue,
             &post(
                 "/api/v0/submit",
@@ -568,7 +550,7 @@ mod tests {
         assert_eq!(status, 202);
         let id = body.get("job").and_then(Json::as_int).unwrap() as u64;
         queue.wait(JobId(id));
-        let (_, body) = routed(&queue, &get(&format!("/api/v0/jobs/{id}")));
+        let (_, body) = handle_request(&queue, &get(&format!("/api/v0/jobs/{id}")));
         assert_eq!(
             body.get("status").and_then(Json::as_str),
             Some("completed"),
@@ -582,7 +564,7 @@ mod tests {
         assert_eq!(faulted.len(), 1);
         assert_eq!(faulted[0].as_str(), Some("panicking"));
         // And the service can keep serving afterwards.
-        let (status, _) = routed(&queue, &get("/api/v0/stats"));
+        let (status, _) = handle_request(&queue, &get("/api/v0/stats"));
         assert_eq!(status, 200);
         queue.shutdown();
     }

@@ -3,10 +3,11 @@
 //! generated well-defined programs.
 
 use cerberus_gen::{diff_one, generate, run_differential, DiffOutcome, GenConfig};
+use cerberus_queue::JobQueue;
 
 #[test]
 fn small_generated_programs_agree_with_the_reference_oracle() {
-    let summary = run_differential(20, GenConfig::small(), 2_000_000);
+    let summary = run_differential(&JobQueue::start(2), 20, GenConfig::small(), 2_000_000);
     assert_eq!(summary.total, 20);
     assert_eq!(summary.disagree, 0, "{summary:?}");
     assert_eq!(summary.failed, 0, "{summary:?}");
@@ -15,7 +16,7 @@ fn small_generated_programs_agree_with_the_reference_oracle() {
 
 #[test]
 fn larger_generated_programs_mostly_agree_with_a_timeout_tail() {
-    let summary = run_differential(8, GenConfig::large(), 1_000_000);
+    let summary = run_differential(&JobQueue::start(2), 8, GenConfig::large(), 1_000_000);
     assert_eq!(summary.total, 8);
     assert_eq!(summary.disagree, 0, "{summary:?}");
     // Like the paper's larger Csmith runs, a (small) timeout tail is allowed.

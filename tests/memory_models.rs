@@ -4,6 +4,7 @@
 use cerberus_ast::ub::UbKind;
 use cerberus_litmus::{catalogue, check, run_suite, run_under, Verdict};
 use cerberus_memory::config::{ModelConfig, ToolProfile};
+use cerberus_queue::JobQueue;
 
 #[test]
 fn every_litmus_expectation_holds() {
@@ -29,12 +30,18 @@ fn model_strictness_ordering_matches_the_paper() {
     // §3: the sanitisers are liberal, tis-interpreter and KCC are strict, and
     // the candidate de facto model sits in between (stricter than the
     // concrete semantics, laxer than strict ISO).
-    let concrete = run_suite(&ModelConfig::concrete());
-    let de_facto = run_suite(&ModelConfig::de_facto());
-    let strict = run_suite(&ModelConfig::strict_iso());
-    let sanitizer = run_suite(&ModelConfig::tool(ToolProfile::Sanitizer));
-    let tis = run_suite(&ModelConfig::tool(ToolProfile::TisInterpreter));
-    let kcc = run_suite(&ModelConfig::tool(ToolProfile::Kcc));
+    let models = [
+        ModelConfig::concrete(),
+        ModelConfig::de_facto(),
+        ModelConfig::strict_iso(),
+        ModelConfig::tool(ToolProfile::Sanitizer),
+        ModelConfig::tool(ToolProfile::TisInterpreter),
+        ModelConfig::tool(ToolProfile::Kcc),
+    ];
+    let summaries = run_suite(&JobQueue::start(2), &catalogue(), &models);
+    let [concrete, de_facto, strict, sanitizer, tis, kcc] = &summaries[..] else {
+        panic!("one summary per model")
+    };
 
     assert!(concrete.flagged <= de_facto.flagged);
     assert!(de_facto.flagged < strict.flagged);
