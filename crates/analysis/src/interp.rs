@@ -1045,10 +1045,8 @@ impl<'a> Interp<'a> {
                 .cloned()
                 .unwrap_or(AbsValue::Top),
             PExpr::Unit => AbsValue::Unit,
-            PExpr::Boolean(b) => AbsValue::bool_known(Some(*b)),
             PExpr::Integer(i) => AbsValue::int(*i),
             PExpr::CtypeConst(ty) => AbsValue::Ctype(ty.clone()),
-            PExpr::NullPtr(_) => AbsValue::Ptr(AbsPtr::null_ptr()),
             PExpr::FunctionPtr(f) => AbsValue::Ptr(AbsPtr::function(f)),
             PExpr::Undef(kind) => {
                 self.finding(*kind, true, "reachable undefined-behaviour node in Core");
@@ -1063,29 +1061,6 @@ impl<'a> Interp<'a> {
             PExpr::Tuple(items) => {
                 let vs = items.iter().map(|i| self.eval_pexpr(env, i)).collect();
                 AbsValue::Tuple(vs)
-            }
-            PExpr::ArrayVal(items) => {
-                for i in items {
-                    self.eval_pexpr(env, i);
-                }
-                AbsValue::Top
-            }
-            PExpr::StructVal(_, members) => {
-                for (_, v) in members {
-                    self.eval_pexpr(env, v);
-                }
-                AbsValue::Top
-            }
-            PExpr::UnionVal(_, _, v) => {
-                self.eval_pexpr(env, v);
-                AbsValue::Top
-            }
-            PExpr::Not(inner) => {
-                let v = self.eval_pexpr(env, inner);
-                match self.as_bool(&v) {
-                    Some(b) => AbsValue::bool_known(Some(!b)),
-                    None => AbsValue::bool_atom(self.cond_atom(&v).map(|a| a.negate())),
-                }
             }
             PExpr::Binop(op, a, b) => {
                 let va = self.eval_pexpr(env, a);
@@ -1170,12 +1145,6 @@ impl<'a> Interp<'a> {
                         joined.unwrap_or(AbsValue::Top)
                     }
                 }
-            }
-            PExpr::Let(pat, value, body) => {
-                let v = self.eval_pexpr(env, value);
-                let mut env2 = env.clone();
-                Self::bind(&mut env2, pat, v);
-                self.eval_pexpr(&mut env2, body)
             }
             PExpr::Builtin(f, args) => {
                 let vs: Vec<AbsValue> = args.iter().map(|a| self.eval_pexpr(env, a)).collect();
@@ -1331,31 +1300,6 @@ impl<'a> Interp<'a> {
                 };
                 AbsValue::bool_atom(atom)
             }
-            And | Or => {
-                let (ba, bb) = (self.as_bool(a), self.as_bool(b));
-                let val = match (op, ba, bb) {
-                    (And, Some(false), _) | (And, _, Some(false)) => Some(false),
-                    (And, Some(true), Some(true)) => Some(true),
-                    (Or, Some(true), _) | (Or, _, Some(true)) => Some(true),
-                    (Or, Some(false), Some(false)) => Some(false),
-                    _ => None,
-                };
-                // An undecided conjunct/disjunct with a decided partner keeps
-                // the undecided side's atom (`true && c` ≡ `c`).
-                let atom = if val.is_none() {
-                    match (op, ba, bb) {
-                        (And, Some(true), None) | (Or, Some(false), None) => self.cond_atom(b),
-                        (And, None, Some(true)) | (Or, None, Some(false)) => self.cond_atom(a),
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                AbsValue::Bool {
-                    val,
-                    atom: atom.map(Box::new),
-                }
-            }
             Add | Sub | Mul | Div | RemT | Exp | BitAnd | BitOr | BitXor => {
                 let (ia, ib) = (self.as_int(a), self.as_int(b));
                 let val = match (ia, ib) {
@@ -1439,7 +1383,6 @@ impl<'a> Interp<'a> {
             _ => None,
         });
         match f {
-            BuiltinFn::IntegerPromotion => args.get(1).cloned().unwrap_or(AbsValue::Top),
             BuiltinFn::ConvInt => {
                 let v = args.get(1).cloned().unwrap_or(AbsValue::Top);
                 let prov = match &v {
@@ -1491,18 +1434,6 @@ impl<'a> Interp<'a> {
                 Some(it) => AbsValue::int(i128::from(self.ienv.integer_width(it))),
                 None => AbsValue::unknown_int(),
             },
-            BuiltinFn::Ivmax => match int_ty {
-                Some(it) => AbsValue::int(self.ienv.int_max(it)),
-                None => AbsValue::unknown_int(),
-            },
-            BuiltinFn::Ivmin => match int_ty {
-                Some(it) => AbsValue::int(self.ienv.int_min(it)),
-                None => AbsValue::unknown_int(),
-            },
-            BuiltinFn::SizeOf => match ctype.as_ref().and_then(|t| self.size_of_ty(t)) {
-                Some(s) => AbsValue::int(i128::from(s)),
-                None => AbsValue::unknown_int(),
-            },
             BuiltinFn::AlignOf => match ctype
                 .as_ref()
                 .and_then(|t| layout::align_of(t, self.ienv, &self.program.tags).ok())
@@ -1510,12 +1441,6 @@ impl<'a> Interp<'a> {
                 Some(a) => AbsValue::int(i128::from(a)),
                 None => AbsValue::unknown_int(),
             },
-            BuiltinFn::IsSigned => AbsValue::bool_known(int_ty.map(|it| self.ienv.is_signed(it))),
-            BuiltinFn::IsUnsigned => {
-                AbsValue::bool_known(int_ty.map(|it| !self.ienv.is_signed(it)))
-            }
-            BuiltinFn::IsInteger => AbsValue::bool_known(ctype.as_ref().map(Ctype::is_integer)),
-            BuiltinFn::IsScalar => AbsValue::bool_known(ctype.as_ref().map(Ctype::is_scalar)),
         }
     }
 
@@ -1543,10 +1468,6 @@ impl<'a> Interp<'a> {
             Pattern::Specified(p) => match v {
                 AbsValue::Spec(inner) => Self::bind(env, p, *inner),
                 other => Self::bind(env, p, other),
-            },
-            Pattern::Unspecified(p) => match v {
-                AbsValue::Unspec(Some(ty)) => Self::bind(env, p, AbsValue::Ctype(ty)),
-                _ => Self::bind(env, p, AbsValue::Top),
             },
         }
     }
@@ -1582,20 +1503,6 @@ impl<'a> Interp<'a> {
                 MatchQ::Yes(bs) | MatchQ::Maybe(bs) => MatchQ::Maybe(bs),
                 MatchQ::No => MatchQ::No,
             },
-            (Pattern::Unspecified(p), AbsValue::Unspec(Some(ty))) => {
-                Self::match_quality(p, &AbsValue::Ctype(ty.clone()))
-            }
-            (Pattern::Unspecified(p), AbsValue::Unspec(None)) => {
-                match Self::match_quality(p, &AbsValue::Top) {
-                    MatchQ::Yes(bs) | MatchQ::Maybe(bs) => MatchQ::Yes(bs),
-                    MatchQ::No => MatchQ::No,
-                }
-            }
-            (Pattern::Unspecified(_), AbsValue::Spec(_)) => MatchQ::No,
-            (Pattern::Unspecified(p), _) => match Self::match_quality(p, &AbsValue::Top) {
-                MatchQ::Yes(bs) | MatchQ::Maybe(bs) => MatchQ::Maybe(bs),
-                MatchQ::No => MatchQ::No,
-            },
         }
     }
 
@@ -1605,7 +1512,7 @@ impl<'a> Interp<'a> {
             match p {
                 Pattern::Sym(name) => out.push((name.as_str().to_owned(), AbsValue::Top)),
                 Pattern::Tuple(inner) => out.append(&mut Self::bind_all_top(inner)),
-                Pattern::Specified(inner) | Pattern::Unspecified(inner) => {
+                Pattern::Specified(inner) => {
                     out.append(&mut Self::bind_all_top(std::slice::from_ref(inner)))
                 }
                 Pattern::Wildcard => {}
@@ -1813,18 +1720,6 @@ impl<'a> Interp<'a> {
                 self.fp_stack = saved;
                 flow
             }
-            Expr::Bound(body) => self.eval_expr(env, body),
-            Expr::Nd(items) => {
-                let bodies: Vec<&Expr> = items.iter().collect();
-                self.eval_branches(env, &bodies)
-            }
-            Expr::Par(items) => {
-                for item in items {
-                    let mut env2 = env.clone();
-                    let _ = self.eval_expr(&mut env2, item);
-                }
-                AFlow::Val(AbsValue::Top)
-            }
             Expr::Save(label, body) => self.eval_save(env, label, body),
             Expr::Exit(label, body) => {
                 let flow = self.eval_expr(env, body);
@@ -2013,15 +1908,11 @@ impl<'a> Interp<'a> {
     fn contains_save(e: &Expr, label: &Ident) -> bool {
         match e {
             Expr::Save(l, body) => l == label || Self::contains_save(body, label),
-            Expr::Exit(_, body) | Expr::Indet(body) | Expr::Bound(body) => {
-                Self::contains_save(body, label)
-            }
+            Expr::Exit(_, body) | Expr::Indet(body) => Self::contains_save(body, label),
             Expr::Let(_, _, body) => Self::contains_save(body, label),
             Expr::If(_, t, f) => Self::contains_save(t, label) || Self::contains_save(f, label),
             Expr::Case(_, arms) => arms.iter().any(|(_, b)| Self::contains_save(b, label)),
-            Expr::Unseq(items) | Expr::Nd(items) | Expr::Par(items) => {
-                items.iter().any(|i| Self::contains_save(i, label))
-            }
+            Expr::Unseq(items) => items.iter().any(|i| Self::contains_save(i, label)),
             Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
                 Self::contains_save(a, label) || Self::contains_save(b, label)
             }
@@ -2084,9 +1975,7 @@ impl<'a> Interp<'a> {
                     self.eval_seeking(env, b, label)
                 }
             }
-            Expr::Let(_, _, body) | Expr::Indet(body) | Expr::Bound(body) => {
-                self.eval_seeking(env, body, label)
-            }
+            Expr::Let(_, _, body) | Expr::Indet(body) => self.eval_seeking(env, body, label),
             Expr::If(_, t, f) => {
                 if Self::contains_save(t, label) {
                     self.eval_seeking(env, t, label)
@@ -2102,7 +1991,7 @@ impl<'a> Interp<'a> {
                 }
                 AFlow::Val(AbsValue::Top)
             }
-            Expr::Unseq(items) | Expr::Nd(items) | Expr::Par(items) => {
+            Expr::Unseq(items) => {
                 for item in items {
                     if Self::contains_save(item, label) {
                         return self.eval_seeking(env, item, label);
@@ -2123,12 +2012,6 @@ impl<'a> Interp<'a> {
                 let cty = self.as_ctype(&tv);
                 let size = cty.as_ref().and_then(|t| self.size_of_ty(t));
                 let id = self.alloc(StorageKind::Stack, cty, size, InitState::Uninit, "<auto>");
-                AFlow::Val(AbsValue::Ptr(AbsPtr::to_target(id)))
-            }
-            MemAction::Alloc { size, .. } => {
-                let sv = self.eval_pexpr(env, size);
-                let size = self.as_int(&sv).and_then(|s| u64::try_from(s).ok());
-                let id = self.alloc(StorageKind::Heap, None, size, InitState::Uninit, "<alloc>");
                 AFlow::Val(AbsValue::Ptr(AbsPtr::to_target(id)))
             }
             MemAction::Kill(ptr) => {
@@ -2841,41 +2724,6 @@ impl<'a> Interp<'a> {
                 let p = self.as_ptr(&values[0]);
                 AFlow::Val(AbsValue::spec(AbsValue::Ptr(p)))
             }
-            PtrOp::ValidForDeref => {
-                let p = self.as_ptr(&values[0]);
-                let v = if p.definitely_null() {
-                    Some(0)
-                } else {
-                    match p.single() {
-                        Some(id) => {
-                            let a = &self.state.allocs[id];
-                            match (a.life, p.offset, a.size) {
-                                (Lifetime::Live, Some(off), Some(size))
-                                    if off >= 0 && off < i128::from(size) =>
-                                {
-                                    Some(1)
-                                }
-                                (Lifetime::Dead, _, _) => Some(0),
-                                _ => None,
-                            }
-                        }
-                        None => None,
-                    }
-                };
-                if v.is_none() {
-                    if let Some(id) = p.single() {
-                        let name = self.state.allocs[id].name.clone();
-                        if let Some(sym) = self.mint_sym(format!("valid(&{name})")) {
-                            return AFlow::Val(AbsValue::spec(AbsValue::Int {
-                                val: None,
-                                sym: Some(sym),
-                                prov: None,
-                            }));
-                        }
-                    }
-                }
-                spec_int(v)
-            }
         }
     }
 }
@@ -2885,7 +2733,6 @@ mod tests {
     use super::*;
     use crate::analyze;
     use cerberus_core::program::CoreProc;
-    use cerberus_core::syntax::MemOrder;
 
     fn int_ty() -> Ctype {
         Ctype::integer(IntegerType::Int)
@@ -2923,7 +2770,6 @@ mod tests {
                 ty: Box::new(PExpr::CtypeConst(int_ty())),
                 ptr: Box::new(PExpr::sym(ptr)),
                 value: Box::new(value),
-                order: MemOrder::NA,
             },
         )
     }
@@ -2934,7 +2780,6 @@ mod tests {
             MemAction::Load {
                 ty: Box::new(PExpr::CtypeConst(int_ty())),
                 ptr: Box::new(PExpr::sym(ptr)),
-                order: MemOrder::NA,
             },
         )
     }
@@ -3039,7 +2884,7 @@ mod tests {
     fn null_store_is_flagged() {
         let body = Expr::Sseq(
             Pattern::sym("p"),
-            Box::new(Expr::Pure(PExpr::NullPtr(int_ty()))),
+            Box::new(Expr::Pure(PExpr::specified_int(0))),
             Box::new(store_int("p", PExpr::specified_int(1))),
         );
         let report = analyze(&proc_program(body), &ImplEnv::default());

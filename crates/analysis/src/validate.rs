@@ -75,7 +75,7 @@ impl<'a> Validator<'a> {
                     Self::bind_pattern(p, scope);
                 }
             }
-            Pattern::Specified(p) | Pattern::Unspecified(p) => Self::bind_pattern(p, scope),
+            Pattern::Specified(p) => Self::bind_pattern(p, scope),
         }
     }
 
@@ -107,9 +107,7 @@ impl<'a> Validator<'a> {
                 into.insert(l.as_str().to_owned());
                 Self::collect_labels(body, into);
             }
-            Expr::Let(_, _, body) | Expr::Indet(body) | Expr::Bound(body) => {
-                Self::collect_labels(body, into)
-            }
+            Expr::Let(_, _, body) | Expr::Indet(body) => Self::collect_labels(body, into),
             Expr::If(_, t, f) => {
                 Self::collect_labels(t, into);
                 Self::collect_labels(f, into);
@@ -123,7 +121,7 @@ impl<'a> Validator<'a> {
                 Self::collect_labels(a, into);
                 Self::collect_labels(b, into);
             }
-            Expr::Unseq(items) | Expr::Nd(items) | Expr::Par(items) => {
+            Expr::Unseq(items) => {
                 for item in items {
                     Self::collect_labels(item, into);
                 }
@@ -142,10 +140,8 @@ impl<'a> Validator<'a> {
                 }
             }
             PExpr::Unit
-            | PExpr::Boolean(_)
             | PExpr::Integer(_)
             | PExpr::CtypeConst(_)
-            | PExpr::NullPtr(_)
             | PExpr::Undef(_)
             | PExpr::Error(_)
             | PExpr::Unspecified(_) => {}
@@ -158,18 +154,12 @@ impl<'a> Validator<'a> {
                     ));
                 }
             }
-            PExpr::Specified(e) | PExpr::Not(e) => self.check_pexpr(e, scope),
-            PExpr::Tuple(es) | PExpr::ArrayVal(es) => {
+            PExpr::Specified(e) => self.check_pexpr(e, scope),
+            PExpr::Tuple(es) => {
                 for e in es {
                     self.check_pexpr(e, scope);
                 }
             }
-            PExpr::StructVal(_, fields) => {
-                for (_, e) in fields {
-                    self.check_pexpr(e, scope);
-                }
-            }
-            PExpr::UnionVal(_, _, e) => self.check_pexpr(e, scope),
             PExpr::Binop(_, a, b) => {
                 self.check_pexpr(a, scope);
                 self.check_pexpr(b, scope);
@@ -189,20 +179,10 @@ impl<'a> Validator<'a> {
                     scope.truncate(depth);
                 }
             }
-            PExpr::Let(pat, value, body) => {
-                self.check_pexpr(value, scope);
-                self.check_pattern_arity(pat, value);
-                let depth = scope.len();
-                Self::bind_pattern(pat, scope);
-                self.check_pexpr(body, scope);
-                scope.truncate(depth);
-            }
             PExpr::Builtin(f, args) => {
                 let arity = match f {
-                    BuiltinFn::ConvInt
-                    | BuiltinFn::IsRepresentable
-                    | BuiltinFn::IntegerPromotion => 2,
-                    _ => 1,
+                    BuiltinFn::ConvInt | BuiltinFn::IsRepresentable => 2,
+                    BuiltinFn::CtypeWidth | BuiltinFn::AlignOf => 1,
                 };
                 if args.len() != arity {
                     self.violation(format!(
@@ -252,18 +232,14 @@ impl<'a> Validator<'a> {
                 self.check_pexpr(align, scope);
                 self.check_pexpr(ty, scope);
             }
-            MemAction::Alloc { align, size } => {
-                self.check_pexpr(align, scope);
-                self.check_pexpr(size, scope);
-            }
             MemAction::Kill(ptr) => self.check_pexpr(ptr, scope),
-            MemAction::Store { ty, ptr, value, .. } => {
+            MemAction::Store { ty, ptr, value } => {
                 self.check_action_type_operand("store", ty);
                 self.check_pexpr(ty, scope);
                 self.check_pexpr(ptr, scope);
                 self.check_pexpr(value, scope);
             }
-            MemAction::Load { ty, ptr, .. } => {
+            MemAction::Load { ty, ptr } => {
                 self.check_action_type_operand("load", ty);
                 self.check_pexpr(ty, scope);
                 self.check_pexpr(ptr, scope);
@@ -335,7 +311,7 @@ impl<'a> Validator<'a> {
                     self.check_pexpr(a, scope);
                 }
             }
-            Expr::Unseq(items) | Expr::Nd(items) | Expr::Par(items) => {
+            Expr::Unseq(items) => {
                 for item in items {
                     self.check_expr(item, scope);
                 }
@@ -347,7 +323,7 @@ impl<'a> Validator<'a> {
                 self.check_expr(b, scope);
                 scope.truncate(depth);
             }
-            Expr::Indet(body) | Expr::Bound(body) => self.check_expr(body, scope),
+            Expr::Indet(body) => self.check_expr(body, scope),
             Expr::Save(_, body) | Expr::Exit(_, body) => self.check_expr(body, scope),
             Expr::Run(label) => {
                 if !self.labels.contains(label.as_str()) {
@@ -454,11 +430,8 @@ mod tests {
                 Polarity::Positive,
                 MemAction::Store {
                     ty: Box::new(PExpr::Integer(4)),
-                    ptr: Box::new(PExpr::NullPtr(Ctype::pointer(Ctype::integer(
-                        IntegerType::Int,
-                    )))),
+                    ptr: Box::new(PExpr::specified_int(0)),
                     value: Box::new(PExpr::specified_int(0)),
-                    order: cerberus_core::syntax::MemOrder::NA,
                 },
             ),
         ]);

@@ -206,11 +206,6 @@ impl Ctype {
         Ctype::Array(Box::new(elem), Some(n))
     }
 
-    /// `char *`, the type of string literals after array decay.
-    pub fn char_pointer() -> Self {
-        Ctype::pointer(Ctype::integer(IntegerType::Char))
-    }
-
     /// Whether the type is an integer type (6.2.5p17).
     pub fn is_integer(&self) -> bool {
         matches!(self, Ctype::Integer(_))
@@ -232,11 +227,6 @@ impl Ctype {
         matches!(self, Ctype::Pointer(..))
     }
 
-    /// Whether the type is an aggregate or union type.
-    pub fn is_composite(&self) -> bool {
-        matches!(self, Ctype::Struct(_) | Ctype::Union(_) | Ctype::Array(..))
-    }
-
     /// Whether the type is a (possibly qualified) character type (6.2.5p15),
     /// relevant for the effective-type rules.
     pub fn is_character(&self) -> bool {
@@ -246,12 +236,6 @@ impl Ctype {
                 | Ctype::Integer(IntegerType::SChar)
                 | Ctype::Integer(IntegerType::UChar)
         )
-    }
-
-    /// Whether the type is an object type that can be read/written (i.e. not
-    /// void, not a function).
-    pub fn is_object(&self) -> bool {
-        !matches!(self, Ctype::Void | Ctype::Function(..))
     }
 
     /// The integer type inside the `Ctype`, if any.
@@ -266,14 +250,6 @@ impl Ctype {
     pub fn pointee(&self) -> Option<&Ctype> {
         match self {
             Ctype::Pointer(_, to) => Some(to),
-            _ => None,
-        }
-    }
-
-    /// Array element type and length, if this is an array type.
-    pub fn array_parts(&self) -> Option<(&Ctype, Option<u64>)> {
-        match self {
-            Ctype::Array(elem, n) => Some((elem, *n)),
             _ => None,
         }
     }

@@ -546,11 +546,6 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// The Cabs translation unit.
-    pub fn translation_unit(&self) -> &TranslationUnit {
-        &self.tu
-    }
-
     /// Stage 2: desugar and type-check into Ail. On failure the error
     /// carries **all** independently diagnosable constraint violations, not
     /// just the first (see [`PipelineError::diagnostics`]).

@@ -4,14 +4,13 @@
 //! target for the elaboration, and with the behaviour of Core programs made as
 //! explicit as possible": a typed call-by-value language of procedures and
 //! expressions with mathematical integers, explicit memory actions, and novel
-//! sequencing constructs (`unseq`, weak/strong sequencing, nondeterminism,
-//! `save`/`run`) that make the C evaluation order explicit.
+//! sequencing constructs (`unseq`, weak/strong sequencing, `save`/`run`) that
+//! make the C evaluation order explicit.
 //!
-//! This crate defines the Core abstract syntax, a pretty printer (used to
-//! reproduce the Fig. 3 elaboration excerpt), and Core-to-Core simplification
-//! transforms. The operational semantics lives in `cerberus-exec` and the
-//! memory object models in `cerberus-memory`, mirroring the paper's
-//! factorisation.
+//! This crate defines the Core abstract syntax and a pretty printer (used to
+//! reproduce the Fig. 3 elaboration excerpt). The operational semantics lives
+//! in `cerberus-exec` and the memory object models in `cerberus-memory`,
+//! mirroring the paper's factorisation.
 //!
 //! ## Deviations from the paper's Core
 //!
@@ -22,14 +21,20 @@
 //!   `break`, `switch` dispatch and forward `goto`s can be expressed without a
 //!   CPS transformation; `run l` jumps to the innermost enclosing `save l`
 //!   (re-executing its body) or `exit l` (terminating it normally).
+//! * Core has only the constructors the elaborator emits;
+//!   `tests/core_census.rs` checks this on the fixture corpus and on
+//!   generated programs. So:
+//!   * there is no `nd`, `bound` or `par`, because nothing elaborates
+//!     threads;
+//!   * `load`/`store` carry no memory order, because nothing elaborates
+//!     atomics;
+//!   * there are no Core base types, because no pass type-checks Core.
+//!
+//!   Restore them from git history if threads or atomics are ever elaborated.
 
 pub mod pretty;
 pub mod program;
 pub mod syntax;
-pub mod transform;
 
 pub use program::{CoreGlobal, CoreProc, CoreProgram};
-pub use syntax::{
-    Binop, BuiltinFn, CoreBaseType, Expr, MemAction, MemOrder, PExpr, Pattern, Polarity, PtrOp,
-};
-pub use transform::simplify_expr;
+pub use syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, Polarity, PtrOp};

@@ -24,7 +24,6 @@ pub fn pattern_to_string(p: &Pattern) -> String {
             format!("({})", inner.join(", "))
         }
         Pattern::Specified(inner) => format!("Specified({})", pattern_to_string(inner)),
-        Pattern::Unspecified(inner) => format!("Unspecified({})", pattern_to_string(inner)),
     }
 }
 
@@ -45,25 +44,15 @@ fn binop_str(op: Binop) -> &'static str {
         Binop::Le => "<=",
         Binop::Gt => ">",
         Binop::Ge => ">=",
-        Binop::And => "/\\",
-        Binop::Or => "\\/",
     }
 }
 
 fn builtin_str(f: BuiltinFn) -> &'static str {
     match f {
-        BuiltinFn::IntegerPromotion => "integer_promotion",
         BuiltinFn::ConvInt => "conv_int",
         BuiltinFn::IsRepresentable => "is_representable",
         BuiltinFn::CtypeWidth => "ctype_width",
-        BuiltinFn::Ivmax => "Ivmax",
-        BuiltinFn::Ivmin => "Ivmin",
-        BuiltinFn::SizeOf => "sizeof",
         BuiltinFn::AlignOf => "alignof",
-        BuiltinFn::IsSigned => "is_signed",
-        BuiltinFn::IsUnsigned => "is_unsigned",
-        BuiltinFn::IsInteger => "is_integer",
-        BuiltinFn::IsScalar => "is_scalar",
     }
 }
 
@@ -72,11 +61,8 @@ pub fn pexpr_to_string(pe: &PExpr) -> String {
     match pe {
         PExpr::Sym(s) => s.to_string(),
         PExpr::Unit => "Unit".to_owned(),
-        PExpr::Boolean(true) => "True".to_owned(),
-        PExpr::Boolean(false) => "False".to_owned(),
         PExpr::Integer(v) => v.to_string(),
         PExpr::CtypeConst(ty) => format!("'{ty}'"),
-        PExpr::NullPtr(ty) => format!("NULL('{ty}')"),
         PExpr::FunctionPtr(name) => format!("cfunction({name})"),
         PExpr::Undef(ub) => format!("undef({})", ub.core_name()),
         PExpr::Error(msg) => format!("error({msg:?})"),
@@ -86,21 +72,6 @@ pub fn pexpr_to_string(pe: &PExpr) -> String {
             let inner: Vec<String> = items.iter().map(pexpr_to_string).collect();
             format!("({})", inner.join(", "))
         }
-        PExpr::ArrayVal(items) => {
-            let inner: Vec<String> = items.iter().map(pexpr_to_string).collect();
-            format!("array({})", inner.join(", "))
-        }
-        PExpr::StructVal(tag, members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(name, value)| format!(".{name} = {}", pexpr_to_string(value)))
-                .collect();
-            format!("(struct {tag}){{{}}}", inner.join(", "))
-        }
-        PExpr::UnionVal(tag, member, value) => {
-            format!("(union {tag}){{.{member} = {}}}", pexpr_to_string(value))
-        }
-        PExpr::Not(inner) => format!("not({})", pexpr_to_string(inner)),
         PExpr::Binop(op, l, r) => {
             format!(
                 "({} {} {})",
@@ -128,12 +99,6 @@ pub fn pexpr_to_string(pe: &PExpr) -> String {
             out.push_str(" end");
             out
         }
-        PExpr::Let(pat, value, body) => format!(
-            "let {} = {} in {}",
-            pattern_to_string(pat),
-            pexpr_to_string(value),
-            pexpr_to_string(body)
-        ),
         PExpr::Builtin(f, args) => {
             let inner: Vec<String> = args.iter().map(pexpr_to_string).collect();
             format!("{}({})", builtin_str(*f), inner.join(", "))
@@ -164,7 +129,6 @@ fn ptrop_str(op: PtrOp) -> &'static str {
         PtrOp::Diff => "ptrdiff",
         PtrOp::IntFromPtr => "intFromPtr",
         PtrOp::PtrFromInt => "ptrFromInt",
-        PtrOp::ValidForDeref => "ptrValidForDeref",
     }
 }
 
@@ -177,21 +141,14 @@ fn action_to_string(a: &MemAction) -> String {
                 pexpr_to_string(ty)
             )
         }
-        MemAction::Alloc { align, size } => {
-            format!(
-                "alloc({}, {})",
-                pexpr_to_string(align),
-                pexpr_to_string(size)
-            )
-        }
         MemAction::Kill(ptr) => format!("kill({})", pexpr_to_string(ptr)),
-        MemAction::Store { ty, ptr, value, .. } => format!(
+        MemAction::Store { ty, ptr, value } => format!(
             "store({}, {}, {})",
             pexpr_to_string(ty),
             pexpr_to_string(ptr),
             pexpr_to_string(value)
         ),
-        MemAction::Load { ty, ptr, .. } => {
+        MemAction::Load { ty, ptr } => {
             format!("load({}, {})", pexpr_to_string(ty), pexpr_to_string(ptr))
         }
     }
@@ -289,22 +246,6 @@ fn write_expr(out: &mut String, e: &Expr, level: usize) {
             indent(out, level);
             out.push_str(")\n");
         }
-        Expr::Bound(inner) => {
-            indent(out, level);
-            out.push_str("bound(\n");
-            write_expr(out, inner, level + 1);
-            indent(out, level);
-            out.push_str(")\n");
-        }
-        Expr::Nd(items) => {
-            indent(out, level);
-            out.push_str("nd(\n");
-            for item in items {
-                write_expr(out, item, level + 1);
-            }
-            indent(out, level);
-            out.push_str(")\n");
-        }
         Expr::Save(label, body) => {
             indent(out, level);
             let _ = writeln!(out, "save {label}() in");
@@ -323,15 +264,6 @@ fn write_expr(out: &mut String, e: &Expr, level: usize) {
             indent(out, level);
             let _ = writeln!(out, "return({})", pexpr_to_string(value));
         }
-        Expr::Par(items) => {
-            indent(out, level);
-            out.push_str("par(\n");
-            for item in items {
-                write_expr(out, item, level + 1);
-            }
-            indent(out, level);
-            out.push_str(")\n");
-        }
     }
 }
 
@@ -345,7 +277,6 @@ pub fn expr_to_string(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syntax::MemOrder;
     use cerberus_ast::ctype::{Ctype, IntegerType};
     use cerberus_ast::ident::Ident;
     use cerberus_ast::ub::UbKind;
@@ -396,7 +327,6 @@ mod tests {
                 ty: Box::new(PExpr::CtypeConst(Ctype::integer(IntegerType::Int))),
                 ptr: Box::new(PExpr::sym("p")),
                 value: Box::new(PExpr::Integer(7)),
-                order: MemOrder::NA,
             },
         );
         let s = expr_to_string(&store);

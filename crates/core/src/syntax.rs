@@ -5,30 +5,6 @@ use cerberus_ast::ctype::{Ctype, TagId};
 use cerberus_ast::ident::Ident;
 use cerberus_ast::ub::UbKind;
 
-/// Core base types, used by the lightweight Core type checker and by the
-/// pretty printer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoreBaseType {
-    /// The unit type.
-    Unit,
-    /// Booleans.
-    Boolean,
-    /// First-class representations of C type expressions.
-    CtypeTy,
-    /// Mathematical integers (Core arithmetic is unbounded; C-level wrapping
-    /// is made explicit by the elaboration).
-    Integer,
-    /// C pointer values.
-    Pointer,
-    /// A loaded value: either a specified object value or an unspecified
-    /// value of a recorded C type.
-    Loaded(Box<CoreBaseType>),
-    /// Tuples.
-    Tuple(Vec<CoreBaseType>),
-    /// A C object value of the given type.
-    Object(Ctype),
-}
-
 /// Polarity of a memory action (§5.6): negative actions are not part of a
 /// value computation and are only ordered by strong sequencing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,24 +17,7 @@ pub enum Polarity {
     Negative,
 }
 
-/// C11 memory orders, used when Core is linked against the operational
-/// concurrency model; `NA` is the non-atomic order used by the sequential
-/// memory object models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemOrder {
-    /// Non-atomic.
-    NA,
-    /// `memory_order_seq_cst`.
-    SeqCst,
-    /// `memory_order_relaxed`.
-    Relaxed,
-    /// `memory_order_acquire`.
-    Acquire,
-    /// `memory_order_release`.
-    Release,
-}
-
-/// Binary operators of Core, over mathematical integers and booleans.
+/// Binary operators of Core, over mathematical integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Binop {
     /// Addition.
@@ -93,10 +52,6 @@ pub enum Binop {
     Gt,
     /// Greater-or-equal.
     Ge,
-    /// Boolean conjunction.
-    And,
-    /// Boolean disjunction.
-    Or,
 }
 
 /// The pointer operations that involve the memory state (`ptrop` in Fig. 2).
@@ -120,19 +75,14 @@ pub enum PtrOp {
     IntFromPtr,
     /// Cast of an integer value to a pointer value (`ptrFromInt`).
     PtrFromInt,
-    /// Dereferencing-validity predicate (`ptrValidForDeref`).
-    ValidForDeref,
 }
 
 /// The builtin pure functions of the Core standard library used by the
-/// elaboration (the paper's `integer_promotion`, `ctype_width`,
-/// `is_representable`, `Ivmax`, … auxiliaries, provided here as primitives and
-/// interpreted against the implementation-defined environment).
+/// elaboration (the paper's `conv_int`, `is_representable`, `ctype_width`, …
+/// auxiliaries, provided here as primitives and interpreted against the
+/// implementation-defined environment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuiltinFn {
-    /// The integer promotion of a C integer type applied to a value
-    /// (6.3.1.1p2); arguments: ctype, integer.
-    IntegerPromotion,
     /// Conversion of an integer value to a C integer type (6.3.1.3);
     /// arguments: ctype, integer.
     ConvInt,
@@ -141,22 +91,8 @@ pub enum BuiltinFn {
     IsRepresentable,
     /// The width in bits of a C integer type; argument: ctype.
     CtypeWidth,
-    /// The maximum value of a C integer type; argument: ctype.
-    Ivmax,
-    /// The minimum value of a C integer type; argument: ctype.
-    Ivmin,
-    /// `sizeof`; argument: ctype.
-    SizeOf,
     /// `_Alignof`; argument: ctype.
     AlignOf,
-    /// Whether a C type is a signed integer type; argument: ctype.
-    IsSigned,
-    /// Whether a C type is an unsigned integer type; argument: ctype.
-    IsUnsigned,
-    /// Whether a C type is an integer type; argument: ctype.
-    IsInteger,
-    /// Whether a C type is a scalar type; argument: ctype.
-    IsScalar,
 }
 
 /// Patterns, used by Core `let` and `case`.
@@ -170,9 +106,6 @@ pub enum Pattern {
     Tuple(Vec<Pattern>),
     /// `Specified(p)` — a loaded value that is not unspecified.
     Specified(Box<Pattern>),
-    /// `Unspecified(p)` — an unspecified loaded value; the sub-pattern binds
-    /// the recorded C type.
-    Unspecified(Box<Pattern>),
 }
 
 impl Pattern {
@@ -189,8 +122,6 @@ pub enum MemAction {
     /// Create an object for a C type (static or automatic storage): alignment
     /// and type.
     Create { align: Box<PExpr>, ty: Box<PExpr> },
-    /// Allocate a dynamic region (malloc-style): alignment and size in bytes.
-    Alloc { align: Box<PExpr>, size: Box<PExpr> },
     /// End the lifetime of the object a pointer refers to.
     Kill(Box<PExpr>),
     /// Store a value through a pointer at a C type.
@@ -198,14 +129,9 @@ pub enum MemAction {
         ty: Box<PExpr>,
         ptr: Box<PExpr>,
         value: Box<PExpr>,
-        order: MemOrder,
     },
     /// Load a value through a pointer at a C type.
-    Load {
-        ty: Box<PExpr>,
-        ptr: Box<PExpr>,
-        order: MemOrder,
-    },
+    Load { ty: Box<PExpr>, ptr: Box<PExpr> },
 }
 
 /// Pure (effect-free) Core expressions (`pe` in Fig. 2).
@@ -215,14 +141,10 @@ pub enum PExpr {
     Sym(Ident),
     /// The unit value.
     Unit,
-    /// A boolean literal.
-    Boolean(bool),
     /// A mathematical integer literal.
     Integer(i128),
     /// A C type expression as a first-class value.
     CtypeConst(Ctype),
-    /// The null pointer of a given referenced type.
-    NullPtr(Ctype),
     /// A C function designator used as a value (function pointer).
     FunctionPtr(Ident),
     /// Undefined behaviour: evaluating this terminates the execution with the
@@ -237,22 +159,12 @@ pub enum PExpr {
     Unspecified(Ctype),
     /// A tuple.
     Tuple(Vec<PExpr>),
-    /// An array value (used by aggregate initialisation).
-    ArrayVal(Vec<PExpr>),
-    /// A struct value: tag and member values in declaration order.
-    StructVal(TagId, Vec<(Ident, PExpr)>),
-    /// A union value: tag, active member and its value.
-    UnionVal(TagId, Ident, Box<PExpr>),
-    /// Boolean negation.
-    Not(Box<PExpr>),
-    /// A binary operation over mathematical integers / booleans.
+    /// A binary operation over mathematical integers.
     Binop(Binop, Box<PExpr>, Box<PExpr>),
     /// Pure conditional (the test must be pure).
     If(Box<PExpr>, Box<PExpr>, Box<PExpr>),
     /// Pure pattern match.
     Case(Box<PExpr>, Vec<(Pattern, PExpr)>),
-    /// Pure let.
-    Let(Pattern, Box<PExpr>, Box<PExpr>),
     /// A call to a builtin pure function of the Core standard library.
     Builtin(BuiltinFn, Vec<PExpr>),
     /// Pointer array shift: `array_shift(ptr, τ, index)` advances a pointer by
@@ -280,25 +192,6 @@ impl PExpr {
     /// Shorthand for a `Specified` integer literal.
     pub fn specified_int(v: i128) -> Self {
         PExpr::Specified(Box::new(PExpr::Integer(v)))
-    }
-
-    /// Whether the expression is a literal value (no free symbols, no
-    /// computation).
-    pub fn is_value(&self) -> bool {
-        match self {
-            PExpr::Unit
-            | PExpr::Boolean(_)
-            | PExpr::Integer(_)
-            | PExpr::CtypeConst(_)
-            | PExpr::NullPtr(_)
-            | PExpr::FunctionPtr(_)
-            | PExpr::Unspecified(_) => true,
-            PExpr::Specified(inner) => inner.is_value(),
-            PExpr::Tuple(items) | PExpr::ArrayVal(items) => items.iter().all(PExpr::is_value),
-            PExpr::StructVal(_, members) => members.iter().all(|(_, v)| v.is_value()),
-            PExpr::UnionVal(_, _, v) => v.is_value(),
-            _ => false,
-        }
     }
 }
 
@@ -335,11 +228,6 @@ pub enum Expr {
     /// Marks a subexpression as indeterminately sequenced w.r.t. its context
     /// (function bodies in expressions).
     Indet(Box<Expr>),
-    /// Delimits the context of indeterminate sequencing (the original full
-    /// expression).
-    Bound(Box<Expr>),
-    /// Nondeterministic choice between alternatives.
-    Nd(Vec<Expr>),
     /// `save l in e` — a label whose body is `e`; `run l` within re-executes
     /// the body (loop/backward-jump semantics).
     Save(Ident, Box<Expr>),
@@ -350,9 +238,6 @@ pub enum Expr {
     Run(Ident),
     /// Return from the current C function with a (loaded) value.
     Return(Box<PExpr>),
-    /// Spawn threads evaluating the expressions in parallel (restricted C11
-    /// concurrency instantiation).
-    Par(Vec<Expr>),
 }
 
 impl Expr {
@@ -370,45 +255,11 @@ impl Expr {
             Some(last) => iter.fold(last, |acc, e| Expr::seq(e, acc)),
         }
     }
-
-    /// Whether the expression contains any memory action (used by tests and
-    /// by the simplifier to preserve effects).
-    pub fn has_effects(&self) -> bool {
-        match self {
-            Expr::Pure(_) | Expr::Skip | Expr::Run(_) => false,
-            Expr::Memop(..) | Expr::Action(..) | Expr::Ccall(..) | Expr::Return(_) => true,
-            Expr::Case(_, arms) => arms.iter().any(|(_, e)| e.has_effects()),
-            Expr::Let(_, _, e)
-            | Expr::Indet(e)
-            | Expr::Bound(e)
-            | Expr::Save(_, e)
-            | Expr::Exit(_, e) => e.has_effects(),
-            Expr::If(_, a, b) => a.has_effects() || b.has_effects(),
-            Expr::Unseq(es) | Expr::Nd(es) | Expr::Par(es) => es.iter().any(Expr::has_effects),
-            Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => a.has_effects() || b.has_effects(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cerberus_ast::ctype::IntegerType;
-
-    #[test]
-    fn pexpr_value_detection() {
-        assert!(PExpr::Integer(3).is_value());
-        assert!(PExpr::specified_int(3).is_value());
-        assert!(PExpr::Unspecified(Ctype::integer(IntegerType::Int)).is_value());
-        assert!(!PExpr::sym("x").is_value());
-        assert!(!PExpr::Binop(
-            Binop::Add,
-            Box::new(PExpr::Integer(1)),
-            Box::new(PExpr::Integer(2))
-        )
-        .is_value());
-        assert!(PExpr::Tuple(vec![PExpr::Unit, PExpr::Boolean(true)]).is_value());
-    }
 
     #[test]
     fn seq_all_builds_right_nested_sequences() {
@@ -421,23 +272,6 @@ mod tests {
             other => panic!("unexpected shape: {other:?}"),
         }
         assert_eq!(Expr::seq_all(vec![]), Expr::Skip);
-    }
-
-    #[test]
-    fn effect_detection() {
-        let store = Expr::Action(
-            Polarity::Positive,
-            MemAction::Store {
-                ty: Box::new(PExpr::CtypeConst(Ctype::integer(IntegerType::Int))),
-                ptr: Box::new(PExpr::sym("p")),
-                value: Box::new(PExpr::Integer(1)),
-                order: MemOrder::NA,
-            },
-        );
-        assert!(store.has_effects());
-        assert!(!Expr::Pure(PExpr::Integer(1)).has_effects());
-        assert!(Expr::seq(Expr::Skip, store).has_effects());
-        assert!(!Expr::seq(Expr::Skip, Expr::Skip).has_effects());
     }
 
     #[test]

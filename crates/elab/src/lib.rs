@@ -4,8 +4,8 @@
 //! The elaboration is a compositional translation that makes the dynamic
 //! intricacies of C explicit in Core: evaluation order (via `unseq` and
 //! weak/strong sequencing), integer promotions and the usual arithmetic
-//! conversions (via explicit `conv_int`/`integer_promotion` builtins),
-//! arithmetic undefined behaviour (via explicit `undef(...)` tests, as in the
+//! conversions (computed at elaboration time and made explicit with
+//! `conv_int` builtins), arithmetic undefined behaviour (via explicit `undef(...)` tests, as in the
 //! paper's Fig. 3 left-shift excerpt), object lifetimes (explicit
 //! `create`/`kill` actions), and control flow (via `save`/`run`/`exit`
 //! labels).

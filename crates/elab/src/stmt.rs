@@ -7,7 +7,7 @@ use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::TagRegistry;
 use cerberus_ast::ub::UbKind;
-use cerberus_core::syntax::{Expr, MemAction, MemOrder, PExpr, Pattern, Polarity};
+use cerberus_core::syntax::{Expr, MemAction, PExpr, Pattern, Polarity};
 
 /// The elaboration context: the implementation-defined environment, the tag
 /// registry (for member offsets and layout queries during elaboration), the
@@ -71,7 +71,6 @@ impl Elaborator {
                 ty: Box::new(PExpr::CtypeConst(ty.clone())),
                 ptr: Box::new(ptr),
                 value: Box::new(value),
-                order: MemOrder::NA,
             },
         )
     }
@@ -83,7 +82,6 @@ impl Elaborator {
                 ty: Box::new(PExpr::CtypeConst(ty.clone())),
                 ptr: Box::new(ptr),
                 value: Box::new(value),
-                order: MemOrder::NA,
             },
         )
     }
@@ -94,7 +92,6 @@ impl Elaborator {
             MemAction::Load {
                 ty: Box::new(PExpr::CtypeConst(ty.clone())),
                 ptr: Box::new(ptr),
-                order: MemOrder::NA,
             },
         )
     }

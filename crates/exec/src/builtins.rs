@@ -2,7 +2,6 @@
 //! (the "small parts of the standard libraries" the paper's Cerberus
 //! supports, including `printf`).
 
-use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_memory::model::MemoryModel;
 use cerberus_memory::value::PointerValue;
 
@@ -228,14 +227,4 @@ fn value_as_signed_string(v: &Value) -> String {
         Some(n) => n.to_string(),
         None => "?".to_owned(),
     }
-}
-
-/// The C types of the builtin allocation helpers, exposed for tests.
-pub fn malloc_result_type() -> Ctype {
-    Ctype::pointer(Ctype::Void)
-}
-
-/// The result type of `strlen`, exposed for tests.
-pub fn strlen_result_type() -> Ctype {
-    Ctype::integer(IntegerType::SizeT)
 }

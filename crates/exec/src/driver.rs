@@ -1,12 +1,12 @@
 //! Execution drivers: pseudorandom single-path exploration and exhaustive
 //! enumeration of all allowed behaviours (§5.1, §6).
 //!
-//! Every source of semantic looseness is routed through a [`ChoiceOracle`]:
-//! the evaluation order of `unseq` siblings and the branch taken by `nd`. The
-//! random driver samples one schedule; the exhaustive driver enumerates
-//! choice sequences by depth-first search with replay, exactly the "test
-//! oracle" usage of the paper (compute the set of all allowed behaviours of a
-//! small test case).
+//! Every source of semantic looseness is routed through a [`ChoiceOracle`],
+//! and the only choice points are the evaluation orders of `unseq` siblings
+//! (there is no `nd` branch). The random driver samples one schedule; the
+//! exhaustive driver enumerates choice sequences by depth-first search with
+//! replay, exactly the "test oracle" usage of the paper (compute the set of
+//! all allowed behaviours of a small test case).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use cerberus_memory::model::MemoryModel;
 
 use crate::eval::{Interp, Stop};
 
-/// A source of scheduling/nondeterminism decisions.
+/// A source of scheduling decisions: which `unseq` sibling runs next.
 pub trait ChoiceOracle {
     /// Choose one of `n` alternatives (`n >= 2`).
     fn choose(&mut self, n: usize) -> usize;

@@ -296,9 +296,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
             (Pattern::Tuple(ps), v) if ps.len() == 1 => Self::match_pattern(&ps[0], v),
             (Pattern::Specified(p), Value::Specified(inner)) => Self::match_pattern(p, inner),
-            (Pattern::Unspecified(p), Value::Unspecified(ty)) => {
-                Self::match_pattern(p, &Value::Ctype(ty.clone()))
-            }
             _ => None,
         }
     }
@@ -337,14 +334,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
         };
         match op {
-            And | Or => {
-                let (Value::Bool(x), Value::Bool(y)) = (&a, &b) else {
-                    return Err(Stop::Error(
-                        "boolean operator on non-boolean operands".into(),
-                    ));
-                };
-                Ok(Value::Bool(if op == And { *x && *y } else { *x || *y }))
-            }
             Eq | Ne | Lt | Le | Gt | Ge => {
                 let (Some(x), Some(y)) = (as_num(&a), as_num(&b)) else {
                     return Err(Stop::Error(format!(
@@ -425,7 +414,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         };
         let env = self.mem.env().clone();
         match f {
-            BuiltinFn::IntegerPromotion => Ok(Value::Integer(int_arg(1)?)),
             BuiltinFn::ConvInt => {
                 let ty = ctype_arg(0)?;
                 let iv = int_arg(1)?;
@@ -454,46 +442,12 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     env.integer_width(it),
                 ))))
             }
-            BuiltinFn::Ivmax => {
-                let it = ctype_arg(0)?
-                    .as_integer()
-                    .ok_or_else(|| Stop::Error("Ivmax of non-integer".into()))?;
-                Ok(Value::Integer(IntegerValue::pure(env.int_max(it))))
-            }
-            BuiltinFn::Ivmin => {
-                let it = ctype_arg(0)?
-                    .as_integer()
-                    .ok_or_else(|| Stop::Error("Ivmin of non-integer".into()))?;
-                Ok(Value::Integer(IntegerValue::pure(env.int_min(it))))
-            }
-            BuiltinFn::SizeOf => {
-                let ty = ctype_arg(0)?;
-                Ok(Value::Integer(IntegerValue::pure(i128::from(
-                    self.mem.size_of(&ty)?,
-                ))))
-            }
             BuiltinFn::AlignOf => {
                 let ty = ctype_arg(0)?;
                 Ok(Value::Integer(IntegerValue::pure(i128::from(
                     self.mem.align_of(&ty)?,
                 ))))
             }
-            BuiltinFn::IsSigned => {
-                let ty = ctype_arg(0)?;
-                Ok(Value::Bool(
-                    ty.as_integer().map(|it| env.is_signed(it)).unwrap_or(false),
-                ))
-            }
-            BuiltinFn::IsUnsigned => {
-                let ty = ctype_arg(0)?;
-                Ok(Value::Bool(
-                    ty.as_integer()
-                        .map(|it| !env.is_signed(it))
-                        .unwrap_or(false),
-                ))
-            }
-            BuiltinFn::IsInteger => Ok(Value::Bool(ctype_arg(0)?.is_integer())),
-            BuiltinFn::IsScalar => Ok(Value::Bool(ctype_arg(0)?.is_scalar())),
         }
     }
 
@@ -502,10 +456,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         match pe {
             PExpr::Sym(name) => self.lookup(env, name),
             PExpr::Unit => Ok(Value::Unit),
-            PExpr::Boolean(b) => Ok(Value::Bool(*b)),
             PExpr::Integer(v) => Ok(Value::Integer(IntegerValue::pure(*v))),
             PExpr::CtypeConst(ty) => Ok(Value::Ctype(ty.clone())),
-            PExpr::NullPtr(_) => Ok(Value::Pointer(PointerValue::null())),
             PExpr::FunctionPtr(name) => Ok(Value::Pointer(self.mem.register_function(name))),
             PExpr::Undef(ub) => Err(Stop::Undef {
                 ub: *ub,
@@ -521,39 +473,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 }
                 Ok(Value::Tuple(out))
             }
-            PExpr::ArrayVal(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let v = self.eval_pexpr(env, item)?;
-                    out.push(v.to_mem(&Ctype::integer(IntegerType::LongLong)));
-                }
-                Ok(Value::Object(cerberus_memory::value::MemValue::Array(out)))
-            }
-            PExpr::StructVal(tag, members) => {
-                let mut out = Vec::with_capacity(members.len());
-                for (name, value) in members {
-                    let v = self.eval_pexpr(env, value)?;
-                    out.push((
-                        name.clone(),
-                        v.to_mem(&Ctype::integer(IntegerType::LongLong)),
-                    ));
-                }
-                Ok(Value::Object(cerberus_memory::value::MemValue::Struct(
-                    *tag, out,
-                )))
-            }
-            PExpr::UnionVal(tag, member, value) => {
-                let v = self.eval_pexpr(env, value)?;
-                Ok(Value::Object(cerberus_memory::value::MemValue::Union(
-                    *tag,
-                    member.clone(),
-                    Box::new(v.to_mem(&Ctype::integer(IntegerType::LongLong))),
-                )))
-            }
-            PExpr::Not(inner) => match self.eval_pexpr(env, inner)? {
-                Value::Bool(b) => Ok(Value::Bool(!b)),
-                other => Err(Stop::Error(format!("not applied to {other}"))),
-            },
             PExpr::Binop(op, a, b) => {
                 let va = self.eval_pexpr(env, a)?;
                 let vb = self.eval_pexpr(env, b)?;
@@ -578,11 +497,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     }
                 }
                 Err(Stop::Error(format!("no case arm matches {v}")))
-            }
-            PExpr::Let(pat, value, body) => {
-                let v = self.eval_pexpr(env, value)?;
-                Self::bind(env, pat, v)?;
-                self.eval_pexpr(env, body)
             }
             PExpr::Builtin(f, args) => {
                 let mut vs = Vec::with_capacity(args.len());
@@ -690,14 +604,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 let p = self.mem.ptr_from_int(&iv);
                 Ok(Flow::Value(Value::Specified(Box::new(Value::Pointer(p)))))
             }
-            PtrOp::ValidForDeref => {
-                let p = self.pointer_operand(&values[0])?;
-                let ty = match values.get(1) {
-                    Some(Value::Ctype(ty)) => ty.clone(),
-                    _ => Ctype::integer(IntegerType::Char),
-                };
-                Ok(specified_int(i128::from(self.mem.valid_for_deref(&p, &ty))))
-            }
         }
     }
 
@@ -711,12 +617,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 let ptr = self.mem.create(&ty, AllocKind::Automatic, None)?;
                 Ok(Flow::Value(Value::Pointer(ptr)))
             }
-            MemAction::Alloc { align, size } => {
-                let align = self.eval_pexpr(env, align)?.as_int().unwrap_or(16) as u64;
-                let size = self.eval_pexpr(env, size)?.as_int().unwrap_or(0) as u64;
-                let ptr = self.mem.alloc(size, align).map_err(Stop::from)?;
-                Ok(Flow::Value(Value::Pointer(ptr)))
-            }
             MemAction::Kill(ptr) => {
                 let p = self.eval_pexpr(env, ptr)?;
                 if let Some(p) = p.as_pointer() {
@@ -726,7 +626,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 }
                 Ok(Flow::Value(Value::Unit))
             }
-            MemAction::Store { ty, ptr, value, .. } => {
+            MemAction::Store { ty, ptr, value } => {
                 let ty = match self.eval_pexpr(env, ty)? {
                     Value::Ctype(ty) => ty,
                     other => return Err(Stop::Error(format!("store at a non-type {other}"))),
@@ -739,7 +639,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 self.record_access(p.addr, len, true, negative);
                 Ok(Flow::Value(Value::Unit))
             }
-            MemAction::Load { ty, ptr, .. } => {
+            MemAction::Load { ty, ptr } => {
                 let ty = match self.eval_pexpr(env, ty)? {
                     Value::Ctype(ty) => ty,
                     other => return Err(Stop::Error(format!("load at a non-type {other}"))),
@@ -759,15 +659,11 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     fn contains_save(e: &Expr, label: &Ident) -> bool {
         match e {
             Expr::Save(l, body) => l == label || Self::contains_save(body, label),
-            Expr::Exit(_, body) | Expr::Indet(body) | Expr::Bound(body) => {
-                Self::contains_save(body, label)
-            }
+            Expr::Exit(_, body) | Expr::Indet(body) => Self::contains_save(body, label),
             Expr::Let(_, _, body) => Self::contains_save(body, label),
             Expr::If(_, t, f) => Self::contains_save(t, label) || Self::contains_save(f, label),
             Expr::Case(_, arms) => arms.iter().any(|(_, b)| Self::contains_save(b, label)),
-            Expr::Unseq(items) | Expr::Nd(items) | Expr::Par(items) => {
-                items.iter().any(|i| Self::contains_save(i, label))
-            }
+            Expr::Unseq(items) => items.iter().any(|i| Self::contains_save(i, label)),
             Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
                 Self::contains_save(a, label) || Self::contains_save(b, label)
             }
@@ -825,9 +721,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     self.eval_seeking(env, b, label)
                 }
             }
-            Expr::Let(_, _, body) | Expr::Indet(body) | Expr::Bound(body) => {
-                self.eval_seeking(env, body, label)
-            }
+            Expr::Let(_, _, body) | Expr::Indet(body) => self.eval_seeking(env, body, label),
             Expr::If(_, t, f) => {
                 if Self::contains_save(t, label) {
                     self.eval_seeking(env, t, label)
@@ -843,7 +737,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 }
                 Err(Stop::Error(format!("label {label} not found in case arms")))
             }
-            Expr::Unseq(items) | Expr::Nd(items) | Expr::Par(items) => {
+            Expr::Unseq(items) => {
                 for item in items {
                     if Self::contains_save(item, label) {
                         return self.eval_seeking(env, item, label);
@@ -1006,18 +900,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 self.footprints = saved;
                 result
             }
-            Expr::Bound(body) => self.eval_expr(env, body),
-            Expr::Nd(items) => {
-                if items.is_empty() {
-                    return Ok(Flow::Value(Value::Unit));
-                }
-                let idx = if items.len() == 1 {
-                    0
-                } else {
-                    self.oracle.choose(items.len())
-                };
-                self.eval_expr(env, &items[idx])
-            }
             Expr::Save(label, body) => self.eval_save(env, label, body),
             Expr::Exit(label, body) => match self.eval_expr(env, body)? {
                 Flow::Jump(l) if &l == label => Ok(Flow::Value(Value::Unit)),
@@ -1027,26 +909,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             Expr::Return(value) => {
                 let v = self.eval_pexpr(env, value)?;
                 Ok(Flow::Return(v))
-            }
-            Expr::Par(items) => {
-                // Restricted concurrency: the threads are run to completion in
-                // an oracle-chosen order (data-race detection for interleaved
-                // executions lives in cerberus-conc).
-                let mut order: Vec<usize> = (0..items.len()).collect();
-                let mut results = vec![Value::Unit; items.len()];
-                while !order.is_empty() {
-                    let k = if order.len() == 1 {
-                        0
-                    } else {
-                        self.oracle.choose(order.len())
-                    };
-                    let idx = order.remove(k);
-                    match self.eval_expr(env, &items[idx])? {
-                        Flow::Value(v) => results[idx] = v,
-                        other => return Ok(other),
-                    }
-                }
-                Ok(Flow::Value(Value::Tuple(results)))
             }
         }
     }

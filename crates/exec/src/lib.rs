@@ -4,12 +4,13 @@
 //! any [`cerberus_memory::MemoryModel`] implementation — the executor is
 //! generic over the paper's abstract memory object model interface (§5.9) and
 //! never names a concrete engine. All the looseness of the C semantics is
-//! routed through a single [`driver::ChoiceOracle`]: the order in which
-//! `unseq` siblings are evaluated, and which `nd` branch is taken. "By
-//! selecting an appropriate sequencing monad implementation, we can select
-//! whether to perform an exhaustive search for all allowed executions or
-//! pseudorandomly explore single execution paths" (§5.1) — here the
-//! [`driver::Driver`] provides both modes: [`driver::Driver::run_random`] and
+//! routed through a single [`driver::ChoiceOracle`], and its only choice
+//! points are the orders in which `unseq` siblings are evaluated (Core has no
+//! `nd`, since the elaborator never emits one). "By selecting an appropriate
+//! sequencing monad implementation, we can select whether to perform an
+//! exhaustive search for all allowed executions or pseudorandomly explore
+//! single execution paths" (§5.1) — here the [`driver::Driver`] provides both
+//! modes: [`driver::Driver::run_random`] and
 //! [`driver::Driver::run_exhaustive`].
 //!
 //! Undefined behaviour reached during execution (an `undef(...)` introduced by

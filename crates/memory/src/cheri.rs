@@ -118,17 +118,6 @@ pub fn uintptr_bitand_address_semantics(i: &Capability, mask: u64) -> u64 {
     i.address() & mask
 }
 
-/// Whether the defensive alignment check `(i & 3u) == 0u` succeeds under the
-/// given semantics for a capability-represented `uintptr_t`.
-pub fn alignment_check_passes(i: &Capability, mask: u64, offset_semantics: bool) -> bool {
-    let v = if offset_semantics {
-        uintptr_bitand_offset_semantics(i, mask)
-    } else {
-        uintptr_bitand_address_semantics(i, mask)
-    };
-    v == 0
-}
-
 /// CHERI provenance rule for arithmetic on integers: non-`intptr_t` integer
 /// values do not carry pointer provenance, and for `uintptr_t` arithmetic the
 /// provenance "is only inherited from the left-hand side" (the third §4

@@ -6,9 +6,9 @@
 //! pointer operations of this signature and lets the linked model decide what
 //! is defined. [`MemoryModel`] is that signature: object create/kill, typed
 //! loads and stores, the `ptrop`s (equality, relational comparison,
-//! subtraction, the integer casts, `validForDeref`, `array_shift`/
-//! `member_shift`), the byte-level library helpers, and undefined-behaviour
-//! reporting via [`MemError`].
+//! subtraction, the integer casts, `array_shift`/`member_shift`), the
+//! byte-level library helpers, and undefined-behaviour reporting via
+//! [`MemError`].
 //!
 //! Two implementations ship in-tree: [`ConcreteEngine`] (the configurable
 //! byte-representation engine of [`crate::state`], parameterised by a
@@ -141,9 +141,6 @@ pub trait MemoryModel {
     /// provenance semantics.
     fn ptr_from_int(&self, iv: &IntegerValue) -> PointerValue;
 
-    /// Whether `ptr` may be dereferenced at `ty` without undefined behaviour.
-    fn valid_for_deref(&self, ptr: &PointerValue, ty: &Ctype) -> bool;
-
     /// Pointer arithmetic by `index` elements of `elem_ty` (`array_shift`).
     fn array_shift(
         &self,
@@ -274,10 +271,6 @@ impl MemoryModel for ConcreteEngine {
 
     fn ptr_from_int(&self, iv: &IntegerValue) -> PointerValue {
         MemState::ptr_from_int(self, iv)
-    }
-
-    fn valid_for_deref(&self, ptr: &PointerValue, ty: &Ctype) -> bool {
-        MemState::valid_for_deref(self, ptr, ty)
     }
 
     fn array_shift(
@@ -444,10 +437,6 @@ impl MemoryModel for AnyEngine {
 
     fn ptr_from_int(&self, iv: &IntegerValue) -> PointerValue {
         delegate!(self.ptr_from_int(iv))
-    }
-
-    fn valid_for_deref(&self, ptr: &PointerValue, ty: &Ctype) -> bool {
-        delegate!(self.valid_for_deref(ptr, ty))
     }
 
     fn array_shift(

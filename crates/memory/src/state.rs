@@ -1040,15 +1040,6 @@ impl MemState {
         }
     }
 
-    /// Whether a pointer may be dereferenced at the given type without
-    /// undefined behaviour (`ptrValidForDeref`).
-    pub fn valid_for_deref(&self, ptr: &PointerValue, ty: &Ctype) -> bool {
-        match self.size_of(ty) {
-            Ok(len) => self.check_access(ptr, len, false).is_ok(),
-            Err(_) => false,
-        }
-    }
-
     /// Pointer arithmetic: advance `ptr` by `index` elements of type
     /// `elem_ty` (the Core `array_shift`).
     pub fn array_shift(

@@ -845,13 +845,6 @@ impl MemoryModel for SymbolicEngine {
         PointerValue::object(prov, addr)
     }
 
-    fn valid_for_deref(&self, ptr: &PointerValue, ty: &Ctype) -> bool {
-        match self.size_of(ty) {
-            Ok(len) => self.resolve(ptr, len, false).is_ok(),
-            Err(_) => false,
-        }
-    }
-
     fn array_shift(
         &self,
         ptr: &PointerValue,

@@ -28,7 +28,6 @@
 pub use cerberus;
 pub use cerberus_ail;
 pub use cerberus_ast;
-pub use cerberus_conc;
 pub use cerberus_core;
 pub use cerberus_elab;
 pub use cerberus_exec;

@@ -159,15 +159,31 @@ fn printf_formats_and_loops() {
 
 #[test]
 fn the_same_program_can_be_checked_under_every_model() {
-    let src = "int main(void) { int x = 3; int *p = &x; return *p + 39; }";
-    for model in ModelConfig::all_named() {
-        let out = run_with_model(src, model.clone()).unwrap();
-        assert!(
-            matches!(out.outcomes[0].result, ExecResult::Return(42)),
-            "model {}: {:?}",
-            model.name,
-            out.outcomes[0]
-        );
+    let cases = [
+        (
+            "int main(void) { int x = 3; int *p = &x; return *p + 39; }",
+            42,
+        ),
+        // Integer `>`/`>=`, pointer `>=`, `return;` in a `void` function and a
+        // `(void)` cast, which no fixture exercises.
+        (
+            "static int hits; void bump(void) { hits++; return; } \
+             int main(void) { int a = 5, b = 3; int arr[4]; int *p = &arr[2]; \
+             int *q = &arr[1]; bump(); (void)a; \
+             return 10*(a > b) + 10*(a >= 5) + 10*(p >= q) + 10*(q >= p) + 11*hits + (b > a); }",
+            41,
+        ),
+    ];
+    for (src, expected) in cases {
+        for model in ModelConfig::all_named() {
+            let out = run_with_model(src, model.clone()).unwrap();
+            assert_eq!(
+                out.outcomes[0].result,
+                ExecResult::Return(expected),
+                "model {}: {src}",
+                model.name
+            );
+        }
     }
 }
 
