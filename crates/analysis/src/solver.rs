@@ -30,10 +30,10 @@
 //! hit/miss counters surface in the session cache statistics.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+use cerberus_ast::memo::{CacheStats, Memo};
 
 /// A symbolic integer variable: an unknown run-time value (a parameter, the
 /// result of an unknown load or conversion) or an allocation base address.
@@ -269,67 +269,47 @@ pub struct Solved {
     pub from_memo: bool,
 }
 
-/// Cumulative counters for a shared solver.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Memo-table hits.
-    pub hits: u64,
-    /// Memo-table misses (each one ran the decision procedure).
-    pub misses: u64,
-    /// Entries currently memoised.
-    pub entries: usize,
-}
-
 /// A memoising difference-constraint solver, shareable across threads and
 /// across translation units (the Johnson CLP-memoization line: solved
 /// subgoals are cached under canonicalised keys).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Solver {
-    memo: Mutex<HashMap<Vec<Atom>, Verdict>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    memo: Memo<Vec<Atom>, Verdict>,
 }
 
-/// Cap on memoised constraint sets; beyond it the table is cleared
-/// (generational eviction, matching the session caches).
-const MEMO_CAPACITY: usize = 4096;
+/// The most constraint sets a solver memoises.
+const SOLVER_CAPACITY: usize = 4096;
+
+impl Default for Solver {
+    fn default() -> Self {
+        Solver {
+            memo: Memo::new(SOLVER_CAPACITY),
+        }
+    }
+}
 
 impl Solver {
     /// Decide satisfiability of the conjunction `atoms`, consulting and
     /// updating the memo table.
     pub fn solve(&self, atoms: &[Atom]) -> Solved {
         let key = canonicalise(atoms);
-        {
-            let memo = self.memo.lock().unwrap();
-            if let Some(verdict) = memo.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Solved {
-                    verdict: decanonicalise(verdict, atoms),
-                    from_memo: true,
-                };
-            }
+        if let Some(verdict) = self.memo.get(&key) {
+            return Solved {
+                verdict: decanonicalise(&verdict, atoms),
+                from_memo: true,
+            };
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let verdict = decide(&key);
-        let mut memo = self.memo.lock().unwrap();
-        if memo.len() >= MEMO_CAPACITY {
-            memo.clear();
-        }
-        memo.insert(key, verdict.clone());
-        drop(memo);
+        self.memo.insert(key, verdict.clone());
         Solved {
             verdict: decanonicalise(&verdict, atoms),
             from_memo: false,
         }
     }
 
-    /// Counters and table size.
-    pub fn stats(&self) -> SolverStats {
-        SolverStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.memo.lock().unwrap().len(),
-        }
+    /// Memo hits, misses (each one ran the decision procedure) and entries.
+    pub fn stats(&self) -> CacheStats {
+        self.memo.stats()
     }
 }
 

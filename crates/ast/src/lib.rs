@@ -4,8 +4,8 @@
 //! particular phase: source locations, identifiers, the C type grammar,
 //! implementation-defined environments (object sizes, alignments, signedness of
 //! plain `char`, …), storage layout computation, the catalogue of undefined
-//! behaviours the semantics can report, and the design-space question catalogue
-//! from §2 of the paper.
+//! behaviours the semantics can report, the design-space question catalogue
+//! from §2 of the paper, and the bounded memo table every pipeline cache uses.
 //!
 //! # Example
 //!
@@ -24,6 +24,7 @@ pub mod env;
 pub mod ident;
 pub mod layout;
 pub mod loc;
+pub mod memo;
 pub mod questions;
 pub mod ub;
 

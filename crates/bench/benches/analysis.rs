@@ -86,12 +86,12 @@ fn bench_analysis(c: &mut Criterion) {
             paths_pruned += report.paths_pruned as u128;
         }
     }
-    let stats = session.cache_stats();
+    let solver = session.cache_stats().solver;
     println!(
         "analysis counters: {analyzed} fixtures, {paths_explored} paths explored \
          ({paths_pruned} pruned), solver memo {}/{} hits",
-        stats.solver_hits,
-        stats.solver_lookups()
+        solver.hits,
+        solver.lookups()
     );
     criterion::record_value("analysis_counters", "fixtures_analyzed", analyzed);
     criterion::record_value("analysis_counters", "paths_explored", paths_explored);
@@ -99,12 +99,12 @@ fn bench_analysis(c: &mut Criterion) {
     criterion::record_value(
         "analysis_counters",
         "solver_queries",
-        u128::from(stats.solver_lookups()),
+        u128::from(solver.lookups()),
     );
     criterion::record_value(
         "analysis_counters",
         "solver_memo_hits",
-        u128::from(stats.solver_hits),
+        u128::from(solver.hits),
     );
 }
 

@@ -226,14 +226,14 @@ fn analyze_corpus() -> ! {
             ),
         }
     }
-    let stats = session.cache_stats();
+    let solver = session.cache_stats().solver;
     println!(
         "\n{} tests analyzed ('!' marks an exhausted step budget); {} aborted; \
          solver memo {}/{} hits",
         suite.len(),
         aborted,
-        stats.solver_hits,
-        stats.solver_lookups(),
+        solver.hits,
+        solver.lookups(),
     );
     std::process::exit(if aborted > 0 { 1 } else { 0 });
 }

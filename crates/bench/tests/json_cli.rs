@@ -74,4 +74,17 @@ fn reproduce_json_reports_every_experiment_and_the_queue_counters() {
     for worker in workers {
         assert!(worker.get("stolen").is_none(), "{worker:?}");
     }
+    // Every cache reports in the one shape.
+    for cache in [
+        "result_cache",
+        "elaboration_cache",
+        "analysis_cache",
+        "solver_memo",
+    ] {
+        let Some(Json::Obj(members)) = queue.get(cache) else {
+            panic!("{cache} is not an object in {queue:?}");
+        };
+        let names: Vec<_> = members.keys().map(String::as_str).collect();
+        assert_eq!(names, ["entries", "hits", "misses"], "{cache} in {queue:?}");
+    }
 }

@@ -61,5 +61,5 @@ pub use differential::{
 };
 pub use pipeline::{
     run, run_with_model, CacheStats, Config, Desugared, Elaborated, Parsed, PipelineError,
-    PipelineErrorKind, RunOutcome, Session,
+    PipelineErrorKind, RunOutcome, Session, SessionStats,
 };

@@ -29,25 +29,27 @@
 //! For running one artifact across a whole *set* of models and comparing the
 //! outcomes, see [`crate::differential::DifferentialRunner`].
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cerberus_ail::ail::AilProgram;
 use cerberus_ail::desugar::desugar_translation_unit_all;
+use cerberus_analysis::solver::Solver;
 use cerberus_analysis::{AnalysisConfig, AnalysisReport};
 use cerberus_ast::diag::{ConstraintViolation, Diagnostic};
 use cerberus_ast::env::ImplEnv;
 use cerberus_ast::loc::Span;
+use cerberus_ast::memo::Memo;
 use cerberus_core::program::CoreProgram;
 use cerberus_elab::elaborate_program;
 use cerberus_exec::driver::{Driver, ExecMode, ExecResult, ProgramOutcome};
 use cerberus_memory::config::ModelConfig;
 use cerberus_memory::limits::{ResourceKind, ResourceLimits};
-use cerberus_memory::model::{AnyEngine, MemoryModel};
+use cerberus_memory::model::AnyEngine;
 use cerberus_parser::cabs::TranslationUnit;
 use cerberus_parser::parse_translation_unit;
 use cerberus_parser::parser::ParseError;
+
+pub use cerberus_ast::memo::CacheStats;
 
 /// Pipeline configuration: the memory object model, the
 /// implementation-defined environment, the exploration mode, and the
@@ -292,48 +294,25 @@ impl RunOutcome {
 
 // ----- the staged session ----------------------------------------------------
 
-/// Hit/miss statistics of a memoising cache (the [`Session`] artifact memo,
-/// and — by shape — the service-level result caches built on top of it).
-///
-/// A *hit* answered a lookup from the cache; a *miss* had to do the work
-/// (for the session memo: run the front end — including lookups whose
-/// elaboration then failed, since failures are not cached). `entries` is the
-/// current population, bounded by the cache's capacity.
+/// The counters of a [`Session`]'s three memos, each in the one
+/// [`CacheStats`] shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to do the underlying work.
-    pub misses: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-    /// Constraint-solver queries answered from the solver's memo table
-    /// (only populated by [`Session::cache_stats`]; zero for caches with no
-    /// attached solver).
-    pub solver_hits: u64,
-    /// Constraint-solver queries that ran the decision procedure.
-    pub solver_misses: u64,
+pub struct SessionStats {
+    /// The (source → [`Elaborated`]) memo of [`Session::elaborate`]. A miss
+    /// ran the front end, including lookups whose elaboration then failed,
+    /// since failures are not memoised.
+    pub elaboration: CacheStats,
+    /// The (source → report) memo of [`Session::analyze`].
+    pub analysis: CacheStats,
+    /// The constraint solver's memo table, shared by every analysis.
+    pub solver: CacheStats,
 }
 
-impl CacheStats {
-    /// Total lookups observed (`hits + misses`).
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
+/// The most elaborated artifacts a session memoises.
+const ARTIFACT_CAPACITY: usize = 512;
 
-    /// Total constraint-solver queries (`solver_hits + solver_misses`).
-    pub fn solver_lookups(&self) -> u64 {
-        self.solver_hits + self.solver_misses
-    }
-}
-
-/// The shared hit/miss counters behind [`Session::cache_stats`] (one pair per
-/// cache, shared — like the cache itself — by all clones of a session).
-#[derive(Debug, Default)]
-struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+/// The most analysis reports a session memoises.
+const ANALYSIS_CAPACITY: usize = 512;
 
 /// A pipeline session: fixes the configuration, exposes the front end as
 /// explicit stages producing reusable artifacts, and memoises elaboration.
@@ -353,15 +332,20 @@ struct CacheCounters {
 /// let second = session.elaborate("int main(void) { return 42; }").unwrap();
 /// // The second call hit the cache: both artifacts share one Core program.
 /// assert!(std::sync::Arc::ptr_eq(&first.share(), &second.share()));
-/// assert_eq!(session.cached_artifacts(), 1);
+/// assert_eq!(session.cache_stats().elaboration.entries, 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Session {
     config: Config,
-    cache: Arc<Mutex<HashMap<String, Elaborated>>>,
-    counters: Arc<CacheCounters>,
-    analysis_cache: Arc<Mutex<HashMap<String, Arc<AnalysisReport>>>>,
-    solver: Arc<cerberus_analysis::solver::Solver>,
+    artifacts: Arc<Memo<String, Elaborated>>,
+    analyses: Arc<Memo<String, Arc<AnalysisReport>>>,
+    solver: Arc<Solver>,
+}
+
+impl Default for Session {
+    fn default() -> Self {
+        Session::new(Config::default())
+    }
 }
 
 impl Session {
@@ -369,9 +353,8 @@ impl Session {
     pub fn new(config: Config) -> Self {
         Session {
             config,
-            cache: Arc::default(),
-            counters: Arc::default(),
-            analysis_cache: Arc::default(),
+            artifacts: Arc::new(Memo::new(ARTIFACT_CAPACITY)),
+            analyses: Arc::new(Memo::new(ANALYSIS_CAPACITY)),
             solver: Arc::default(),
         }
     }
@@ -406,30 +389,19 @@ impl Session {
     ///
     /// Results are memoised per source: elaborating the same source again
     /// returns a clone of the cached artifact (cheap — the Core program is
-    /// behind an `Arc`). Front-end failures are not cached. The memo is
-    /// bounded ([`Session::CACHE_CAPACITY`] entries): a stream of distinct
-    /// sources — e.g. a long fuzz run over fresh seeds — rolls the cache over
-    /// generationally instead of retaining every artifact for the run's
-    /// lifetime. Artifacts held by callers stay alive regardless.
+    /// behind an `Arc`). Front-end failures are not cached. The memo is a
+    /// bounded [`Memo`]: a stream of distinct sources — e.g. a long fuzz run
+    /// over fresh seeds — rolls its oldest generation out instead of
+    /// retaining every artifact for the run's lifetime. Artifacts held by
+    /// callers stay alive regardless.
     pub fn elaborate(&self, source: &str) -> Result<Elaborated, PipelineError> {
-        if let Some(hit) = self.cache.lock().expect("artifact cache").get(source) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.clone());
+        if let Some(hit) = self.artifacts.get(source) {
+            return Ok(hit);
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let program = self.elaborate_uncached(source)?;
-        let mut cache = self.cache.lock().expect("artifact cache");
-        if cache.len() >= Self::CACHE_CAPACITY {
-            cache.clear();
-        }
-        cache.insert(source.to_owned(), program.clone());
+        self.artifacts.insert(source.to_owned(), program.clone());
         Ok(program)
     }
-
-    /// Upper bound on memoised artifacts: once full, the next insert clears
-    /// the memo (a cheap generational eviction — hot sources re-enter on
-    /// their next elaboration).
-    pub const CACHE_CAPACITY: usize = 512;
 
     /// Stages 1–3 bypassing (and not populating) the artifact cache — the
     /// pre-memoisation behaviour, kept as the benchmark baseline.
@@ -437,35 +409,24 @@ impl Session {
         Ok(self.desugar(source)?.elaborate())
     }
 
-    /// The number of elaborated artifacts currently memoised (the `entries`
-    /// field of [`Session::cache_stats`]).
-    pub fn cached_artifacts(&self) -> usize {
-        self.cache.lock().expect("artifact cache").len()
-    }
-
-    /// Hit/miss statistics of the artifact memo. Hits answered
-    /// [`Session::elaborate`] from the cache; misses ran the front end
-    /// (including calls whose elaboration then failed — failures are counted
-    /// but never cached). Counters are shared by clones of the session, like
-    /// the cache itself, and survive [`Session::clear_cache`] (which resets
-    /// only `entries`). [`Session::elaborate_uncached`] bypasses the cache
-    /// *and* the counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        let solver = self.solver.stats();
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            entries: self.cached_artifacts(),
-            solver_hits: solver.hits,
-            solver_misses: solver.misses,
+    /// The counters of the elaboration, analysis and solver memos. They are
+    /// shared by clones of the session, like the memos themselves, and
+    /// survive [`Session::clear_cache`] (which resets only `entries`).
+    /// [`Session::elaborate_uncached`] and analyses under a non-default
+    /// budget bypass the memos *and* the counters.
+    pub fn cache_stats(&self) -> SessionStats {
+        SessionStats {
+            elaboration: self.artifacts.stats(),
+            analysis: self.analyses.stats(),
+            solver: self.solver.stats(),
         }
     }
 
     /// Drop every memoised artifact and analysis report (the artifacts
     /// themselves stay alive as long as callers hold clones).
     pub fn clear_cache(&self) {
-        self.cache.lock().expect("artifact cache").clear();
-        self.analysis_cache.lock().expect("analysis cache").clear();
+        self.artifacts.clear();
+        self.analyses.clear();
     }
 
     /// Run the static UB analyzer (the Core well-formedness validator plus
@@ -492,13 +453,8 @@ impl Session {
     ) -> Result<Arc<AnalysisReport>, PipelineError> {
         let default_budget = config == AnalysisConfig::default();
         if default_budget {
-            if let Some(hit) = self
-                .analysis_cache
-                .lock()
-                .expect("analysis cache")
-                .get(source)
-            {
-                return Ok(Arc::clone(hit));
+            if let Some(hit) = self.analyses.get(source) {
+                return Ok(hit);
             }
         }
         let program = self.elaborate(source)?;
@@ -509,18 +465,9 @@ impl Session {
             &self.solver,
         ));
         if default_budget {
-            let mut cache = self.analysis_cache.lock().expect("analysis cache");
-            if cache.len() >= Self::CACHE_CAPACITY {
-                cache.clear();
-            }
-            cache.insert(source.to_owned(), Arc::clone(&report));
+            self.analyses.insert(source.to_owned(), Arc::clone(&report));
         }
         Ok(report)
-    }
-
-    /// The number of memoised analysis reports.
-    pub fn cached_analyses(&self) -> usize {
-        self.analysis_cache.lock().expect("analysis cache").len()
     }
 
     /// Build an execution driver for a program under this session's model.
@@ -620,28 +567,13 @@ impl Elaborated {
         cerberus_analysis::validate::validate(self.core())
     }
 
-    /// The validator as a lint gate: `Ok(self)` when the Core is well formed,
-    /// otherwise a [`PipelineError::Constraint`] carrying all violations —
-    /// the same multi-diagnostic shape the desugaring stage reports.
-    pub fn checked(self) -> Result<Elaborated, PipelineError> {
-        let violations = self.validate();
-        if violations.is_empty() {
-            Ok(self)
-        } else {
-            Err(PipelineError::Constraint(violations))
-        }
-    }
-
     /// A driver executing this program under the engine `model` selects
     /// (concrete or symbolic, per [`cerberus_memory::config::EngineKind`]).
+    /// A model built outside this workspace runs through
+    /// `Driver::new(program.share(), model)`.
     pub fn driver(&self, model: &ModelConfig) -> Driver<AnyEngine> {
-        self.driver_with(model.instantiate(self.impl_env.clone(), self.core.tags.clone()))
-    }
-
-    /// A driver executing this program under an arbitrary [`MemoryModel`]
-    /// instantiation.
-    pub fn driver_with<M: MemoryModel>(&self, model: M) -> Driver<M> {
-        Driver::new(self.share(), model)
+        let engine = model.instantiate(self.impl_env.clone(), self.core.tags.clone());
+        Driver::new(self.share(), engine)
     }
 
     /// Execute under `model` with an explicit mode and full resource budget
@@ -1300,12 +1232,12 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(&first.share(), &again.share()));
         let other = session.elaborate(src_b).unwrap();
         assert!(!std::sync::Arc::ptr_eq(&first.share(), &other.share()));
-        assert_eq!(session.cached_artifacts(), 2);
+        assert_eq!(session.cache_stats().elaboration.entries, 2);
         // Clones share the cache; clearing empties it for both.
         let clone = session.clone();
-        assert_eq!(clone.cached_artifacts(), 2);
+        assert_eq!(clone.cache_stats().elaboration.entries, 2);
         clone.clear_cache();
-        assert_eq!(session.cached_artifacts(), 0);
+        assert_eq!(session.cache_stats().elaboration.entries, 0);
     }
 
     #[test]
@@ -1315,7 +1247,7 @@ mod tests {
         let a = session.elaborate_uncached(src).unwrap();
         let b = session.elaborate_uncached(src).unwrap();
         assert!(!std::sync::Arc::ptr_eq(&a.share(), &b.share()));
-        assert_eq!(session.cached_artifacts(), 0);
+        assert_eq!(session.cache_stats().elaboration.entries, 0);
         // Both artifacts nonetheless behave identically.
         assert_eq!(
             a.run_under(&ModelConfig::de_facto()).exit_value(),
@@ -1328,41 +1260,45 @@ mod tests {
         // A stream of distinct sources (the fuzzing shape) must roll the
         // cache over instead of growing it without bound.
         let session = Session::default();
-        for i in 0..Session::CACHE_CAPACITY + 3 {
+        for i in 0..ARTIFACT_CAPACITY + 3 {
             let source = format!("int main(void) {{ return {i} % 128; }}");
             session.elaborate(&source).unwrap();
             assert!(
-                session.cached_artifacts() <= Session::CACHE_CAPACITY,
+                session.cache_stats().elaboration.entries <= ARTIFACT_CAPACITY,
                 "cache exceeded its bound at iteration {i}"
             );
         }
-        // The generational clear fired: only the post-rollover entries remain.
-        assert_eq!(session.cached_artifacts(), 3);
+        // The oldest generation rolled out; the newest full generation and
+        // the three sources after it remain.
+        assert_eq!(
+            session.cache_stats().elaboration.entries,
+            ARTIFACT_CAPACITY / 2 + 3
+        );
     }
 
     #[test]
     fn cache_stats_count_hits_and_misses() {
         let session = Session::default();
-        assert_eq!(session.cache_stats(), CacheStats::default());
+        assert_eq!(session.cache_stats(), SessionStats::default());
         let src = "int main(void) { return 4; }";
         session.elaborate(src).unwrap();
         session.elaborate(src).unwrap();
         session.elaborate("int main(void) { return 5; }").unwrap();
-        let stats = session.cache_stats();
+        let stats = session.cache_stats().elaboration;
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
         assert_eq!(stats.lookups(), 3);
         // A failed elaboration is a miss but never an entry.
         assert!(session.elaborate("int main(void) { return 0 }").is_err());
-        assert_eq!(session.cache_stats().misses, 3);
-        assert_eq!(session.cache_stats().entries, 2);
+        assert_eq!(session.cache_stats().elaboration.misses, 3);
+        assert_eq!(session.cache_stats().elaboration.entries, 2);
         // Clones share the counters; clearing the cache resets only entries.
         let clone = session.clone();
         clone.clear_cache();
-        let stats = session.cache_stats();
+        let stats = session.cache_stats().elaboration;
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 0));
         // The uncached path bypasses cache and counters alike.
         session.elaborate_uncached(src).unwrap();
-        assert_eq!(session.cache_stats().misses, 3);
+        assert_eq!(session.cache_stats().elaboration.misses, 3);
     }
 
     #[test]
@@ -1370,7 +1306,7 @@ mod tests {
         let session = Session::default();
         let bad = "int main(void) { return 0 }";
         assert!(session.elaborate(bad).is_err());
-        assert_eq!(session.cached_artifacts(), 0);
+        assert_eq!(session.cache_stats().elaboration.entries, 0);
     }
 
     #[test]
@@ -1411,11 +1347,15 @@ mod tests {
         );
         let again = session.analyze(src).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(session.cached_analyses(), 1);
+        let stats = session.cache_stats().analysis;
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         session.clear_cache();
-        assert_eq!(session.cached_analyses(), 0);
-        // Front-end failures surface as pipeline errors, not reports.
+        assert_eq!(session.cache_stats().analysis.entries, 0);
+        // Front-end failures surface as pipeline errors, not reports: a miss
+        // but never an entry.
         assert!(session.analyze("int main(void) { return 0 }").is_err());
+        let stats = session.cache_stats().analysis;
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 0));
     }
 
     #[test]
@@ -1435,7 +1375,6 @@ mod tests {
             )
             .unwrap();
         assert!(program.validate().is_empty());
-        assert!(program.checked().is_ok());
     }
 
     #[test]

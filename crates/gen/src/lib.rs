@@ -685,12 +685,12 @@ mod tests {
             diff_one_bounded_in(&session, &p, &limits),
             DiffOutcome::Agree
         );
-        assert_eq!(session.cached_artifacts(), 1);
+        assert_eq!(session.cache_stats().elaboration.entries, 1);
         // The second run of the same seed is a cache hit, not a new artifact.
         assert_eq!(
             diff_one_bounded_in(&session, &p, &limits),
             DiffOutcome::Agree
         );
-        assert_eq!(session.cached_artifacts(), 1);
+        assert_eq!(session.cache_stats().elaboration.entries, 1);
     }
 }

@@ -14,8 +14,6 @@
 pub enum UninitSemantics {
     /// Option (1): undefined behaviour.
     Undefined,
-    /// Options (2)/(3): an unspecified value that need not be stable.
-    UnstableUnspecified,
     /// Option (4): an arbitrary but stable unspecified value.
     StableUnspecified,
 }
@@ -25,8 +23,6 @@ pub enum UninitSemantics {
 pub enum PaddingSemantics {
     /// Options (1)/(2): member writes make subsequent padding unspecified.
     MemberStoreClobbers,
-    /// Option (3): member writes zero subsequent padding.
-    MemberStoreZeroes,
     /// Option (4): member writes never touch padding.
     Preserved,
 }
@@ -463,5 +459,68 @@ mod tests {
     #[test]
     fn default_is_the_candidate_model() {
         assert_eq!(ModelConfig::default().name, "de-facto");
+    }
+
+    /// The name of `$value`'s variant, and the names of all of `$enum`'s
+    /// variants. The match has no `_` arm, so the list is complete.
+    macro_rules! variant {
+        ($value:ident: $enum:ident { $($variant:ident),* }) => {
+            (
+                match $value {
+                    $($enum::$variant => concat!(stringify!($enum), "::", stringify!($variant))),*
+                },
+                &[$(concat!(stringify!($enum), "::", stringify!($variant))),*] as &[&str],
+            )
+        };
+    }
+
+    #[test]
+    fn every_semantic_choice_is_made_by_some_named_model() {
+        let mut declared = std::collections::BTreeSet::new();
+        let mut chosen = std::collections::BTreeSet::new();
+        for config in ModelConfig::all_named() {
+            // No `..`: a new field cannot compile without joining the census.
+            let ModelConfig {
+                name: _,
+                engine: _,
+                provenance_checking,
+                allow_oob_pointer_arith,
+                relational,
+                equality_uses_provenance,
+                uninit,
+                padding,
+                effective_types,
+                int_to_ptr,
+                dangling_use_is_ub,
+                cheri,
+                provenance_optimising_stores,
+            } = config;
+            for (this, all) in [
+                variant!(uninit: UninitSemantics { Undefined, StableUnspecified }),
+                variant!(padding: PaddingSemantics { MemberStoreClobbers, Preserved }),
+                variant!(relational: RelationalSemantics { ByAddress, Undefined }),
+                variant!(int_to_ptr: IntToPtrSemantics { TrackedProvenance, Wildcard, Forbidden }),
+            ] {
+                chosen.insert(this.to_owned());
+                declared.extend(all.iter().map(|name| name.to_string()));
+            }
+            for (field, value) in [
+                ("provenance_checking", provenance_checking),
+                ("allow_oob_pointer_arith", allow_oob_pointer_arith),
+                ("equality_uses_provenance", equality_uses_provenance),
+                ("effective_types", effective_types),
+                ("dangling_use_is_ub", dangling_use_is_ub),
+                ("cheri", cheri),
+                ("provenance_optimising_stores", provenance_optimising_stores),
+            ] {
+                chosen.insert(format!("{field}={value}"));
+                declared.extend([format!("{field}=true"), format!("{field}=false")]);
+            }
+        }
+        let unchosen: Vec<_> = declared.difference(&chosen).collect();
+        assert!(
+            unchosen.is_empty(),
+            "no named model makes these choices: {unchosen:?}"
+        );
     }
 }

@@ -49,6 +49,7 @@
 //! use cerberus_ast::env::ImplEnv;
 //! use cerberus_ast::layout::TagRegistry;
 //! use cerberus_memory::config::ModelConfig;
+//! use cerberus_memory::model::MemoryModel;
 //! use cerberus_memory::state::{AllocKind, MemState};
 //! use cerberus_memory::value::MemValue;
 //!

@@ -172,142 +172,6 @@ pub trait MemoryModel {
     fn read_c_string(&self, ptr: &PointerValue) -> ModelResult<Vec<u8>>;
 }
 
-impl MemoryModel for ConcreteEngine {
-    fn model_name(&self) -> &'static str {
-        self.config().name
-    }
-
-    fn env(&self) -> &ImplEnv {
-        MemState::env(self)
-    }
-
-    fn tags(&self) -> &TagRegistry {
-        MemState::tags(self)
-    }
-
-    fn fresh(&self) -> Self {
-        let mut fresh = MemState::new(
-            self.config().clone(),
-            MemState::env(self).clone(),
-            MemState::tags(self).clone(),
-        );
-        fresh.set_limits(MemState::limits(self).clone());
-        fresh
-    }
-
-    fn set_limits(&mut self, limits: ResourceLimits) {
-        MemState::set_limits(self, limits)
-    }
-
-    fn limits(&self) -> &ResourceLimits {
-        MemState::limits(self)
-    }
-
-    fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        MemState::size_of(self, ty)
-    }
-
-    fn align_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        MemState::align_of(self, ty)
-    }
-
-    fn create(
-        &mut self,
-        ty: &Ctype,
-        kind: AllocKind,
-        name: Option<&str>,
-    ) -> ModelResult<PointerValue> {
-        MemState::create(self, ty, kind, name)
-    }
-
-    fn alloc(&mut self, size: u64, align: u64) -> ModelResult<PointerValue> {
-        MemState::alloc(self, size, align)
-    }
-
-    fn create_string_literal(&mut self, bytes: &[u8]) -> ModelResult<PointerValue> {
-        MemState::create_string_literal(self, bytes)
-    }
-
-    fn register_function(&mut self, name: &Ident) -> PointerValue {
-        MemState::register_function(self, name)
-    }
-
-    fn function_at(&self, addr: u64) -> Option<&Ident> {
-        MemState::function_at(self, addr)
-    }
-
-    fn kill(&mut self, ptr: &PointerValue, dynamic: bool) -> ModelResult<()> {
-        MemState::kill(self, ptr, dynamic)
-    }
-
-    fn store(&mut self, ty: &Ctype, ptr: &PointerValue, value: &MemValue) -> ModelResult<()> {
-        MemState::store(self, ty, ptr, value)
-    }
-
-    fn load(&mut self, ty: &Ctype, ptr: &PointerValue) -> ModelResult<MemValue> {
-        MemState::load(self, ty, ptr)
-    }
-
-    fn ptr_eq(&self, a: &PointerValue, b: &PointerValue) -> ModelResult<bool> {
-        MemState::ptr_eq(self, a, b)
-    }
-
-    fn ptr_rel(&self, a: &PointerValue, b: &PointerValue) -> ModelResult<std::cmp::Ordering> {
-        MemState::ptr_rel(self, a, b)
-    }
-
-    fn ptr_diff(
-        &self,
-        a: &PointerValue,
-        b: &PointerValue,
-        elem_size: u64,
-    ) -> ModelResult<IntegerValue> {
-        MemState::ptr_diff(self, a, b, elem_size)
-    }
-
-    fn int_from_ptr(&self, p: &PointerValue) -> IntegerValue {
-        MemState::int_from_ptr(self, p)
-    }
-
-    fn ptr_from_int(&self, iv: &IntegerValue) -> PointerValue {
-        MemState::ptr_from_int(self, iv)
-    }
-
-    fn array_shift(
-        &self,
-        ptr: &PointerValue,
-        elem_ty: &Ctype,
-        index: i128,
-    ) -> ModelResult<PointerValue> {
-        MemState::array_shift(self, ptr, elem_ty, index)
-    }
-
-    fn member_shift(
-        &self,
-        ptr: &PointerValue,
-        tag: TagId,
-        member: &Ident,
-    ) -> ModelResult<PointerValue> {
-        MemState::member_shift(self, ptr, tag, member)
-    }
-
-    fn copy_bytes(&mut self, dst: &PointerValue, src: &PointerValue, n: u64) -> ModelResult<()> {
-        MemState::copy_bytes(self, dst, src, n)
-    }
-
-    fn compare_bytes(&self, a: &PointerValue, b: &PointerValue, n: u64) -> ModelResult<i32> {
-        MemState::compare_bytes(self, a, b, n)
-    }
-
-    fn set_bytes(&mut self, dst: &PointerValue, byte: u8, n: u64) -> ModelResult<()> {
-        MemState::set_bytes(self, dst, byte, n)
-    }
-
-    fn read_c_string(&self, ptr: &PointerValue) -> ModelResult<Vec<u8>> {
-        MemState::read_c_string(self, ptr)
-    }
-}
-
 /// An engine instance of either in-tree implementation, selected by
 /// [`ModelConfig::engine`] ([`EngineKind`]).
 ///
@@ -488,14 +352,6 @@ impl ModelConfig {
             EngineKind::Panicking => AnyEngine::Panicking(MemState::new(self.clone(), env, tags)),
         }
     }
-
-    /// Instantiate the concrete byte-representation engine with this
-    /// configuration, regardless of [`ModelConfig::engine`] (for callers that
-    /// need [`MemState`]-specific inspection such as
-    /// [`MemState::allocations`]).
-    pub fn instantiate_concrete(&self, env: ImplEnv, tags: TagRegistry) -> ConcreteEngine {
-        MemState::new(self.clone(), env, tags)
-    }
 }
 
 #[cfg(test)]
@@ -504,7 +360,7 @@ mod tests {
     use cerberus_ast::ctype::IntegerType;
 
     fn engine() -> ConcreteEngine {
-        ModelConfig::de_facto().instantiate_concrete(ImplEnv::lp64(), TagRegistry::new())
+        MemState::new(ModelConfig::de_facto(), ImplEnv::lp64(), TagRegistry::new())
     }
 
     /// Exercise the engine exclusively through the trait, as the executor

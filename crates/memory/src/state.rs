@@ -22,6 +22,7 @@ use crate::config::{
     IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics, UninitSemantics,
 };
 use crate::limits::{ResourceKind, ResourceLimits};
+use crate::model::{MemoryModel, ModelResult};
 use crate::value::{AllocId, CapMeta, IntegerValue, MemValue, PointerValue, Provenance};
 
 /// The storage duration / origin of an allocation.
@@ -163,8 +164,6 @@ impl std::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-type MResult<T> = Result<T, MemError>;
-
 /// Base address of the object address space.
 const OBJECT_BASE: u64 = 0x1_0000;
 /// Base of the synthetic function "address" space.
@@ -184,7 +183,7 @@ pub struct MemState {
     /// Shadow stores used by the GCC-like provenance-optimising semantics
     /// (see [`ModelConfig::provenance_optimising_stores`]): address → bytes.
     shadow: HashMap<u64, Vec<AbsByte>>,
-    /// The resource budget in force (see [`MemState::set_limits`]).
+    /// The resource budget in force (see [`MemoryModel::set_limits`]).
     limits: ResourceLimits,
     /// Cumulative bytes allocated over this execution.
     allocated_bytes: u64,
@@ -210,18 +209,6 @@ impl MemState {
         }
     }
 
-    /// Install the resource budget this state enforces on allocation (the
-    /// driver sets it on the per-execution state obtained from
-    /// [`crate::model::MemoryModel::fresh`]).
-    pub fn set_limits(&mut self, limits: ResourceLimits) {
-        self.limits = limits;
-    }
-
-    /// The resource budget in force.
-    pub fn limits(&self) -> &ResourceLimits {
-        &self.limits
-    }
-
     /// Cumulative bytes allocated over this execution (never refunded by
     /// `kill`/`free` — the budget bounds total allocation work, not peak
     /// residency).
@@ -236,7 +223,7 @@ impl MemState {
 
     /// Check the allocation budgets before admitting `size` more bytes and
     /// one more live allocation.
-    fn charge_allocation(&self, size: u64) -> MResult<()> {
+    fn charge_allocation(&self, size: u64) -> ModelResult<()> {
         if let Some(budget) = self.limits.heap_bytes {
             let total = self.allocated_bytes.saturating_add(size);
             if total > budget {
@@ -265,16 +252,6 @@ impl MemState {
         &self.config
     }
 
-    /// The implementation-defined environment.
-    pub fn env(&self) -> &ImplEnv {
-        &self.env
-    }
-
-    /// The struct/union registry.
-    pub fn tags(&self) -> &TagRegistry {
-        &self.tags
-    }
-
     /// All allocations made so far (for inspection and tests).
     pub fn allocations(&self) -> &[Allocation] {
         &self.allocations
@@ -283,20 +260,6 @@ impl MemState {
     /// Look up an allocation by ID.
     pub fn allocation(&self, id: AllocId) -> Option<&Allocation> {
         self.allocations.get(id as usize)
-    }
-
-    // ----- layout helpers ---------------------------------------------------
-
-    /// `sizeof` under this state's environment and tag registry.
-    pub fn size_of(&self, ty: &Ctype) -> MResult<u64> {
-        layout::size_of(ty, &self.env, &self.tags)
-            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
-    }
-
-    /// `_Alignof` under this state's environment and tag registry.
-    pub fn align_of(&self, ty: &Ctype) -> MResult<u64> {
-        layout::align_of(ty, &self.env, &self.tags)
-            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
     }
 
     // ----- allocation --------------------------------------------------------
@@ -309,7 +272,7 @@ impl MemState {
         declared_ty: Option<Ctype>,
         name: Option<&str>,
         readonly: bool,
-    ) -> MResult<PointerValue> {
+    ) -> ModelResult<PointerValue> {
         self.charge_allocation(size)?;
         self.allocated_bytes = self.allocated_bytes.saturating_add(size);
         self.live_allocation_count += 1;
@@ -351,123 +314,7 @@ impl MemState {
         })
     }
 
-    /// Create an object of declared type `ty` (the Core `create` action).
-    pub fn create(
-        &mut self,
-        ty: &Ctype,
-        kind: AllocKind,
-        name: Option<&str>,
-    ) -> MResult<PointerValue> {
-        let size = self.size_of(ty)?;
-        let align = self.align_of(ty)?;
-        self.push_allocation(size, align, kind, Some(ty.clone()), name, false)
-    }
-
-    /// Allocate a dynamic region of `size` bytes (the Core `alloc` action,
-    /// i.e. `malloc`). Fails only when a [`ResourceLimits`] allocation budget
-    /// is exhausted.
-    pub fn alloc(&mut self, size: u64, align: u64) -> MResult<PointerValue> {
-        self.push_allocation(
-            size.max(1),
-            align.max(1),
-            AllocKind::Dynamic,
-            None,
-            None,
-            false,
-        )
-    }
-
-    /// Create a read-only string-literal object holding `bytes` plus a
-    /// terminating NUL.
-    pub fn create_string_literal(&mut self, bytes: &[u8]) -> MResult<PointerValue> {
-        let mut contents = bytes.to_vec();
-        contents.push(0);
-        let ptr = self.push_allocation(
-            contents.len() as u64,
-            1,
-            AllocKind::StringLiteral,
-            Some(Ctype::array(
-                Ctype::integer(IntegerType::Char),
-                contents.len() as u64,
-            )),
-            None,
-            true,
-        )?;
-        let id = ptr
-            .prov
-            .alloc_id()
-            .expect("fresh string allocation has a provenance");
-        let alloc = &mut self.allocations[id as usize];
-        for (i, b) in contents.iter().enumerate() {
-            alloc.bytes[i] = AbsByte {
-                prov: Provenance::Empty,
-                value: Some(*b),
-            };
-        }
-        Ok(ptr)
-    }
-
-    /// Register a C function, giving it a synthetic address so function
-    /// pointers can be stored and compared.
-    pub fn register_function(&mut self, name: &Ident) -> PointerValue {
-        let addr = match self.function_addrs.get(name.as_str()) {
-            Some(&a) => a,
-            None => {
-                let a = FUNCTION_BASE + 16 * self.function_addrs.len() as u64;
-                self.function_addrs.insert(name.as_str().to_owned(), a);
-                self.functions_by_addr.insert(a, name.clone());
-                a
-            }
-        };
-        PointerValue {
-            prov: Provenance::Empty,
-            addr,
-            cap: None,
-            function: Some(name.clone()),
-        }
-    }
-
-    /// The function registered at a synthetic function address, if any.
-    pub fn function_at(&self, addr: u64) -> Option<&Ident> {
-        self.functions_by_addr.get(&addr)
-    }
-
-    /// End the lifetime of the object a pointer refers to (the Core `kill`
-    /// action). `dynamic` selects `free` semantics (the pointer must be the
-    /// exact value returned by an allocation function).
-    pub fn kill(&mut self, ptr: &PointerValue, dynamic: bool) -> MResult<()> {
-        if dynamic && ptr.is_null() {
-            // free(NULL) is a no-op (7.22.3.3p2).
-            return Ok(());
-        }
-        let id = self.resolve_allocation(ptr)?;
-        let alloc = &mut self.allocations[id as usize];
-        if !alloc.alive {
-            return Err(MemError::new(
-                UbKind::InvalidFree,
-                "object lifetime already ended",
-            ));
-        }
-        if dynamic {
-            if alloc.kind != AllocKind::Dynamic {
-                return Err(MemError::new(
-                    UbKind::InvalidFree,
-                    "free of a pointer not obtained from an allocation function",
-                ));
-            }
-            if ptr.addr != alloc.base {
-                return Err(MemError::new(
-                    UbKind::InvalidFree,
-                    "free of an interior pointer",
-                ));
-            }
-        }
-        alloc.alive = false;
-        self.live_allocation_count = self.live_allocation_count.saturating_sub(1);
-        Ok(())
-    }
-
-    fn resolve_allocation(&self, ptr: &PointerValue) -> MResult<AllocId> {
+    fn resolve_allocation(&self, ptr: &PointerValue) -> ModelResult<AllocId> {
         if let Some(id) = ptr.prov.alloc_id() {
             return Ok(id);
         }
@@ -484,7 +331,7 @@ impl MemState {
 
     // ----- access checking ---------------------------------------------------
 
-    fn check_access(&self, ptr: &PointerValue, len: u64, is_store: bool) -> MResult<AllocId> {
+    fn check_access(&self, ptr: &PointerValue, len: u64, is_store: bool) -> ModelResult<AllocId> {
         if ptr.function.is_some() {
             return Err(MemError::new(
                 UbKind::InvalidLvalue,
@@ -590,7 +437,7 @@ impl MemState {
         id: AllocId,
         access_ty: &Ctype,
         is_store: bool,
-    ) -> MResult<()> {
+    ) -> ModelResult<()> {
         if !self.config.effective_types || access_ty.is_character() {
             return Ok(());
         }
@@ -663,7 +510,7 @@ impl MemState {
     }
 
     /// Serialise a memory value at a C type into representation bytes.
-    pub fn serialize(&self, ty: &Ctype, value: &MemValue) -> MResult<Vec<AbsByte>> {
+    pub fn serialize(&self, ty: &Ctype, value: &MemValue) -> ModelResult<Vec<AbsByte>> {
         let size = self.size_of(ty)?;
         match (ty, value) {
             (_, MemValue::Unspecified(_)) => Ok(vec![AbsByte::unspec(); size as usize]),
@@ -742,7 +589,7 @@ impl MemState {
     }
 
     /// Deserialise representation bytes at a C type into a memory value.
-    pub fn deserialize(&self, ty: &Ctype, bytes: &[AbsByte]) -> MResult<MemValue> {
+    pub fn deserialize(&self, ty: &Ctype, bytes: &[AbsByte]) -> ModelResult<MemValue> {
         match ty {
             Ctype::Integer(it) => {
                 let signed = self.env.is_signed(*it);
@@ -841,8 +688,175 @@ impl MemState {
 
     // ----- load / store ------------------------------------------------------
 
-    /// Store `value` at type `ty` through `ptr` (the Core `store` action).
-    pub fn store(&mut self, ty: &Ctype, ptr: &PointerValue, value: &MemValue) -> MResult<()> {
+    fn is_one_past_store(&self, ptr: &PointerValue, len: u64) -> bool {
+        match ptr.prov.alloc_id().and_then(|id| self.allocation(id)) {
+            Some(alloc) => {
+                ptr.addr == alloc.end() && self.find_alloc_by_addr(ptr.addr).is_some() && len > 0
+            }
+            None => false,
+        }
+    }
+
+    fn padding_offsets(&self, ty: &Ctype) -> ModelResult<Vec<u64>> {
+        match ty {
+            Ctype::Struct(tag) => {
+                let lay = layout::layout_of_tag(*tag, &self.env, &self.tags)
+                    .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))?;
+                let mut out = Vec::new();
+                for p in &lay.padding {
+                    for off in p.offset..p.offset + p.len {
+                        out.push(off);
+                    }
+                }
+                Ok(out)
+            }
+            _ => Ok(Vec::new()),
+        }
+    }
+}
+
+impl MemoryModel for MemState {
+    fn model_name(&self) -> &'static str {
+        self.config.name
+    }
+
+    fn env(&self) -> &ImplEnv {
+        &self.env
+    }
+
+    fn tags(&self) -> &TagRegistry {
+        &self.tags
+    }
+
+    fn fresh(&self) -> Self {
+        let mut fresh = MemState::new(self.config.clone(), self.env.clone(), self.tags.clone());
+        fresh.limits = self.limits.clone();
+        fresh
+    }
+
+    fn set_limits(&mut self, limits: ResourceLimits) {
+        self.limits = limits;
+    }
+
+    fn limits(&self) -> &ResourceLimits {
+        &self.limits
+    }
+
+    fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
+        layout::size_of(ty, &self.env, &self.tags)
+            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
+    }
+
+    fn align_of(&self, ty: &Ctype) -> ModelResult<u64> {
+        layout::align_of(ty, &self.env, &self.tags)
+            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
+    }
+
+    fn create(
+        &mut self,
+        ty: &Ctype,
+        kind: AllocKind,
+        name: Option<&str>,
+    ) -> ModelResult<PointerValue> {
+        let size = self.size_of(ty)?;
+        let align = self.align_of(ty)?;
+        self.push_allocation(size, align, kind, Some(ty.clone()), name, false)
+    }
+
+    fn alloc(&mut self, size: u64, align: u64) -> ModelResult<PointerValue> {
+        self.push_allocation(
+            size.max(1),
+            align.max(1),
+            AllocKind::Dynamic,
+            None,
+            None,
+            false,
+        )
+    }
+
+    fn create_string_literal(&mut self, bytes: &[u8]) -> ModelResult<PointerValue> {
+        let mut contents = bytes.to_vec();
+        contents.push(0);
+        let ptr = self.push_allocation(
+            contents.len() as u64,
+            1,
+            AllocKind::StringLiteral,
+            Some(Ctype::array(
+                Ctype::integer(IntegerType::Char),
+                contents.len() as u64,
+            )),
+            None,
+            true,
+        )?;
+        let id = ptr
+            .prov
+            .alloc_id()
+            .expect("fresh string allocation has a provenance");
+        let alloc = &mut self.allocations[id as usize];
+        for (i, b) in contents.iter().enumerate() {
+            alloc.bytes[i] = AbsByte {
+                prov: Provenance::Empty,
+                value: Some(*b),
+            };
+        }
+        Ok(ptr)
+    }
+
+    fn register_function(&mut self, name: &Ident) -> PointerValue {
+        let addr = match self.function_addrs.get(name.as_str()) {
+            Some(&a) => a,
+            None => {
+                let a = FUNCTION_BASE + 16 * self.function_addrs.len() as u64;
+                self.function_addrs.insert(name.as_str().to_owned(), a);
+                self.functions_by_addr.insert(a, name.clone());
+                a
+            }
+        };
+        PointerValue {
+            prov: Provenance::Empty,
+            addr,
+            cap: None,
+            function: Some(name.clone()),
+        }
+    }
+
+    fn function_at(&self, addr: u64) -> Option<&Ident> {
+        self.functions_by_addr.get(&addr)
+    }
+
+    fn kill(&mut self, ptr: &PointerValue, dynamic: bool) -> ModelResult<()> {
+        if dynamic && ptr.is_null() {
+            // free(NULL) is a no-op (7.22.3.3p2).
+            return Ok(());
+        }
+        let id = self.resolve_allocation(ptr)?;
+        let alloc = &mut self.allocations[id as usize];
+        if !alloc.alive {
+            return Err(MemError::new(
+                UbKind::InvalidFree,
+                "object lifetime already ended",
+            ));
+        }
+        if dynamic {
+            if alloc.kind != AllocKind::Dynamic {
+                return Err(MemError::new(
+                    UbKind::InvalidFree,
+                    "free of a pointer not obtained from an allocation function",
+                ));
+            }
+            if ptr.addr != alloc.base {
+                return Err(MemError::new(
+                    UbKind::InvalidFree,
+                    "free of an interior pointer",
+                ));
+            }
+        }
+        alloc.alive = false;
+        self.live_allocation_count = self.live_allocation_count.saturating_sub(1);
+        Ok(())
+    }
+
+    fn store(&mut self, ty: &Ctype, ptr: &PointerValue, value: &MemValue) -> ModelResult<()> {
         let len = self.size_of(ty)?;
         let id = match self.check_access(ptr, len, true) {
             Ok(id) => id,
@@ -871,7 +885,6 @@ impl MemState {
             if is_padding {
                 match self.config.padding {
                     PaddingSemantics::Preserved => {}
-                    PaddingSemantics::MemberStoreZeroes => *dst = AbsByte::zero(),
                     PaddingSemantics::MemberStoreClobbers => *dst = AbsByte::unspec(),
                 }
             } else {
@@ -881,34 +894,7 @@ impl MemState {
         Ok(())
     }
 
-    fn is_one_past_store(&self, ptr: &PointerValue, len: u64) -> bool {
-        match ptr.prov.alloc_id().and_then(|id| self.allocation(id)) {
-            Some(alloc) => {
-                ptr.addr == alloc.end() && self.find_alloc_by_addr(ptr.addr).is_some() && len > 0
-            }
-            None => false,
-        }
-    }
-
-    fn padding_offsets(&self, ty: &Ctype) -> MResult<Vec<u64>> {
-        match ty {
-            Ctype::Struct(tag) => {
-                let lay = layout::layout_of_tag(*tag, &self.env, &self.tags)
-                    .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))?;
-                let mut out = Vec::new();
-                for p in &lay.padding {
-                    for off in p.offset..p.offset + p.len {
-                        out.push(off);
-                    }
-                }
-                Ok(out)
-            }
-            _ => Ok(Vec::new()),
-        }
-    }
-
-    /// Load a value at type `ty` through `ptr` (the Core `load` action).
-    pub fn load(&mut self, ty: &Ctype, ptr: &PointerValue) -> MResult<MemValue> {
+    fn load(&mut self, ty: &Ctype, ptr: &PointerValue) -> ModelResult<MemValue> {
         let len = self.size_of(ty)?;
         // Shadowed GCC-like loads: a load through a provenance whose store was
         // redirected reads the shadow.
@@ -936,10 +922,7 @@ impl MemState {
         Ok(value)
     }
 
-    // ----- pointer operations (ptrops) ---------------------------------------
-
-    /// Pointer equality (`==`); inequality is the negation.
-    pub fn ptr_eq(&self, a: &PointerValue, b: &PointerValue) -> MResult<bool> {
+    fn ptr_eq(&self, a: &PointerValue, b: &PointerValue) -> ModelResult<bool> {
         if a.function.is_some() || b.function.is_some() {
             return Ok(a.function == b.function);
         }
@@ -954,11 +937,7 @@ impl MemState {
         Ok(addr_eq)
     }
 
-    /// Pointer relational comparison (`<`, `>`, `<=`, `>=`) returning the
-    /// result of `a < b`, `a <= b`, etc. encoded by the caller; here we just
-    /// provide the underlying address comparison with the configured
-    /// cross-object policy.
-    pub fn ptr_rel(&self, a: &PointerValue, b: &PointerValue) -> MResult<std::cmp::Ordering> {
+    fn ptr_rel(&self, a: &PointerValue, b: &PointerValue) -> ModelResult<std::cmp::Ordering> {
         let same_object = match (a.prov.alloc_id(), b.prov.alloc_id()) {
             (Some(x), Some(y)) => x == y,
             _ => false,
@@ -972,13 +951,12 @@ impl MemState {
         Ok(a.addr.cmp(&b.addr))
     }
 
-    /// Pointer subtraction, in elements of size `elem_size`.
-    pub fn ptr_diff(
+    fn ptr_diff(
         &self,
         a: &PointerValue,
         b: &PointerValue,
         elem_size: u64,
-    ) -> MResult<IntegerValue> {
+    ) -> ModelResult<IntegerValue> {
         let same_object = match (a.prov.alloc_id(), b.prov.alloc_id()) {
             (Some(x), Some(y)) => x == y,
             _ => !self.config.provenance_checking,
@@ -995,15 +973,11 @@ impl MemState {
         Ok(IntegerValue::pure(diff))
     }
 
-    /// Cast a pointer value to an integer (`intFromPtr`): the integer carries
-    /// the pointer's provenance.
-    pub fn int_from_ptr(&self, p: &PointerValue) -> IntegerValue {
+    fn int_from_ptr(&self, p: &PointerValue) -> IntegerValue {
         IntegerValue::with_prov(p.addr as i128, p.prov)
     }
 
-    /// Cast an integer value to a pointer (`ptrFromInt`), following the
-    /// configured provenance semantics (Q5).
-    pub fn ptr_from_int(&self, iv: &IntegerValue) -> PointerValue {
+    fn ptr_from_int(&self, iv: &IntegerValue) -> PointerValue {
         if iv.value == 0 {
             return PointerValue::null();
         }
@@ -1040,14 +1014,12 @@ impl MemState {
         }
     }
 
-    /// Pointer arithmetic: advance `ptr` by `index` elements of type
-    /// `elem_ty` (the Core `array_shift`).
-    pub fn array_shift(
+    fn array_shift(
         &self,
         ptr: &PointerValue,
         elem_ty: &Ctype,
         index: i128,
-    ) -> MResult<PointerValue> {
+    ) -> ModelResult<PointerValue> {
         let esize = self.size_of(elem_ty)? as i128;
         let new_addr = (ptr.addr as i128 + index * esize) as u64;
         if !self.config.allow_oob_pointer_arith {
@@ -1063,13 +1035,12 @@ impl MemState {
         Ok(ptr.with_addr(new_addr))
     }
 
-    /// Pointer to a struct/union member (the Core `member_shift`).
-    pub fn member_shift(
+    fn member_shift(
         &self,
         ptr: &PointerValue,
         tag: TagId,
         member: &Ident,
-    ) -> MResult<PointerValue> {
+    ) -> ModelResult<PointerValue> {
         let def = self
             .tags
             .get(tag)
@@ -1084,12 +1055,7 @@ impl MemState {
         Ok(ptr.with_addr(ptr.addr + offset))
     }
 
-    // ----- byte-level library helpers ----------------------------------------
-
-    /// `memcpy(dst, src, n)`: copy representation bytes, preserving the
-    /// provenance they carry (this is what makes bytewise pointer copies work,
-    /// Q13).
-    pub fn copy_bytes(&mut self, dst: &PointerValue, src: &PointerValue, n: u64) -> MResult<()> {
+    fn copy_bytes(&mut self, dst: &PointerValue, src: &PointerValue, n: u64) -> ModelResult<()> {
         if n == 0 {
             return Ok(());
         }
@@ -1107,7 +1073,7 @@ impl MemState {
     /// `memcmp(a, b, n)`: compare representation bytes. Unspecified bytes
     /// compare as zero under the liberal configurations and are an error under
     /// strict uninitialised-read semantics.
-    pub fn compare_bytes(&self, a: &PointerValue, b: &PointerValue, n: u64) -> MResult<i32> {
+    fn compare_bytes(&self, a: &PointerValue, b: &PointerValue, n: u64) -> ModelResult<i32> {
         if n == 0 {
             return Ok(0);
         }
@@ -1137,8 +1103,7 @@ impl MemState {
         Ok(0)
     }
 
-    /// `memset(dst, byte, n)`.
-    pub fn set_bytes(&mut self, dst: &PointerValue, byte: u8, n: u64) -> MResult<()> {
+    fn set_bytes(&mut self, dst: &PointerValue, byte: u8, n: u64) -> ModelResult<()> {
         if n == 0 {
             return Ok(());
         }
@@ -1154,9 +1119,7 @@ impl MemState {
         Ok(())
     }
 
-    /// Read a NUL-terminated C string starting at `ptr` (for `printf`,
-    /// `strlen`, `strcmp`).
-    pub fn read_c_string(&self, ptr: &PointerValue) -> MResult<Vec<u8>> {
+    fn read_c_string(&self, ptr: &PointerValue) -> ModelResult<Vec<u8>> {
         let mut out = Vec::new();
         let mut addr = ptr.addr;
         loop {
@@ -1471,16 +1434,6 @@ mod tests {
             ],
         );
 
-        // Zeroing configuration: padding bytes become zero.
-        let mut cfg = ModelConfig::de_facto();
-        cfg.padding = PaddingSemantics::MemberStoreZeroes;
-        let mut mem = MemState::new(cfg, ImplEnv::lp64(), tags.clone());
-        let p = mem.create(&sty, AllocKind::Automatic, None).unwrap();
-        mem.store(&sty, &p, &value).unwrap();
-        let char_ty = Ctype::integer(IntegerType::Char);
-        let pad = mem.array_shift(&p, &char_ty, 1).unwrap();
-        assert_eq!(mem.load(&char_ty, &pad).unwrap().as_int(), Some(0));
-
         // Clobbering configuration: padding bytes become unspecified.
         let mut cfg = ModelConfig::de_facto();
         cfg.padding = PaddingSemantics::MemberStoreClobbers;
@@ -1488,6 +1441,7 @@ mod tests {
         let p = mem.create(&sty, AllocKind::Automatic, None).unwrap();
         mem.set_bytes(&p, 0xAA, 8).unwrap();
         mem.store(&sty, &p, &value).unwrap();
+        let char_ty = Ctype::integer(IntegerType::Char);
         let pad = mem.array_shift(&p, &char_ty, 1).unwrap();
         assert!(mem.load(&char_ty, &pad).unwrap().is_unspecified());
     }

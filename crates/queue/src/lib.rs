@@ -40,9 +40,6 @@
 //! `cerberus-gen` (`run_differential`, one job per seed) run their corpora
 //! only through it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use cerberus::pipeline::{CacheStats, Config, Session};
 use cerberus::{DifferentialRunner, OutcomeMatrix, PipelineError};
 use cerberus_exec::driver::ExecMode;
@@ -235,51 +232,13 @@ pub struct QueueStats {
     pub result_cache: CacheStats,
     /// The shared session's (source → artifact) elaboration memo.
     pub elaboration_cache: CacheStats,
+    /// The shared session's (source → report) analysis memo, which answers
+    /// the service's acknowledgements.
+    pub analysis_cache: CacheStats,
+    /// The shared session's constraint-solver memo.
+    pub solver_memo: CacheStats,
     /// Per-worker counters, in worker order.
     pub workers: Vec<WorkerStats>,
-}
-
-/// The bounded result cache. Like the session's elaboration memo it rolls
-/// over generationally once full, so an endless stream of distinct
-/// submissions (a fuzz corpus) stays bounded.
-#[derive(Debug, Default)]
-pub(crate) struct ResultCache {
-    entries: Mutex<std::collections::HashMap<String, JobOutcome>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ResultCache {
-    /// Upper bound on memoised results; the next insert past it clears the
-    /// cache (cheap generational eviction, mirroring
-    /// [`Session::CACHE_CAPACITY`]).
-    pub(crate) const CAPACITY: usize = 256;
-
-    pub(crate) fn lookup(&self, key: &str) -> Option<JobOutcome> {
-        let found = self.entries.lock().expect("result cache").get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    pub(crate) fn insert(&self, key: String, outcome: JobOutcome) {
-        let mut entries = self.entries.lock().expect("result cache");
-        if entries.len() >= Self::CAPACITY {
-            entries.clear();
-        }
-        entries.insert(key, outcome);
-    }
-
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.lock().expect("result cache").len(),
-            ..CacheStats::default()
-        }
-    }
 }
 
 /// Run one job to its outcome on the calling thread: elaborate through the
@@ -397,30 +356,5 @@ mod tests {
         let matrix = run_job(&session, &job).into_matrix().unwrap();
         let row = matrix.outcome_for("concrete").unwrap();
         assert!(matches!(row.outcomes[0].result, ExecResult::Timeout(_)));
-    }
-
-    #[test]
-    fn the_result_cache_is_bounded_and_counts_lookups() {
-        let cache = ResultCache::default();
-        let make = |i: usize| {
-            (
-                format!("key-{i}"),
-                JobOutcome::FrontendFault(format!("payload-{i}")),
-            )
-        };
-        for i in 0..ResultCache::CAPACITY + 3 {
-            let (key, outcome) = make(i);
-            assert!(cache.lookup(&key).is_none());
-            cache.insert(key, outcome);
-            assert!(cache.stats().entries <= ResultCache::CAPACITY);
-        }
-        // The generational clear fired; the survivors are the post-rollover
-        // entries.
-        assert_eq!(cache.stats().entries, 3);
-        let (key, _) = make(ResultCache::CAPACITY + 2);
-        assert!(cache.lookup(&key).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, (ResultCache::CAPACITY + 3) as u64);
     }
 }

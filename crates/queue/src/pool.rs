@@ -10,9 +10,13 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use cerberus::ast::memo::Memo;
 use cerberus::pipeline::Session;
 
-use crate::{Job, JobId, JobOutcome, JobStatus, QueueClosed, QueueStats, ResultCache, WorkerStats};
+use crate::{Job, JobId, JobOutcome, JobStatus, QueueClosed, QueueStats, WorkerStats};
+
+/// The most job outcomes the result cache memoises.
+const RESULT_CAPACITY: usize = 256;
 
 /// Where a submitted job is. Its [`JobStatus`] is derived from the slot, so
 /// a status can never disagree with a stored outcome.
@@ -60,7 +64,9 @@ struct Inner {
     work: Condvar,
     /// Broadcast when a job finishes.
     finished: Condvar,
-    cache: ResultCache,
+    /// Outcomes by [`Job::cache_key`], so an identical submission is a
+    /// lookup, not a run.
+    results: Memo<String, JobOutcome>,
     session: Session,
 }
 
@@ -74,11 +80,11 @@ impl Inner {
     /// outcome.
     fn execute(&self, job: &Job) -> JobOutcome {
         let key = job.cache_key();
-        if let Some(hit) = self.cache.lookup(&key) {
+        if let Some(hit) = self.results.get(&key) {
             return hit;
         }
         let outcome = crate::run_job(&self.session, job);
-        self.cache.insert(key, outcome.clone());
+        self.results.insert(key, outcome.clone());
         outcome
     }
 
@@ -132,7 +138,7 @@ impl JobQueue {
             }),
             work: Condvar::new(),
             finished: Condvar::new(),
-            cache: ResultCache::default(),
+            results: Memo::new(RESULT_CAPACITY),
             session: Session::default(),
         });
         let handles = (0..workers)
@@ -232,12 +238,15 @@ impl JobQueue {
                 .collect();
             (state.fifo.len(), state.next_id, state.completed, workers)
         };
+        let session = self.inner.session.cache_stats();
         QueueStats {
             depth,
             submitted,
             completed,
-            result_cache: self.inner.cache.stats(),
-            elaboration_cache: self.inner.session.cache_stats(),
+            result_cache: self.inner.results.stats(),
+            elaboration_cache: session.elaboration,
+            analysis_cache: session.analysis,
+            solver_memo: session.solver,
             workers,
         }
     }

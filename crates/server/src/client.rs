@@ -97,7 +97,8 @@ pub fn wait_for_server(addr: &str, deadline: Duration) -> std::io::Result<()> {
 
 /// The end-to-end smoke drill run by CI against a live server:
 /// models are listed, a submission completes with an agreeing matrix, and an
-/// identical resubmission is answered from the result cache.
+/// identical resubmission is acknowledged from the analysis cache and
+/// answered from the result cache.
 ///
 /// Returns a human-readable transcript on success; errors describe the first
 /// failed step.
@@ -139,16 +140,20 @@ pub fn smoke(addr: &str, deadline: Duration) -> std::io::Result<String> {
     };
     poll_job(addr, second, deadline)?;
     let (status, stats) = http_request(addr, "GET", "/api/v0/stats", None)?;
-    let hits = stats
-        .get("result_cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(Json::as_int);
-    if status != 200 || hits.is_none_or(|h| h < 1) {
+    let hits = |cache: &str| {
+        stats
+            .get(cache)
+            .and_then(|c| c.get("hits"))
+            .and_then(Json::as_int)
+            .unwrap_or_default()
+    };
+    let (result_hits, analysis_hits) = (hits("result_cache"), hits("analysis_cache"));
+    if status != 200 || result_hits < 1 || analysis_hits < 1 {
         return Err(fail("GET /api/v0/stats after resubmission", &stats));
     }
     transcript.push_str(&format!(
-        "job {second}: resubmission served from the result cache ({} hits)\n",
-        hits.unwrap_or_default()
+        "job {second}: resubmission served from the result cache ({result_hits} hits), \
+         acknowledged from the analysis cache ({analysis_hits} hits)\n"
     ));
     Ok(transcript)
 }
@@ -187,6 +192,7 @@ mod tests {
         let transcript = smoke(&addr, Duration::from_secs(60)).expect("smoke drill");
         assert!(transcript.contains("all models agree"), "{transcript}");
         assert!(transcript.contains("result cache"), "{transcript}");
+        assert!(transcript.contains("analysis cache"), "{transcript}");
         server.shutdown();
     }
 }

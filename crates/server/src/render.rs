@@ -117,8 +117,6 @@ fn cache_stats_to_json(stats: &CacheStats) -> Json {
         ("hits", Json::Int(i128::from(stats.hits))),
         ("misses", Json::Int(i128::from(stats.misses))),
         ("entries", Json::Int(stats.entries as i128)),
-        ("solver_hits", Json::Int(i128::from(stats.solver_hits))),
-        ("solver_misses", Json::Int(i128::from(stats.solver_misses))),
     ])
 }
 
@@ -138,6 +136,8 @@ pub fn queue_stats_to_json(stats: &QueueStats) -> Json {
             "elaboration_cache",
             cache_stats_to_json(&stats.elaboration_cache),
         ),
+        ("analysis_cache", cache_stats_to_json(&stats.analysis_cache)),
+        ("solver_memo", cache_stats_to_json(&stats.solver_memo)),
         ("workers", Json::Arr(workers)),
     ])
 }
@@ -211,10 +211,24 @@ mod tests {
         let json = queue_stats_to_json(&queue.stats());
         assert_eq!(json.get("submitted").and_then(Json::as_int), Some(1));
         assert_eq!(json.get("completed").and_then(Json::as_int), Some(1));
-        assert!(json
-            .get("result_cache")
-            .and_then(|c| c.get("misses"))
-            .is_some());
+        for cache in [
+            "result_cache",
+            "elaboration_cache",
+            "analysis_cache",
+            "solver_memo",
+        ] {
+            let Some(Json::Obj(members)) = json.get(cache) else {
+                panic!("{cache} is not an object in {json:?}");
+            };
+            let names: Vec<_> = members.keys().map(String::as_str).collect();
+            assert_eq!(names, ["entries", "hits", "misses"], "{cache}");
+        }
+        assert_eq!(
+            json.get("result_cache")
+                .and_then(|c| c.get("misses"))
+                .and_then(Json::as_int),
+            Some(1)
+        );
         assert_eq!(
             json.get("workers")
                 .and_then(Json::as_array)

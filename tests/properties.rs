@@ -10,6 +10,7 @@ use cerberus_ast::env::ImplEnv;
 use cerberus_exec::driver::ExecResult;
 use cerberus_gen::{diff_one, generate, DiffOutcome, GenConfig};
 use cerberus_memory::config::ModelConfig;
+use cerberus_memory::model::MemoryModel;
 use cerberus_memory::state::{AllocKind, MemState};
 use cerberus_memory::value::MemValue;
 use cerberus_parser::lexer::lex;
