@@ -1686,7 +1686,7 @@ impl<'a> Interp<'a> {
                     }
                     AFlow::Jump(l) => {
                         self.merge_frames(vec![fp_a]);
-                        if Self::contains_save(b, &l) {
+                        if b.contains_save(&l) {
                             self.eval_seeking(env, b, &l)
                         } else {
                             AFlow::Jump(l)
@@ -1704,7 +1704,7 @@ impl<'a> Interp<'a> {
                     self.eval_expr(env, b)
                 }
                 AFlow::Jump(l) => {
-                    if Self::contains_save(b, &l) {
+                    if b.contains_save(&l) {
                         self.eval_seeking(env, b, &l)
                     } else {
                         AFlow::Jump(l)
@@ -1905,21 +1905,6 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn contains_save(e: &Expr, label: &Ident) -> bool {
-        match e {
-            Expr::Save(l, body) => l == label || Self::contains_save(body, label),
-            Expr::Exit(_, body) | Expr::Indet(body) => Self::contains_save(body, label),
-            Expr::Let(_, _, body) => Self::contains_save(body, label),
-            Expr::If(_, t, f) => Self::contains_save(t, label) || Self::contains_save(f, label),
-            Expr::Case(_, arms) => arms.iter().any(|(_, b)| Self::contains_save(b, label)),
-            Expr::Unseq(items) => items.iter().any(|i| Self::contains_save(i, label)),
-            Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
-                Self::contains_save(a, label) || Self::contains_save(b, label)
-            }
-            _ => false,
-        }
-    }
-
     /// Skip forward through `e` to the `save` for `label` (forward `goto` /
     /// `switch` dispatch), mirroring the concrete interpreter's seeking mode.
     /// Bindings on the skipped prefix stay unbound and read back as `Top`.
@@ -1931,7 +1916,7 @@ impl<'a> Interp<'a> {
             Expr::Save(l, body) => {
                 if l == label {
                     self.eval_save(env, label, body)
-                } else if Self::contains_save(body, label) {
+                } else if body.contains_save(label) {
                     let flow = self.eval_seeking(env, body, label);
                     match flow {
                         AFlow::Jump(j) if &j == l => self.eval_save(env, l, body),
@@ -1955,7 +1940,7 @@ impl<'a> Interp<'a> {
                 }
             }
             Expr::Sseq(pat, a, b) | Expr::Wseq(pat, a, b) => {
-                if Self::contains_save(a, label) {
+                if a.contains_save(label) {
                     let flow = self.eval_seeking(env, a, label);
                     match flow {
                         AFlow::Val(v) => {
@@ -1963,7 +1948,7 @@ impl<'a> Interp<'a> {
                             self.eval_expr(env, b)
                         }
                         AFlow::Jump(l) => {
-                            if Self::contains_save(b, &l) {
+                            if b.contains_save(&l) {
                                 self.eval_seeking(env, b, &l)
                             } else {
                                 AFlow::Jump(l)
@@ -1977,7 +1962,7 @@ impl<'a> Interp<'a> {
             }
             Expr::Let(_, _, body) | Expr::Indet(body) => self.eval_seeking(env, body, label),
             Expr::If(_, t, f) => {
-                if Self::contains_save(t, label) {
+                if t.contains_save(label) {
                     self.eval_seeking(env, t, label)
                 } else {
                     self.eval_seeking(env, f, label)
@@ -1985,7 +1970,7 @@ impl<'a> Interp<'a> {
             }
             Expr::Case(_, arms) => {
                 for (_, body) in arms {
-                    if Self::contains_save(body, label) {
+                    if body.contains_save(label) {
                         return self.eval_seeking(env, body, label);
                     }
                 }
@@ -1993,7 +1978,7 @@ impl<'a> Interp<'a> {
             }
             Expr::Unseq(items) => {
                 for item in items {
-                    if Self::contains_save(item, label) {
+                    if item.contains_save(label) {
                         return self.eval_seeking(env, item, label);
                     }
                 }

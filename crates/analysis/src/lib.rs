@@ -302,18 +302,11 @@ pub fn analyze_with_solver(
             report.violations = violations;
             report
         }
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            AnalysisReport {
-                violations,
-                aborted: Some(message),
-                ..AnalysisReport::default()
-            }
-        }
+        Err(payload) => AnalysisReport {
+            violations,
+            aborted: Some(cerberus_ast::panic_payload(&*payload)),
+            ..AnalysisReport::default()
+        },
     }
 }
 

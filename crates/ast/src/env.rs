@@ -9,26 +9,15 @@
 
 use crate::ctype::{Ctype, IntegerType};
 
-/// Byte order used when serialising integer and pointer values into
-/// representation bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Endianness {
-    /// Least-significant byte first (mainstream x86-64 / AArch64 default).
-    Little,
-    /// Most-significant byte first.
-    Big,
-}
-
 /// An implementation-defined environment: the sizes, alignments and signedness
-/// choices the semantics needs to evaluate programs.
+/// choices the semantics needs to evaluate programs. Object representations
+/// are little-endian in every environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImplEnv {
     /// Human-readable name (e.g. `"lp64"`).
     pub name: &'static str,
     /// Whether plain `char` behaves as a signed type.
     pub char_is_signed: bool,
-    /// Byte order of object representations.
-    pub endianness: Endianness,
     /// `sizeof(short)` in bytes.
     pub short_size: u64,
     /// `sizeof(int)` in bytes.
@@ -50,7 +39,6 @@ impl ImplEnv {
         ImplEnv {
             name: "lp64",
             char_is_signed: true,
-            endianness: Endianness::Little,
             short_size: 2,
             int_size: 4,
             long_size: 8,
@@ -66,30 +54,12 @@ impl ImplEnv {
         ImplEnv {
             name: "ilp32",
             char_is_signed: true,
-            endianness: Endianness::Little,
             short_size: 2,
             int_size: 4,
             long_size: 4,
             long_long_size: 8,
             pointer_size: 4,
             max_align: 8,
-        }
-    }
-
-    /// A CHERI-style environment where pointers occupy 16 bytes of address
-    /// space-visible representation (capability with bounds metadata), used by
-    /// the CHERI memory model experiments of §4.
-    pub const fn cheri128() -> Self {
-        ImplEnv {
-            name: "cheri128",
-            char_is_signed: true,
-            endianness: Endianness::Little,
-            short_size: 2,
-            int_size: 4,
-            long_size: 8,
-            long_long_size: 8,
-            pointer_size: 16,
-            max_align: 16,
         }
     }
 

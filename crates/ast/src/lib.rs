@@ -5,7 +5,8 @@
 //! implementation-defined environments (object sizes, alignments, signedness of
 //! plain `char`, …), storage layout computation, the catalogue of undefined
 //! behaviours the semantics can report, the design-space question catalogue
-//! from §2 of the paper, and the bounded memo table every pipeline cache uses.
+//! from §2 of the paper, the bounded memo table every pipeline cache uses, and
+//! the rendering of a contained panic's payload.
 //!
 //! # Example
 //!
@@ -36,3 +37,15 @@ pub use layout::{Layout, TagDefinition, TagRegistry};
 pub use loc::{Loc, Span};
 pub use questions::{Clarity, Question, QuestionCategory};
 pub use ub::UbKind;
+
+/// Render a payload captured by [`std::panic::catch_unwind`] as text (the
+/// common `String`/`&str` payloads verbatim, anything else a fixed marker).
+pub fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}

@@ -137,10 +137,7 @@ fn fuzz_smoke(count: usize) -> ! {
     use cerberus::pipeline::Config;
     use cerberus_memory::limits::ResourceLimits;
 
-    let limits = ResourceLimits::default()
-        .with_wall_clock_ms(5_000)
-        .with_heap_bytes(64 << 20)
-        .with_max_live_allocations(1 << 16);
+    let limits = ResourceLimits::default().with_wall_clock_ms(5_000);
     let session =
         Session::new(Config::with_model(ModelConfig::concrete()).with_limits(limits.clone()));
     let (mut agree, mut timeout, mut bad) = (0usize, 0usize, 0usize);

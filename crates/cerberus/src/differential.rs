@@ -22,24 +22,13 @@
 //! [`ExecResult::EngineFault`] row carrying the captured payload while every
 //! other row completes normally.
 
+use cerberus_ast::panic_payload;
 use cerberus_exec::driver::{ExecMode, ExecResult, ProgramOutcome};
 use cerberus_memory::config::ModelConfig;
 use cerberus_memory::limits::ResourceLimits;
 use std::collections::HashMap;
 
 use crate::pipeline::{Config, Elaborated, RunOutcome};
-
-/// Render a payload captured by [`std::panic::catch_unwind`] as text (the
-/// common `String`/`&str` payloads verbatim, anything else a fixed marker).
-pub fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
 
 /// Runs one elaborated program under a list of memory models.
 ///

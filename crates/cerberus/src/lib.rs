@@ -56,9 +56,8 @@ pub use cerberus_exec as exec;
 pub use cerberus_memory as memory;
 pub use cerberus_parser as parser;
 
-pub use differential::{
-    panic_payload, AgreementClass, DifferentialRunner, ModelRun, OutcomeMatrix,
-};
+pub use cerberus_ast::panic_payload;
+pub use differential::{AgreementClass, DifferentialRunner, ModelRun, OutcomeMatrix};
 pub use pipeline::{
     run, run_with_model, CacheStats, Config, Desugared, Elaborated, Parsed, PipelineError,
     PipelineErrorKind, RunOutcome, Session, SessionStats,

@@ -255,6 +255,23 @@ impl Expr {
             Some(last) => iter.fold(last, |acc, e| Expr::seq(e, acc)),
         }
     }
+
+    /// Whether a `save` for `label` occurs in this expression: where a jump
+    /// to `label` lands, which the interpreter and the analyzer both seek.
+    pub fn contains_save(&self, label: &Ident) -> bool {
+        match self {
+            Expr::Save(l, body) => l == label || body.contains_save(label),
+            Expr::Exit(_, body) | Expr::Indet(body) | Expr::Let(_, _, body) => {
+                body.contains_save(label)
+            }
+            Expr::If(_, a, b) | Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
+                a.contains_save(label) || b.contains_save(label)
+            }
+            Expr::Case(_, arms) => arms.iter().any(|(_, body)| body.contains_save(label)),
+            Expr::Unseq(items) => items.iter().any(|item| item.contains_save(label)),
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]

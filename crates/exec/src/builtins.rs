@@ -2,10 +2,11 @@
 //! (the "small parts of the standard libraries" the paper's Cerberus
 //! supports, including `printf`).
 
+use cerberus_memory::limits::ResourceKind;
 use cerberus_memory::model::MemoryModel;
 use cerberus_memory::value::PointerValue;
 
-use crate::eval::{Interp, Stop};
+use crate::eval::{Interp, Stop, OUTPUT_BYTES};
 use crate::value::Value;
 
 /// Call a builtin library function by name, if `name` is one. Returns `None`
@@ -66,16 +67,14 @@ fn assert_builtin(args: &[Value]) -> Result<Value, Stop> {
 
 fn malloc<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<Value, Stop> {
     let size = arg_int(args, 0).max(0) as u64;
-    let align = interp.mem.env().max_align;
-    specified_ptr(interp.mem.alloc(size, align).map_err(Stop::from)?)
+    specified_ptr(interp.alloc(size)?)
 }
 
 fn calloc<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<Value, Stop> {
     let n = arg_int(args, 0).max(0) as u64;
     let size = arg_int(args, 1).max(0) as u64;
     let total = n.saturating_mul(size);
-    let align = interp.mem.env().max_align;
-    let ptr = interp.mem.alloc(total, align).map_err(Stop::from)?;
+    let ptr = interp.alloc(total)?;
     interp.mem.set_bytes(&ptr, 0, total).map_err(Stop::from)?;
     specified_ptr(ptr)
 }
@@ -85,7 +84,7 @@ fn free<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<Va
         .first()
         .and_then(Value::as_pointer)
         .unwrap_or_else(PointerValue::null);
-    interp.mem.kill(&ptr, true).map_err(Stop::from)?;
+    interp.kill(&ptr, true)?;
     Ok(Value::Specified(Box::new(Value::Unit)))
 }
 
@@ -146,10 +145,13 @@ fn strcpy<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<
 
 /// A subset of `printf` conversions sufficient for the test suite: `%d`,
 /// `%i`, `%u`, `%ld`, `%lu`, `%lld`, `%llu`, `%zu`, `%x`, `%c`, `%s`, `%p`
-/// and `%%`.
+/// and `%%`. A call that would take the execution's output past
+/// [`OUTPUT_BYTES`] writes nothing and exhausts the output budget; it stops
+/// formatting at the first conversion that crosses it.
 fn printf<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<Value, Stop> {
     let fmt_ptr = arg_ptr(args, 0)?;
     let fmt = interp.mem.read_c_string(&fmt_ptr).map_err(Stop::from)?;
+    let budget = OUTPUT_BYTES.saturating_sub(interp.stdout.len());
     let mut out: Vec<u8> = Vec::with_capacity(fmt.len());
     let mut arg_index = 1;
     let mut next_arg = |interp_args: &[Value]| -> Value {
@@ -158,7 +160,7 @@ fn printf<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<
         v
     };
     let mut i = 0;
-    while i < fmt.len() {
+    while i < fmt.len() && out.len() <= budget {
         let c = fmt[i];
         if c != b'%' {
             out.push(c);
@@ -216,6 +218,9 @@ fn printf<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<
             }
         }
         i = j + 1;
+    }
+    if out.len() > budget {
+        return Err(Stop::Resource(ResourceKind::Output));
     }
     let written = out.len() as i128;
     interp.stdout.extend_from_slice(&out);

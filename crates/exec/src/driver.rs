@@ -97,7 +97,7 @@ pub enum ExecResult {
     /// A time budget was exhausted: the deterministic step budget (treated as
     /// a timeout in §6's validation) or the wall-clock watchdog.
     Timeout(TimeoutKind),
-    /// A [`ResourceLimits`] allocation/recursion budget was exhausted.
+    /// An allocation, recursion or output budget was exhausted.
     ResourceExhausted(ResourceKind),
     /// The memory model panicked; the panic was contained by the harness and
     /// the payload captured. Produced only by fault-isolating runners (the
@@ -236,8 +236,7 @@ impl<M: MemoryModel> Driver<M> {
     }
 
     fn run_with(&self, oracle: &mut dyn ChoiceOracle) -> ProgramOutcome {
-        let mut mem = self.model.fresh();
-        mem.set_limits(self.limits.clone());
+        let mem = self.model.fresh();
         let mut interp = Interp::new(&self.program, mem, oracle, self.limits.clone());
         let result = (|| -> Result<i128, Stop> {
             interp.setup()?;

@@ -10,7 +10,7 @@ use cerberus_core::program::CoreProgram;
 use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, PtrOp};
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
 use cerberus_memory::model::MemoryModel;
-use cerberus_memory::state::{AllocKind, MemError, MemErrorKind};
+use cerberus_memory::state::{AllocKind, MemError};
 use cerberus_memory::value::{IntegerValue, PointerValue};
 
 use crate::builtins;
@@ -37,18 +37,15 @@ pub enum Stop {
     /// bound exhaustive exploration and to detect non-termination in
     /// differential testing, §6) or the wall-clock watchdog.
     Limit(TimeoutKind),
-    /// A [`ResourceLimits`] allocation/recursion budget was exhausted.
+    /// An allocation, recursion or output budget was exhausted.
     Resource(ResourceKind),
 }
 
 impl From<MemError> for Stop {
     fn from(e: MemError) -> Self {
-        match e.kind {
-            MemErrorKind::Undef(ub) => Stop::Undef {
-                ub,
-                detail: e.detail,
-            },
-            MemErrorKind::Resource(kind) => Stop::Resource(kind),
+        Stop::Undef {
+            ub: e.ub,
+            detail: e.detail,
         }
     }
 }
@@ -107,8 +104,18 @@ fn stack_position() -> usize {
     std::hint::black_box(std::ptr::addr_of!(marker)) as usize
 }
 
+/// The most bytes one execution may print. A `printf` that would take
+/// [`Interp::stdout`] past it stops the execution with
+/// [`ResourceKind::Output`].
+pub const OUTPUT_BYTES: usize = 1 << 16;
+
 /// The interpreter state for one execution, generic over the memory object
 /// model it issues its actions against (§5.9).
+///
+/// The interpreter alone enforces the execution's [`ResourceLimits`]: it
+/// counts steps, watches the clock, call depth and host stack, and charges
+/// every object it asks the engine for against the heap-byte and
+/// live-allocation budgets. Captured output is bounded by [`OUTPUT_BYTES`].
 pub struct Interp<'a, M: MemoryModel> {
     program: &'a CoreProgram,
     /// The memory object model state.
@@ -119,6 +126,10 @@ pub struct Interp<'a, M: MemoryModel> {
     oracle: &'a mut dyn ChoiceOracle,
     steps: u64,
     limits: ResourceLimits,
+    /// Bytes allocated so far (`kill` does not refund them) and the
+    /// allocations still within their lifetime.
+    allocated_bytes: u64,
+    live_allocations: usize,
     /// Wall-clock deadline derived from [`ResourceLimits::wall_clock_ms`]
     /// at construction, checked periodically by [`Interp::tick`].
     deadline: Option<std::time::Instant>,
@@ -151,6 +162,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             oracle,
             steps: 0,
             limits,
+            allocated_bytes: 0,
+            live_allocations: 0,
             deadline,
             call_depth: 0,
             stack_base: stack_position(),
@@ -164,7 +177,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     /// declaration order.
     pub fn setup(&mut self) -> Result<(), Stop> {
         for (name, bytes) in &self.program.string_literals {
-            let ptr = self.mem.create_string_literal(bytes).map_err(Stop::from)?;
+            self.charge(bytes.len() as u64 + 1)?;
+            let ptr = self.mem.create_string_literal(bytes)?;
             self.globals
                 .insert(name.as_str().to_owned(), Value::Pointer(ptr));
         }
@@ -172,10 +186,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             self.mem.register_function(&Ident::new(proc_name.clone()));
         }
         for global in &self.program.globals {
-            let ptr = self
-                .mem
-                .create(&global.ty, AllocKind::Static, Some(global.name.as_str()))
-                .map_err(Stop::from)?;
+            let ptr = self.create(&global.ty, AllocKind::Static, Some(global.name.as_str()))?;
             self.globals
                 .insert(global.name.as_str().to_owned(), Value::Pointer(ptr));
         }
@@ -212,10 +223,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         let mut env = Env::new();
         let mut param_ptrs = Vec::new();
         for ((sym, ty), arg) in proc.params.iter().zip(args) {
-            let ptr = self
-                .mem
-                .create(ty, AllocKind::Automatic, Some(sym.as_str()))
-                .map_err(Stop::from)?;
+            let ptr = self.create(ty, AllocKind::Automatic, Some(sym.as_str()))?;
             self.mem
                 .store(ty, &ptr, &arg.to_mem(ty))
                 .map_err(Stop::from)?;
@@ -224,7 +232,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
         let flow = self.eval_expr(&mut env, &proc.body);
         for ptr in &param_ptrs {
-            let _ = self.mem.kill(ptr, false);
+            let _ = self.kill(ptr, false);
         }
         self.call_depth -= 1;
         match flow? {
@@ -241,6 +249,50 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     fn check_stack(&self) -> Result<(), Stop> {
         if stack_position().abs_diff(self.stack_base) > self.stack_budget {
             return Err(Stop::Resource(ResourceKind::CallDepth));
+        }
+        Ok(())
+    }
+
+    /// Charge one allocation of `size` bytes against the heap-byte and
+    /// live-allocation budgets, before the engine is asked for it.
+    fn charge(&mut self, size: u64) -> Result<(), Stop> {
+        let total = self.allocated_bytes.saturating_add(size);
+        if total > self.limits.heap_bytes {
+            return Err(Stop::Resource(ResourceKind::HeapBytes));
+        }
+        if self.live_allocations >= self.limits.max_live_allocations {
+            return Err(Stop::Resource(ResourceKind::LiveAllocations));
+        }
+        self.allocated_bytes = total;
+        self.live_allocations += 1;
+        Ok(())
+    }
+
+    /// The engine's `create`, charged at the object's size.
+    fn create(
+        &mut self,
+        ty: &Ctype,
+        kind: AllocKind,
+        name: Option<&str>,
+    ) -> Result<PointerValue, Stop> {
+        self.charge(self.mem.size_of(ty)?)?;
+        Ok(self.mem.create(ty, kind, name)?)
+    }
+
+    /// The engine's `alloc` (`malloc`, `calloc`), charged at `size` bytes,
+    /// at least one: a zero-size allocation is still a live allocation.
+    pub(crate) fn alloc(&mut self, size: u64) -> Result<PointerValue, Stop> {
+        self.charge(size.max(1))?;
+        let align = self.mem.env().max_align;
+        Ok(self.mem.alloc(size, align)?)
+    }
+
+    /// The engine's `kill`, releasing one live allocation when it ends a
+    /// lifetime (`free(NULL)` ends none).
+    pub(crate) fn kill(&mut self, ptr: &PointerValue, dynamic: bool) -> Result<(), MemError> {
+        self.mem.kill(ptr, dynamic)?;
+        if !(dynamic && ptr.is_null()) {
+            self.live_allocations = self.live_allocations.saturating_sub(1);
         }
         Ok(())
     }
@@ -614,7 +666,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     Value::Ctype(ty) => ty,
                     other => return Err(Stop::Error(format!("create of a non-type {other}"))),
                 };
-                let ptr = self.mem.create(&ty, AllocKind::Automatic, None)?;
+                let ptr = self.create(&ty, AllocKind::Automatic, None)?;
                 Ok(Flow::Value(Value::Pointer(ptr)))
             }
             MemAction::Kill(ptr) => {
@@ -622,7 +674,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 if let Some(p) = p.as_pointer() {
                     // End-of-block kills are lenient: an object whose lifetime
                     // already ended (e.g. after a jump) is left alone.
-                    let _ = self.mem.kill(&p, false);
+                    let _ = self.kill(&p, false);
                 }
                 Ok(Flow::Value(Value::Unit))
             }
@@ -656,21 +708,6 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
 
     // ----- label search ------------------------------------------------------------
 
-    fn contains_save(e: &Expr, label: &Ident) -> bool {
-        match e {
-            Expr::Save(l, body) => l == label || Self::contains_save(body, label),
-            Expr::Exit(_, body) | Expr::Indet(body) => Self::contains_save(body, label),
-            Expr::Let(_, _, body) => Self::contains_save(body, label),
-            Expr::If(_, t, f) => Self::contains_save(t, label) || Self::contains_save(f, label),
-            Expr::Case(_, arms) => arms.iter().any(|(_, b)| Self::contains_save(b, label)),
-            Expr::Unseq(items) => items.iter().any(|i| Self::contains_save(i, label)),
-            Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
-                Self::contains_save(a, label) || Self::contains_save(b, label)
-            }
-            _ => false,
-        }
-    }
-
     /// Evaluate `e` in "seeking" mode: skip everything until the `save` for
     /// `label` is reached, evaluate its body, then continue normally with the
     /// remainder of `e`. This realises forward `goto`s and `switch` dispatch.
@@ -680,7 +717,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             Expr::Save(l, body) => {
                 if l == label {
                     self.eval_save(env, l, body)
-                } else if Self::contains_save(body, label) {
+                } else if body.contains_save(label) {
                     // Seek inside, then keep this save active for later jumps.
                     let flow = self.eval_seeking(env, body, label)?;
                     match flow {
@@ -701,7 +738,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                 }
             }
             Expr::Sseq(pat, a, b) | Expr::Wseq(pat, a, b) => {
-                if Self::contains_save(a, label) {
+                if a.contains_save(label) {
                     let flow = self.eval_seeking(env, a, label)?;
                     match flow {
                         Flow::Value(v) => {
@@ -709,7 +746,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                             self.eval_expr(env, b)
                         }
                         Flow::Jump(l) => {
-                            if Self::contains_save(b, &l) {
+                            if b.contains_save(&l) {
                                 self.eval_seeking(env, b, &l)
                             } else {
                                 Ok(Flow::Jump(l))
@@ -723,7 +760,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
             Expr::Let(_, _, body) | Expr::Indet(body) => self.eval_seeking(env, body, label),
             Expr::If(_, t, f) => {
-                if Self::contains_save(t, label) {
+                if t.contains_save(label) {
                     self.eval_seeking(env, t, label)
                 } else {
                     self.eval_seeking(env, f, label)
@@ -731,7 +768,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
             Expr::Case(_, arms) => {
                 for (_, body) in arms {
-                    if Self::contains_save(body, label) {
+                    if body.contains_save(label) {
                         return self.eval_seeking(env, body, label);
                     }
                 }
@@ -739,7 +776,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             }
             Expr::Unseq(items) => {
                 for item in items {
-                    if Self::contains_save(item, label) {
+                    if item.contains_save(label) {
                         return self.eval_seeking(env, item, label);
                     }
                 }
@@ -850,14 +887,12 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                             });
                         }
                         match flow {
-                            Flow::Jump(l) if Self::contains_save(a, &l) => {
-                                self.eval_seeking(env, a, &l)
-                            }
+                            Flow::Jump(l) if a.contains_save(&l) => self.eval_seeking(env, a, &l),
                             other => Ok(other),
                         }
                     }
                     Flow::Jump(l) => {
-                        if Self::contains_save(b, &l) {
+                        if b.contains_save(&l) {
                             self.eval_seeking(env, b, &l)
                         } else {
                             Ok(Flow::Jump(l))
@@ -871,7 +906,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     Flow::Value(v) => {
                         Self::bind(env, pat, v)?;
                         match self.eval_expr(env, b)? {
-                            Flow::Jump(l) if Self::contains_save(a, &l) => {
+                            Flow::Jump(l) if a.contains_save(&l) => {
                                 // A backward jump to a label in the already
                                 // evaluated part of the sequence: re-enter it
                                 // seeking the label.
@@ -881,7 +916,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                         }
                     }
                     Flow::Jump(l) => {
-                        if Self::contains_save(b, &l) {
+                        if b.contains_save(&l) {
                             self.eval_seeking(env, b, &l)
                         } else {
                             Ok(Flow::Jump(l))

@@ -17,6 +17,10 @@
 //! the elaboration, or one detected by the memory object model) terminates the
 //! execution and is reported with its ISO clause (§5.4); unsequenced races are
 //! detected by comparing the footprints of `unseq` siblings (§5.6).
+//!
+//! The interpreter alone enforces an execution's budget
+//! ([`cerberus_memory::limits::ResourceLimits`] and [`eval::OUTPUT_BYTES`]);
+//! the memory engines carry none.
 
 pub mod builtins;
 pub mod driver;

@@ -2,9 +2,8 @@
 //! loading, and the one rendering of a verdict cell ([`cell`]) that both the
 //! suite checks and the `.expect` documents use.
 //!
-//! Each litmus test is a pair of files under the fixture root (by default
-//! `tests/fixtures/` at the workspace root, overridable with the
-//! `CERBERUS_FIXTURES` environment variable):
+//! Each litmus test is a pair of files under the fixture root
+//! (`tests/fixtures/` at the workspace root):
 //!
 //! * `<group>/<name>.c` — the program, with a metadata header of
 //!   line comments (`// @question: 11`, `// @category: provenance-basics`);
@@ -29,15 +28,11 @@ use cerberus_wire::json::Json;
 
 use crate::LitmusTest;
 
-/// The fixture corpus root: `$CERBERUS_FIXTURES` if set, otherwise
-/// `tests/fixtures/` at the workspace root (resolved at compile time, so the
-/// suite is independent of the working directory).
+/// The fixture corpus root: `tests/fixtures/` at the workspace root
+/// (resolved at compile time, so the suite is independent of the working
+/// directory).
 pub fn fixtures_root() -> PathBuf {
-    std::env::var_os("CERBERUS_FIXTURES")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures"))
-        })
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures"))
 }
 
 /// One discovered fixture: its group directory, test name, and file paths.

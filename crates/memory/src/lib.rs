@@ -34,9 +34,9 @@
 //!   the §3 comparison (sanitisers, tis-interpreter, KCC), and the symbolic
 //!   model;
 //! * CHERI capability semantics ([`cheri`]) reproducing the §4 findings;
-//! * resource budgets ([`limits::ResourceLimits`]) enforced by both engines
-//!   at allocation time, and a fault-injection arm
-//!   ([`model::AnyEngine::Panicking`], see [`fault`]) for drilling the
+//! * resource budgets ([`limits::ResourceLimits`]), which the interpreter in
+//!   `cerberus-exec` enforces (the engines carry none), and a fault-injection
+//!   arm ([`model::AnyEngine::Panicking`], see [`fault`]) for drilling the
 //!   differential harness's panic containment.
 //!
 //! How to implement and register a further model is documented in
@@ -76,6 +76,6 @@ pub use config::{
 };
 pub use limits::{ResourceKind, ResourceLimits, TimeoutKind};
 pub use model::{AnyEngine, ConcreteEngine, MemoryModel, ModelResult};
-pub use state::{AllocKind, Allocation, MemError, MemErrorKind, MemState};
+pub use state::{AllocKind, Allocation, MemError, MemState};
 pub use symbolic::SymbolicEngine;
 pub use value::{AllocId, IntegerValue, MemValue, PointerValue, Provenance};

@@ -5,16 +5,17 @@
 //! a *budget* and surface as a structured outcome, never hang a worker or
 //! abort a suite. [`ResourceLimits`] is that budget — steps, wall-clock time,
 //! allocation totals, live-allocation count and call depth — carried by the
-//! pipeline `Config`, the execution `Driver` and both memory engines, and
-//! enforced cooperatively: the interpreter checks steps/time/call depth, the
-//! engines check the allocation budgets at every `create`/`alloc`.
+//! pipeline `Config` and the execution `Driver`, and enforced by the
+//! interpreter alone: it checks steps, time and call depth as it runs, and
+//! charges every object it asks the memory engine to create or allocate. The
+//! engines carry no budget.
 //!
 //! Exhaustion is reported with a [`ResourceKind`] (which budget) or a
 //! [`TimeoutKind`] (which clock), so downstream consumers — the differential
 //! matrix, the litmus suite, the fuzz loop — can aggregate without string
 //! matching.
 
-/// Which allocation/recursion budget was exhausted.
+/// Which allocation, recursion or output budget was exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceKind {
     /// The cumulative allocated-bytes budget ([`ResourceLimits::heap_bytes`]).
@@ -24,6 +25,9 @@ pub enum ResourceKind {
     LiveAllocations,
     /// The call-depth budget ([`ResourceLimits::call_depth`]).
     CallDepth,
+    /// The captured-output budget: a fixed bound on the bytes one execution
+    /// may print, set by the interpreter rather than by [`ResourceLimits`].
+    Output,
 }
 
 impl std::fmt::Display for ResourceKind {
@@ -32,6 +36,7 @@ impl std::fmt::Display for ResourceKind {
             ResourceKind::HeapBytes => write!(f, "allocated-bytes budget"),
             ResourceKind::LiveAllocations => write!(f, "live-allocation budget"),
             ResourceKind::CallDepth => write!(f, "call-depth budget"),
+            ResourceKind::Output => write!(f, "output budget"),
         }
     }
 }
@@ -57,11 +62,12 @@ impl std::fmt::Display for TimeoutKind {
 
 /// The resource budget of one execution.
 ///
-/// The defaults reproduce the pre-budget behaviour: 2M steps, a call depth of
-/// 256, and no wall-clock, heap or live-allocation bound. The wall-clock
-/// watchdog defaults to off because differential matrices must be
-/// deterministic — enable it per run (a fuzz worker, a service job) where a
-/// hung row is worse than a nondeterministic one.
+/// The defaults are 2M steps, 4 MiB of cumulative allocation, 65,536 live
+/// allocations, a call depth of 256 and no wall-clock bound. Every budget but
+/// the clock is always on, so no program can make an execution grow without
+/// bound. The wall-clock watchdog defaults to off because differential
+/// matrices must be deterministic — enable it per run (a fuzz worker, a
+/// service job) where a hung row is worse than a nondeterministic one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// Interpreter step budget (exhaustion reports
@@ -70,11 +76,11 @@ pub struct ResourceLimits {
     /// Optional wall-clock watchdog in milliseconds (exhaustion reports
     /// [`TimeoutKind::WallClock`]). `None` disables the clock.
     pub wall_clock_ms: Option<u64>,
-    /// Optional budget on cumulative bytes allocated over the execution
-    /// (objects, `malloc`, string literals all count; `free` does not refund).
-    pub heap_bytes: Option<u64>,
-    /// Optional budget on simultaneously live allocations.
-    pub max_live_allocations: Option<usize>,
+    /// Budget on cumulative bytes allocated over the execution (objects,
+    /// `malloc`, string literals all count; `free` does not refund).
+    pub heap_bytes: u64,
+    /// Budget on simultaneously live allocations.
+    pub max_live_allocations: usize,
     /// Maximum C call depth.
     pub call_depth: usize,
 }
@@ -82,6 +88,10 @@ pub struct ResourceLimits {
 impl ResourceLimits {
     /// The default step budget (the §6 timeout analogue).
     pub const DEFAULT_STEPS: u64 = 2_000_000;
+    /// The default cumulative allocated-bytes budget: 4 MiB.
+    pub const DEFAULT_HEAP_BYTES: u64 = 1 << 22;
+    /// The default live-allocation budget.
+    pub const DEFAULT_LIVE_ALLOCATIONS: usize = 1 << 16;
     /// The default call-depth bound.
     pub const DEFAULT_CALL_DEPTH: usize = 256;
 
@@ -102,13 +112,13 @@ impl ResourceLimits {
 
     /// This budget with a cumulative allocated-bytes bound.
     pub fn with_heap_bytes(mut self, bytes: u64) -> Self {
-        self.heap_bytes = Some(bytes);
+        self.heap_bytes = bytes;
         self
     }
 
     /// This budget with a live-allocation-count bound.
     pub fn with_max_live_allocations(mut self, count: usize) -> Self {
-        self.max_live_allocations = Some(count);
+        self.max_live_allocations = count;
         self
     }
 
@@ -149,8 +159,8 @@ impl Default for ResourceLimits {
         ResourceLimits {
             steps: Self::DEFAULT_STEPS,
             wall_clock_ms: None,
-            heap_bytes: None,
-            max_live_allocations: None,
+            heap_bytes: Self::DEFAULT_HEAP_BYTES,
+            max_live_allocations: Self::DEFAULT_LIVE_ALLOCATIONS,
             call_depth: Self::DEFAULT_CALL_DEPTH,
         }
     }
@@ -161,13 +171,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_reproduce_the_pre_budget_behaviour() {
+    fn defaults_bound_every_budget_but_the_clock() {
         let limits = ResourceLimits::default();
         assert_eq!(limits.steps, 2_000_000);
         assert_eq!(limits.call_depth, 256);
         assert_eq!(limits.wall_clock_ms, None);
-        assert_eq!(limits.heap_bytes, None);
-        assert_eq!(limits.max_live_allocations, None);
+        assert_eq!(limits.heap_bytes, 4 << 20);
+        assert_eq!(limits.max_live_allocations, 65_536);
     }
 
     #[test]
@@ -179,8 +189,8 @@ mod tests {
             .with_call_depth(32);
         assert_eq!(limits.steps, 500);
         assert_eq!(limits.wall_clock_ms, Some(100));
-        assert_eq!(limits.heap_bytes, Some(1 << 20));
-        assert_eq!(limits.max_live_allocations, Some(64));
+        assert_eq!(limits.heap_bytes, 1 << 20);
+        assert_eq!(limits.max_live_allocations, 64);
         assert_eq!(limits.call_depth, 32);
     }
 
@@ -190,11 +200,12 @@ mod tests {
             ResourceKind::HeapBytes.to_string(),
             ResourceKind::LiveAllocations.to_string(),
             ResourceKind::CallDepth.to_string(),
+            ResourceKind::Output.to_string(),
             TimeoutKind::StepBudget.to_string(),
             TimeoutKind::WallClock.to_string(),
         ]
         .into_iter()
         .collect();
-        assert_eq!(rendered.len(), 5);
+        assert_eq!(rendered.len(), 6);
     }
 }

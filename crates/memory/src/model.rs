@@ -28,7 +28,6 @@ use cerberus_ast::layout::TagRegistry;
 
 use crate::config::{EngineKind, ModelConfig};
 use crate::fault::FAULT_MESSAGE;
-use crate::limits::ResourceLimits;
 use crate::state::{AllocKind, MemError, MemState};
 use crate::symbolic::SymbolicEngine;
 use crate::value::{IntegerValue, MemValue, PointerValue};
@@ -38,7 +37,7 @@ use crate::value::{IntegerValue, MemValue, PointerValue};
 pub type ConcreteEngine = MemState;
 
 /// Result alias for model operations: `Err` reports detected undefined
-/// behaviour (or a dynamic model error) as a [`MemError`].
+/// behaviour as a [`MemError`].
 pub type ModelResult<T> = Result<T, MemError>;
 
 /// The abstract memory object model signature of §5.9.
@@ -59,19 +58,13 @@ pub trait MemoryModel {
     /// The struct/union registry in force.
     fn tags(&self) -> &TagRegistry;
 
-    /// A pristine state with the same configuration, environment, tag
-    /// registry and resource budget, ready for a new execution.
+    /// A pristine state with the same configuration, environment and tag
+    /// registry, ready for a new execution. An engine carries no resource
+    /// budget: the interpreter charges every allocation before asking for it
+    /// (see `docs/MEMORY_MODELS.md`, "Resource and fault obligations").
     fn fresh(&self) -> Self
     where
         Self: Sized;
-
-    /// Install the resource budget this model enforces on allocation (the
-    /// driver sets it once per execution; see `docs/MEMORY_MODELS.md`,
-    /// "Resource and fault obligations").
-    fn set_limits(&mut self, limits: ResourceLimits);
-
-    /// The resource budget in force.
-    fn limits(&self) -> &ResourceLimits;
 
     // ----- layout --------------------------------------------------------
 
@@ -92,11 +85,9 @@ pub trait MemoryModel {
     ) -> ModelResult<PointerValue>;
 
     /// Allocate a dynamic region (the Core `alloc` action, i.e. `malloc`).
-    /// Fails when a [`ResourceLimits`] allocation budget is exhausted.
     fn alloc(&mut self, size: u64, align: u64) -> ModelResult<PointerValue>;
 
     /// Create a read-only string-literal object holding `bytes` plus NUL.
-    /// Fails when a [`ResourceLimits`] allocation budget is exhausted.
     fn create_string_literal(&mut self, bytes: &[u8]) -> ModelResult<PointerValue>;
 
     /// Register a C function, giving it a synthetic address.
@@ -223,14 +214,6 @@ impl MemoryModel for AnyEngine {
             AnyEngine::Symbolic(engine) => AnyEngine::Symbolic(engine.fresh()),
             AnyEngine::Panicking(_) => panic!("{FAULT_MESSAGE}"),
         }
-    }
-
-    fn set_limits(&mut self, limits: ResourceLimits) {
-        delegate!(self.set_limits(limits))
-    }
-
-    fn limits(&self) -> &ResourceLimits {
-        delegate!(self.limits())
     }
 
     fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use cerberus_ast::ctype::{Ctype, IntegerType, TagId};
-use cerberus_ast::env::{Endianness, ImplEnv};
+use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::{self, TagRegistry};
 use cerberus_ast::ub::UbKind;
@@ -21,7 +21,6 @@ use cerberus_ast::ub::UbKind;
 use crate::config::{
     IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics, UninitSemantics,
 };
-use crate::limits::{ResourceKind, ResourceLimits};
 use crate::model::{MemoryModel, ModelResult};
 use crate::value::{AllocId, CapMeta, IntegerValue, MemValue, PointerValue, Provenance};
 
@@ -105,23 +104,12 @@ impl Allocation {
     }
 }
 
-/// What a [`MemError`] reports: detected undefined behaviour, or exhaustion
-/// of one of the engine-enforced resource budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemErrorKind {
-    /// The access or operation is undefined behaviour.
-    Undef(UbKind),
-    /// A [`ResourceLimits`] budget was exhausted (not UB — the program may be
-    /// perfectly defined, the *run* ran out of budget).
-    Resource(ResourceKind),
-}
-
-/// A memory error: the undefined behaviour detected (or the budget
-/// exhausted) and a human-readable explanation.
+/// A memory error: the undefined behaviour detected and a human-readable
+/// explanation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemError {
-    /// What went wrong.
-    pub kind: MemErrorKind,
+    /// Which undefined behaviour.
+    pub ub: UbKind,
     /// What happened.
     pub detail: String,
 }
@@ -130,35 +118,15 @@ impl MemError {
     /// A memory error reporting the given undefined behaviour.
     pub fn new(ub: UbKind, detail: impl Into<String>) -> Self {
         MemError {
-            kind: MemErrorKind::Undef(ub),
+            ub,
             detail: detail.into(),
-        }
-    }
-
-    /// A memory error reporting resource-budget exhaustion.
-    pub fn resource(kind: ResourceKind, detail: impl Into<String>) -> Self {
-        MemError {
-            kind: MemErrorKind::Resource(kind),
-            detail: detail.into(),
-        }
-    }
-
-    /// The undefined behaviour this error reports, if it reports one (rather
-    /// than a resource-budget exhaustion).
-    pub fn ub(&self) -> Option<UbKind> {
-        match self.kind {
-            MemErrorKind::Undef(ub) => Some(ub),
-            MemErrorKind::Resource(_) => None,
         }
     }
 }
 
 impl std::fmt::Display for MemError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.kind {
-            MemErrorKind::Undef(ub) => write!(f, "{}: {}", ub, self.detail),
-            MemErrorKind::Resource(kind) => write!(f, "{} exhausted: {}", kind, self.detail),
-        }
+        write!(f, "{}: {}", self.ub, self.detail)
     }
 }
 
@@ -183,12 +151,6 @@ pub struct MemState {
     /// Shadow stores used by the GCC-like provenance-optimising semantics
     /// (see [`ModelConfig::provenance_optimising_stores`]): address → bytes.
     shadow: HashMap<u64, Vec<AbsByte>>,
-    /// The resource budget in force (see [`MemoryModel::set_limits`]).
-    limits: ResourceLimits,
-    /// Cumulative bytes allocated over this execution.
-    allocated_bytes: u64,
-    /// Allocations currently within their lifetime.
-    live_allocation_count: usize,
 }
 
 impl MemState {
@@ -203,48 +165,7 @@ impl MemState {
             function_addrs: HashMap::new(),
             functions_by_addr: HashMap::new(),
             shadow: HashMap::new(),
-            limits: ResourceLimits::default(),
-            allocated_bytes: 0,
-            live_allocation_count: 0,
         }
-    }
-
-    /// Cumulative bytes allocated over this execution (never refunded by
-    /// `kill`/`free` — the budget bounds total allocation work, not peak
-    /// residency).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated_bytes
-    }
-
-    /// The number of allocations currently within their lifetime.
-    pub fn live_allocation_count(&self) -> usize {
-        self.live_allocation_count
-    }
-
-    /// Check the allocation budgets before admitting `size` more bytes and
-    /// one more live allocation.
-    fn charge_allocation(&self, size: u64) -> ModelResult<()> {
-        if let Some(budget) = self.limits.heap_bytes {
-            let total = self.allocated_bytes.saturating_add(size);
-            if total > budget {
-                return Err(MemError::resource(
-                    ResourceKind::HeapBytes,
-                    format!("{total} bytes allocated exceeds the budget of {budget}"),
-                ));
-            }
-        }
-        if let Some(budget) = self.limits.max_live_allocations {
-            if self.live_allocation_count + 1 > budget {
-                return Err(MemError::resource(
-                    ResourceKind::LiveAllocations,
-                    format!(
-                        "{} live allocations exceeds the budget of {budget}",
-                        self.live_allocation_count + 1
-                    ),
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// The model configuration in force.
@@ -272,10 +193,7 @@ impl MemState {
         declared_ty: Option<Ctype>,
         name: Option<&str>,
         readonly: bool,
-    ) -> ModelResult<PointerValue> {
-        self.charge_allocation(size)?;
-        self.allocated_bytes = self.allocated_bytes.saturating_add(size);
-        self.live_allocation_count += 1;
+    ) -> PointerValue {
         let id = self.allocations.len() as AllocId;
         let base = layout::align_up(self.next_addr, align.max(1));
         let init_byte = match kind {
@@ -306,12 +224,12 @@ impl MemState {
         } else {
             None
         };
-        Ok(PointerValue {
+        PointerValue {
             prov: Provenance::Alloc(id),
             addr: base,
             cap,
             function: None,
-        })
+        }
     }
 
     fn resolve_allocation(&self, ptr: &PointerValue) -> ModelResult<AllocId> {
@@ -474,13 +392,9 @@ impl MemState {
         let mut out = Vec::with_capacity(size as usize);
         let uval = value as u128;
         for i in 0..size {
-            let shift = match self.env.endianness {
-                Endianness::Little => 8 * i,
-                Endianness::Big => 8 * (size - 1 - i),
-            };
             out.push(AbsByte {
                 prov,
-                value: Some(((uval >> shift) & 0xff) as u8),
+                value: Some(((uval >> (8 * i)) & 0xff) as u8),
             });
         }
         out
@@ -491,11 +405,7 @@ impl MemState {
         let mut prov = Provenance::Empty;
         for (i, b) in bytes.iter().enumerate() {
             let v = b.value?;
-            let shift = match self.env.endianness {
-                Endianness::Little => 8 * i as u32,
-                Endianness::Big => 8 * (bytes.len() - 1 - i) as u32,
-            };
-            value |= (v as u128) << shift;
+            value |= (v as u128) << (8 * i as u32);
             prov = prov.combine(b.prov);
         }
         let width = 8 * bytes.len() as u32;
@@ -729,17 +639,7 @@ impl MemoryModel for MemState {
     }
 
     fn fresh(&self) -> Self {
-        let mut fresh = MemState::new(self.config.clone(), self.env.clone(), self.tags.clone());
-        fresh.limits = self.limits.clone();
-        fresh
-    }
-
-    fn set_limits(&mut self, limits: ResourceLimits) {
-        self.limits = limits;
-    }
-
-    fn limits(&self) -> &ResourceLimits {
-        &self.limits
+        MemState::new(self.config.clone(), self.env.clone(), self.tags.clone())
     }
 
     fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
@@ -760,18 +660,18 @@ impl MemoryModel for MemState {
     ) -> ModelResult<PointerValue> {
         let size = self.size_of(ty)?;
         let align = self.align_of(ty)?;
-        self.push_allocation(size, align, kind, Some(ty.clone()), name, false)
+        Ok(self.push_allocation(size, align, kind, Some(ty.clone()), name, false))
     }
 
     fn alloc(&mut self, size: u64, align: u64) -> ModelResult<PointerValue> {
-        self.push_allocation(
+        Ok(self.push_allocation(
             size.max(1),
             align.max(1),
             AllocKind::Dynamic,
             None,
             None,
             false,
-        )
+        ))
     }
 
     fn create_string_literal(&mut self, bytes: &[u8]) -> ModelResult<PointerValue> {
@@ -787,7 +687,7 @@ impl MemoryModel for MemState {
             )),
             None,
             true,
-        )?;
+        );
         let id = ptr
             .prov
             .alloc_id()
@@ -852,7 +752,6 @@ impl MemoryModel for MemState {
             }
         }
         alloc.alive = false;
-        self.live_allocation_count = self.live_allocation_count.saturating_sub(1);
         Ok(())
     }
 
@@ -861,7 +760,7 @@ impl MemoryModel for MemState {
         let id = match self.check_access(ptr, len, true) {
             Ok(id) => id,
             Err(e)
-                if e.ub() == Some(UbKind::OutOfBoundsAccess)
+                if e.ub == UbKind::OutOfBoundsAccess
                     && self.config.provenance_optimising_stores
                     && self.is_one_past_store(ptr, len) =>
             {
@@ -1205,7 +1104,7 @@ mod tests {
             .create(&int_ty(), AllocKind::Automatic, None)
             .unwrap();
         let err = strict.load(&int_ty(), &q).unwrap_err();
-        assert_eq!(err.ub(), Some(UbKind::IndeterminateValueUse));
+        assert_eq!(err.ub, UbKind::IndeterminateValueUse);
     }
 
     #[test]
@@ -1226,7 +1125,7 @@ mod tests {
         let err = mem
             .store(&int_ty(), &one_past, &MemValue::int(IntegerType::Int, 11))
             .unwrap_err();
-        assert_eq!(err.ub(), Some(UbKind::OutOfBoundsAccess));
+        assert_eq!(err.ub, UbKind::OutOfBoundsAccess);
     }
 
     #[test]
@@ -1289,8 +1188,8 @@ mod tests {
         let a = iso.create(&int_ty(), AllocKind::Static, None).unwrap();
         let b = iso.create(&int_ty(), AllocKind::Static, None).unwrap();
         assert_eq!(
-            iso.ptr_rel(&a, &b).unwrap_err().ub(),
-            Some(UbKind::RelationalCompareDifferentObjects)
+            iso.ptr_rel(&a, &b).unwrap_err().ub,
+            UbKind::RelationalCompareDifferentObjects
         );
     }
 
@@ -1311,8 +1210,8 @@ mod tests {
             .create(&Ctype::array(int_ty(), 4), AllocKind::Automatic, None)
             .unwrap();
         assert_eq!(
-            iso.array_shift(&a, &int_ty(), 10).unwrap_err().ub(),
-            Some(UbKind::OutOfBoundsPointerArithmetic)
+            iso.array_shift(&a, &int_ty(), 10).unwrap_err().ub,
+            UbKind::OutOfBoundsPointerArithmetic
         );
         // One-past is always permitted.
         assert!(iso.array_shift(&a, &int_ty(), 4).is_ok());
@@ -1337,8 +1236,8 @@ mod tests {
         let i = blk.int_from_ptr(&p);
         let q = blk.ptr_from_int(&i);
         assert_eq!(
-            blk.load(&int_ty(), &q).unwrap_err().ub(),
-            Some(UbKind::AccessWithoutProvenance)
+            blk.load(&int_ty(), &q).unwrap_err().ub,
+            UbKind::AccessWithoutProvenance
         );
     }
 
@@ -1370,8 +1269,8 @@ mod tests {
         let p = mem.create(&int_ty(), AllocKind::Automatic, None).unwrap();
         mem.kill(&p, false).unwrap();
         assert_eq!(
-            mem.load(&int_ty(), &p).unwrap_err().ub(),
-            Some(UbKind::AccessOutsideLifetime)
+            mem.load(&int_ty(), &p).unwrap_err().ub,
+            UbKind::AccessOutsideLifetime
         );
     }
 
@@ -1380,15 +1279,9 @@ mod tests {
         let mut mem = new_state(ModelConfig::de_facto());
         let p = mem.alloc(16, 16).unwrap();
         mem.kill(&p, true).unwrap();
-        assert_eq!(
-            mem.kill(&p, true).unwrap_err().ub(),
-            Some(UbKind::InvalidFree)
-        );
+        assert_eq!(mem.kill(&p, true).unwrap_err().ub, UbKind::InvalidFree);
         let q = mem.create(&int_ty(), AllocKind::Automatic, None).unwrap();
-        assert_eq!(
-            mem.kill(&q, true).unwrap_err().ub(),
-            Some(UbKind::InvalidFree)
-        );
+        assert_eq!(mem.kill(&q, true).unwrap_err().ub, UbKind::InvalidFree);
         // free(NULL) is fine.
         mem.kill(&PointerValue::null(), true).unwrap();
     }
@@ -1405,7 +1298,7 @@ mod tests {
                 &MemValue::int(IntegerType::Char, 65),
             )
             .unwrap_err();
-        assert_eq!(err.ub(), Some(UbKind::StringLiteralModification));
+        assert_eq!(err.ub, UbKind::StringLiteralModification);
     }
 
     #[test]
@@ -1455,8 +1348,8 @@ mod tests {
         // Access at an incompatible non-character type: UB under strict ISO.
         let short_ty = Ctype::integer(IntegerType::Short);
         assert_eq!(
-            iso.load(&short_ty, &p).unwrap_err().ub(),
-            Some(UbKind::EffectiveTypeViolation)
+            iso.load(&short_ty, &p).unwrap_err().ub,
+            UbKind::EffectiveTypeViolation
         );
         // Character-typed access is always permitted.
         let char_ty = Ctype::integer(IntegerType::UChar);
@@ -1483,8 +1376,8 @@ mod tests {
         assert_eq!(
             iso.store(&int_ty(), &p, &MemValue::int(IntegerType::Int, 3))
                 .unwrap_err()
-                .ub(),
-            Some(UbKind::EffectiveTypeViolation)
+                .ub,
+            UbKind::EffectiveTypeViolation
         );
     }
 
@@ -1496,8 +1389,8 @@ mod tests {
         assert!(p.cap.is_some());
         let oob = mem.array_shift(&p, &int_ty(), 5).unwrap();
         assert_eq!(
-            mem.load(&int_ty(), &oob).unwrap_err().ub(),
-            Some(UbKind::OutOfBoundsAccess)
+            mem.load(&int_ty(), &oob).unwrap_err().ub,
+            UbKind::OutOfBoundsAccess
         );
     }
 
@@ -1505,7 +1398,7 @@ mod tests {
     fn null_dereference_is_detected() {
         let mut mem = new_state(ModelConfig::de_facto());
         let err = mem.load(&int_ty(), &PointerValue::null()).unwrap_err();
-        assert_eq!(err.ub(), Some(UbKind::NullPointerDeref));
+        assert_eq!(err.ub, UbKind::NullPointerDeref);
     }
 
     #[test]
@@ -1549,8 +1442,8 @@ mod tests {
         assert_eq!(mem.ptr_diff(&a3, &a, 4).unwrap().value, 3);
         let other = mem.create(&arr, AllocKind::Automatic, None).unwrap();
         assert_eq!(
-            mem.ptr_diff(&other, &a, 4).unwrap_err().ub(),
-            Some(UbKind::PointerSubtractionDifferentObjects)
+            mem.ptr_diff(&other, &a, 4).unwrap_err().ub,
+            UbKind::PointerSubtractionDifferentObjects
         );
     }
 }

@@ -42,13 +42,12 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
 use cerberus_ast::ctype::{Ctype, IntegerType, TagId};
-use cerberus_ast::env::{Endianness, ImplEnv};
+use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::{self, TagRegistry};
 use cerberus_ast::ub::UbKind;
 
 use crate::config::{IntToPtrSemantics, ModelConfig, UninitSemantics};
-use crate::limits::{ResourceKind, ResourceLimits};
 use crate::model::{MemoryModel, ModelResult};
 use crate::state::{AllocKind, MemError};
 use crate::value::{AllocId, IntegerValue, MemValue, PointerValue, Provenance};
@@ -114,12 +113,6 @@ pub struct SymbolicEngine {
     functions_by_addr: HashMap<u64, Ident>,
     /// Trail of the lazy constraint resolutions performed so far (bounded).
     trail: RefCell<Vec<String>>,
-    /// The resource budget in force (see [`MemoryModel::set_limits`]).
-    limits: ResourceLimits,
-    /// Cumulative bytes allocated over this execution.
-    allocated_bytes: u64,
-    /// Allocations currently within their lifetime.
-    live_allocation_count: usize,
 }
 
 impl SymbolicEngine {
@@ -133,42 +126,7 @@ impl SymbolicEngine {
             function_addrs: HashMap::new(),
             functions_by_addr: HashMap::new(),
             trail: RefCell::new(Vec::new()),
-            limits: ResourceLimits::default(),
-            allocated_bytes: 0,
-            live_allocation_count: 0,
         }
-    }
-
-    /// Cumulative bytes allocated over this execution (`kill` does not
-    /// refund — the budget bounds total allocation work).
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated_bytes
-    }
-
-    /// Check the allocation budgets before admitting `size` more bytes and
-    /// one more live allocation.
-    fn charge_allocation(&self, size: u64) -> ModelResult<()> {
-        if let Some(budget) = self.limits.heap_bytes {
-            let total = self.allocated_bytes.saturating_add(size);
-            if total > budget {
-                return Err(MemError::resource(
-                    ResourceKind::HeapBytes,
-                    format!("{total} bytes allocated exceeds the budget of {budget}"),
-                ));
-            }
-        }
-        if let Some(budget) = self.limits.max_live_allocations {
-            if self.live_allocation_count + 1 > budget {
-                return Err(MemError::resource(
-                    ResourceKind::LiveAllocations,
-                    format!(
-                        "{} live allocations exceeds the budget of {budget}",
-                        self.live_allocation_count + 1
-                    ),
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// The model configuration in force.
@@ -204,10 +162,7 @@ impl SymbolicEngine {
         kind: AllocKind,
         name: Option<&str>,
         readonly: bool,
-    ) -> ModelResult<PointerValue> {
-        self.charge_allocation(size)?;
-        self.allocated_bytes = self.allocated_bytes.saturating_add(size);
-        self.live_allocation_count += 1;
+    ) -> PointerValue {
         let id = self.allocs.len() as AllocId;
         self.allocs.push(SymAlloc {
             size,
@@ -217,7 +172,7 @@ impl SymbolicEngine {
             name: name.map(str::to_owned),
             cells: BTreeMap::new(),
         });
-        Ok(PointerValue::object(Provenance::Alloc(id), region_base(id)))
+        PointerValue::object(Provenance::Alloc(id), region_base(id))
     }
 
     fn describe(&self, id: AllocId) -> String {
@@ -328,11 +283,7 @@ impl SymbolicEngine {
             MemValue::Pointer(_, pv) => (pv.addr as u128, pv.prov),
             _ => return None,
         };
-        let shift = match self.env.endianness {
-            Endianness::Little => 8 * index as u32,
-            Endianness::Big => 8 * (cell.size as usize - 1 - index) as u32,
-        };
-        Some((((raw >> shift) & 0xff) as u8, prov))
+        Some((((raw >> (8 * index as u32)) & 0xff) as u8, prov))
     }
 
     /// Reassemble a scalar of `size` bytes at `offset` from abstract bytes.
@@ -343,11 +294,7 @@ impl SymbolicEngine {
             let Some((byte, p)) = self.byte_at(id, offset + i) else {
                 return MemValue::Unspecified(ty.clone());
             };
-            let shift = match self.env.endianness {
-                Endianness::Little => 8 * i as u32,
-                Endianness::Big => 8 * (size - 1 - i) as u32,
-            };
-            raw |= (byte as u128) << shift;
+            raw |= (byte as u128) << (8 * i as u32);
             prov = prov.combine(p);
         }
         let width = 8 * size as u32;
@@ -604,18 +551,7 @@ impl MemoryModel for SymbolicEngine {
     }
 
     fn fresh(&self) -> Self {
-        let mut fresh =
-            SymbolicEngine::new(self.config.clone(), self.env.clone(), self.tags.clone());
-        fresh.limits = self.limits.clone();
-        fresh
-    }
-
-    fn set_limits(&mut self, limits: ResourceLimits) {
-        self.limits = limits;
-    }
-
-    fn limits(&self) -> &ResourceLimits {
-        &self.limits
+        SymbolicEngine::new(self.config.clone(), self.env.clone(), self.tags.clone())
     }
 
     fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
@@ -635,18 +571,17 @@ impl MemoryModel for SymbolicEngine {
         name: Option<&str>,
     ) -> ModelResult<PointerValue> {
         let size = self.size_of(ty)?;
-        self.push_allocation(size, kind, name, false)
+        Ok(self.push_allocation(size, kind, name, false))
     }
 
     fn alloc(&mut self, size: u64, _align: u64) -> ModelResult<PointerValue> {
-        self.push_allocation(size.max(1), AllocKind::Dynamic, None, false)
+        Ok(self.push_allocation(size.max(1), AllocKind::Dynamic, None, false))
     }
 
     fn create_string_literal(&mut self, bytes: &[u8]) -> ModelResult<PointerValue> {
         let mut contents = bytes.to_vec();
         contents.push(0);
-        let ptr =
-            self.push_allocation(contents.len() as u64, AllocKind::StringLiteral, None, true)?;
+        let ptr = self.push_allocation(contents.len() as u64, AllocKind::StringLiteral, None, true);
         let id = ptr
             .prov
             .alloc_id()
@@ -726,7 +661,6 @@ impl MemoryModel for SymbolicEngine {
             }
         }
         alloc.alive = false;
-        self.live_allocation_count = self.live_allocation_count.saturating_sub(1);
         Ok(())
     }
 
@@ -1055,7 +989,7 @@ mod tests {
         let err = mem
             .store(&int_ty(), &one_past, &MemValue::int(IntegerType::Int, 11))
             .unwrap_err();
-        assert_eq!(err.ub(), Some(UbKind::OutOfBoundsAccess));
+        assert_eq!(err.ub, UbKind::OutOfBoundsAccess);
         assert!(err.detail.starts_with("constraint violated"), "{err}");
     }
 
@@ -1065,8 +999,8 @@ mod tests {
         let a = mem.create(&int_ty(), AllocKind::Static, None).unwrap();
         let b = mem.create(&int_ty(), AllocKind::Static, None).unwrap();
         assert_eq!(
-            mem.ptr_rel(&a, &b).unwrap_err().ub(),
-            Some(UbKind::RelationalCompareDifferentObjects)
+            mem.ptr_rel(&a, &b).unwrap_err().ub,
+            UbKind::RelationalCompareDifferentObjects
         );
         // Within one object the offsets are ordered as usual.
         let arr = Ctype::array(int_ty(), 4);
@@ -1099,8 +1033,8 @@ mod tests {
         let oob = mem.array_shift(&a, &int_ty(), 10).unwrap();
         // … the constraint is only checked at use.
         assert_eq!(
-            mem.load(&int_ty(), &oob).unwrap_err().ub(),
-            Some(UbKind::OutOfBoundsAccess)
+            mem.load(&int_ty(), &oob).unwrap_err().ub,
+            UbKind::OutOfBoundsAccess
         );
         let back = mem.array_shift(&oob, &int_ty(), -9).unwrap();
         mem.store(&int_ty(), &back, &MemValue::int(IntegerType::Int, 7))
@@ -1221,15 +1155,12 @@ mod tests {
         let p = mem.create(&int_ty(), AllocKind::Automatic, None).unwrap();
         mem.kill(&p, false).unwrap();
         assert_eq!(
-            mem.load(&int_ty(), &p).unwrap_err().ub(),
-            Some(UbKind::AccessOutsideLifetime)
+            mem.load(&int_ty(), &p).unwrap_err().ub,
+            UbKind::AccessOutsideLifetime
         );
         let d = mem.alloc(16, 16).unwrap();
         mem.kill(&d, true).unwrap();
-        assert_eq!(
-            mem.kill(&d, true).unwrap_err().ub(),
-            Some(UbKind::InvalidFree)
-        );
+        assert_eq!(mem.kill(&d, true).unwrap_err().ub, UbKind::InvalidFree);
         mem.kill(&PointerValue::null(), true).unwrap();
     }
 
@@ -1245,7 +1176,7 @@ mod tests {
                 &MemValue::int(IntegerType::Char, 65),
             )
             .unwrap_err();
-        assert_eq!(err.ub(), Some(UbKind::StringLiteralModification));
+        assert_eq!(err.ub, UbKind::StringLiteralModification);
     }
 
     #[test]

@@ -96,9 +96,10 @@ pub fn wait_for_server(addr: &str, deadline: Duration) -> std::io::Result<()> {
 }
 
 /// The end-to-end smoke drill run by CI against a live server:
-/// models are listed, a submission completes with an agreeing matrix, and an
+/// models are listed, a submission completes with an agreeing matrix, an
 /// identical resubmission is acknowledged from the analysis cache and
-/// answered from the result cache.
+/// answered from the result cache, and a `malloc` of 2⁴⁰ bytes ends in
+/// resource-exhausted rows while the server keeps answering.
 ///
 /// Returns a human-readable transcript on success; errors describe the first
 /// failed step.
@@ -155,6 +156,37 @@ pub fn smoke(addr: &str, deadline: Duration) -> std::io::Result<String> {
         "job {second}: resubmission served from the result cache ({result_hits} hits), \
          acknowledged from the analysis cache ({analysis_hits} hits)\n"
     ));
+
+    let huge = r##"{"source": "#include <stdlib.h>\nint main(void) { char *p = malloc(1UL << 40); return p != 0; }", "models": ["concrete", "symbolic"]}"##;
+    let (_, body) = http_request(addr, "POST", "/api/v0/submit", Some(huge))?;
+    let Some(third) = body.get("job").and_then(Json::as_int) else {
+        return Err(fail("huge allocation", &body));
+    };
+    let finished = poll_job(addr, third, deadline)?;
+    let exhausted = finished
+        .get("result")
+        .and_then(|r| r.get("rows"))
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|row| row.get("outcomes").and_then(Json::as_array))
+        .flatten()
+        .filter(|o| {
+            o.get("kind").and_then(Json::as_str) == Some("resource-exhausted")
+                && o.get("budget").and_then(Json::as_str) == Some("allocated-bytes budget")
+        })
+        .count();
+    if exhausted != 2 {
+        return Err(fail("huge allocation", &finished));
+    }
+    let (status, stats) = http_request(addr, "GET", "/api/v0/stats", None)?;
+    if status != 200 {
+        return Err(fail("GET /api/v0/stats after the huge allocation", &stats));
+    }
+    transcript.push_str(&format!(
+        "job {third}: a 2^40-byte malloc exhausted the heap budget under both models, \
+         and the server still answers\n"
+    ));
     Ok(transcript)
 }
 
@@ -193,6 +225,7 @@ mod tests {
         assert!(transcript.contains("all models agree"), "{transcript}");
         assert!(transcript.contains("result cache"), "{transcript}");
         assert!(transcript.contains("analysis cache"), "{transcript}");
+        assert!(transcript.contains("heap budget"), "{transcript}");
         server.shutdown();
     }
 }

@@ -317,6 +317,11 @@ fn submit_route(queue: &JobQueue, body: &[u8]) -> (u16, Json) {
             _ => return (400, error_body("\"seed\" must be a non-negative integer")),
         }
     }
+    // Elaborate before queueing, so the worker that picks the job up finds
+    // the artifact in the session memo instead of racing this thread through
+    // the front end. A rejection is not cached; the job and the `analysis`
+    // member below both report it.
+    let _ = queue.session().elaborate(source);
     // Only a queue that has been shut down refuses a job.
     let Ok(id) = queue.submit(job) else {
         return (500, error_body("service is shutting down"));
@@ -455,6 +460,26 @@ mod tests {
         assert_eq!(status, 202, "{body:?}");
         let analysis = body.get("analysis").expect("analysis member");
         assert!(analysis.get("error").is_some(), "{analysis:?}");
+        queue.shutdown();
+    }
+
+    #[test]
+    fn a_fresh_submission_runs_the_front_end_once() {
+        let queue = JobQueue::start(2);
+        let (status, body) = handle_request(
+            &queue,
+            &post(
+                "/api/v0/submit",
+                r#"{"source": "int main(void) { return 7; }", "models": ["concrete"]}"#,
+            ),
+        );
+        assert_eq!(status, 202, "{body:?}");
+        let id = body.get("job").and_then(Json::as_int).unwrap() as u64;
+        queue.wait(JobId(id));
+        // The acknowledgement elaborated before queueing, so the worker and
+        // the analysis both found the artifact in the memo.
+        let elaboration = queue.stats().elaboration_cache;
+        assert_eq!(elaboration.misses, 1, "{elaboration:?}");
         queue.shutdown();
     }
 

@@ -402,17 +402,24 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(byte) if byte < 0x20 => {
+                    return Err(self.error("unescaped control character in string"));
+                }
                 Some(_) => {
-                    // Consume one complete UTF-8 scalar (input is &str, so
-                    // slicing at char boundaries is safe via char_indices).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked byte implies a char");
-                    if (c as u32) < 0x20 {
-                        return Err(self.error("unescaped control character in string"));
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte in one piece. The input is a
+                    // `&str` and the run ends before an ASCII byte, so it is
+                    // whole UTF-8.
+                    let start = self.pos;
+                    while let Some(byte) = self.peek() {
+                        if byte == b'"' || byte == b'\\' || byte < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }

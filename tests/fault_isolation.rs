@@ -4,16 +4,18 @@
 //! *full* litmus catalogue with one deliberately panicking engine injected
 //! must complete, report exactly that engine's rows as contained faults, and
 //! leave every other row bit-identical to a run without the faulty engine.
-//! Separately, the watchdog budgets (wall clock, call depth, live
-//! allocations) must stop runaway programs with structured verdicts instead
-//! of hanging or aborting the process, and an execution must fit a
-//! default-sized thread whatever its C frames cost in host stack.
+//! Separately, the budgets (wall clock, call depth, heap bytes, live
+//! allocations, output) must stop runaway programs with structured verdicts
+//! under every model instead of hanging or aborting the process, and an
+//! execution must fit a default-sized thread whatever its C frames cost in
+//! host stack.
 
 use std::time::{Duration, Instant};
 
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_exec::driver::{ExecMode, ExecResult};
+use cerberus_exec::eval::OUTPUT_BYTES;
 use cerberus_memory::config::ModelConfig;
 use cerberus_memory::fault::FAULT_MESSAGE;
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
@@ -241,27 +243,51 @@ fn a_zero_call_depth_runs_main_but_no_call() {
     );
 }
 
-/// A leak loop trips the live-allocation ceiling with a structured verdict.
+/// The allocation and output budgets stop every named model, the symbolic
+/// engine included: a heap program, a leak loop and a `printf` flood each end
+/// in resource exhaustion of the matching kind, and the flood's row keeps the
+/// output printed before the call that would have crossed the budget.
 #[test]
-fn a_leak_loop_exhausts_the_live_allocation_budget() {
-    let program = Session::default()
-        .elaborate(
+fn allocation_and_output_budgets_stop_every_model() {
+    let limits = ResourceLimits::with_steps(10_000_000)
+        .with_heap_bytes(1 << 10)
+        .with_max_live_allocations(16);
+    let cases = [
+        (
+            "#include <stdlib.h>\n\
+             int main(void) { for (int i = 0; i < 100; i++) malloc(400); return 0; }",
+            ResourceKind::HeapBytes,
+        ),
+        (
             "#include <stdlib.h>\n\
              int main(void) { while (1) { void *p = malloc(1); if (!p) return 1; } return 0; }",
-        )
-        .unwrap();
-    let limits = ResourceLimits::with_steps(10_000_000).with_max_live_allocations(16);
-    let outcome = program.execute_bounded(
-        &ModelConfig::de_facto(),
-        ExecMode::Random { seed: 0 },
-        &limits,
-    );
-    assert!(
-        matches!(
-            outcome.outcomes[0].result,
-            ExecResult::ResourceExhausted(ResourceKind::LiveAllocations)
+            ResourceKind::LiveAllocations,
         ),
-        "expected live-allocation exhaustion, got {:?}",
-        outcome.outcomes[0].result
-    );
+        (
+            "#include <stdio.h>\n\
+             int main(void) { while (1) printf(\"flood\\n\"); return 0; }",
+            ResourceKind::Output,
+        ),
+    ];
+    let session = Session::default();
+    for (source, kind) in cases {
+        let program = session.elaborate(source).unwrap();
+        for model in ModelConfig::all_named() {
+            let outcome = &program
+                .execute_bounded(&model, ExecMode::Random { seed: 0 }, &limits)
+                .outcomes[0];
+            assert_eq!(
+                outcome.result,
+                ExecResult::ResourceExhausted(kind),
+                "{} under {source}",
+                model.name
+            );
+            let printed = if kind == ResourceKind::Output {
+                OUTPUT_BYTES / 6 * 6
+            } else {
+                0
+            };
+            assert_eq!(outcome.stdout.len(), printed, "{}", model.name);
+        }
+    }
 }

@@ -307,3 +307,69 @@ fn submissions_carry_a_static_analysis_over_the_wire() {
 
     server.shutdown();
 }
+
+/// Hostile allocations and an output flood: objects of 2⁴⁰ bytes from
+/// `malloc`, with static storage and with automatic storage, and a loop over
+/// `printf`. Each job completes with one resource-exhausted row per named
+/// model, a flood row keeps at most the output budget's worth of stdout, and
+/// the service keeps serving.
+#[test]
+fn huge_allocations_and_output_floods_end_in_resource_exhausted_rows() {
+    let Some(server) = try_serve() else { return };
+    let addr = server.local_addr().to_string();
+
+    let flood = format!(
+        "#include <stdio.h>\nint main(void) {{ while (1) printf(\"{}\\n\"); return 0; }}",
+        "x".repeat(63)
+    );
+    let programs = [
+        (
+            "#include <stdlib.h>\nint main(void) { char *p = malloc(1UL << 40); return p != 0; }",
+            "allocated-bytes budget",
+        ),
+        (
+            "char big[1UL << 40]; int main(void) { return big[0]; }",
+            "allocated-bytes budget",
+        ),
+        (
+            "int main(void) { char big[1UL << 40]; big[0] = 1; return big[0]; }",
+            "allocated-bytes budget",
+        ),
+        (flood.as_str(), "output budget"),
+    ];
+    for (source, budget) in programs {
+        let body = Json::obj([("source", Json::str(source))]).encode();
+        let document = submit_and_wait(&addr, &body);
+        assert_eq!(
+            document.get("status").and_then(Json::as_str),
+            Some("completed"),
+            "{source}"
+        );
+        let outcomes: Vec<&Json> = result_rows(&document)
+            .iter()
+            .filter_map(|row| row.get("outcomes").and_then(Json::as_array))
+            .flatten()
+            .collect();
+        assert_eq!(outcomes.len(), ModelConfig::all_named().len(), "{source}");
+        for outcome in outcomes {
+            assert_eq!(
+                outcome.get("kind").and_then(Json::as_str),
+                Some("resource-exhausted"),
+                "{source}: {}",
+                outcome.encode()
+            );
+            assert_eq!(
+                outcome.get("budget").and_then(Json::as_str),
+                Some(budget),
+                "{source}"
+            );
+            let stdout = outcome.get("stdout").and_then(Json::as_str).unwrap_or("");
+            assert!(stdout.len() <= 1 << 16, "{source}: {} bytes", stdout.len());
+        }
+    }
+
+    let (status, _) = http_request(&addr, "GET", "/api/v0/stats", None).expect("stats");
+    assert_eq!(status, 200);
+
+    server.shutdown();
+}
