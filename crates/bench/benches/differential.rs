@@ -15,6 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use cerberus::memory::ResourceLimits;
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_gen::{diff_one, generate, run_differential, to_c_source, GenConfig};
@@ -67,7 +68,8 @@ fn bench_differential(c: &mut Criterion) {
     let mut group = c.benchmark_group("seed_batch");
     group.sample_size(10);
     group.bench_function("seed_batch_sequential", |b| {
-        b.iter(|| run_differential(&JobQueue::start(1), 16, GenConfig::small(), 2_000_000))
+        let limits = ResourceLimits::with_steps(2_000_000);
+        b.iter(|| run_differential(&JobQueue::start(1), 16, GenConfig::small(), &limits))
     });
     group.finish();
 }

@@ -1,9 +1,12 @@
-//! Benchmark: exhaustive exploration of all allowed behaviours vs a single
-//! pseudorandom path (the §5.1 dual driver modes).
+//! Benchmark: the search over evaluation orders at the default bound, one
+//! execution taking the leftmost sibling at every choice, and at a bound of
+//! 64, the §5.1 test-oracle use.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cerberus::pipeline::{Config, Session};
+use cerberus::exec::ExecMode;
+use cerberus::memory::config::ModelConfig;
+use cerberus::pipeline::Session;
 
 const NONDET: &str = r#"
 int trace = 0;
@@ -17,13 +20,13 @@ int main(void) { return sum(f(), g(), h()) + trace % 7; }
 fn bench_exploration(c: &mut Criterion) {
     let mut group = c.benchmark_group("exploration");
     group.sample_size(10);
-    group.bench_function("random_single_path", |b| {
-        let driver = Session::new(Config::default()).driver(NONDET).unwrap();
-        b.iter(|| driver.run_random(1))
+    let program = Session::default().elaborate(NONDET).unwrap();
+    let driver = program.driver(&ModelConfig::de_facto());
+    group.bench_function("search_bound_1", |b| {
+        b.iter(|| driver.run(ExecMode::default()))
     });
-    group.bench_function("exhaustive_64", |b| {
-        let driver = Session::new(Config::default()).driver(NONDET).unwrap();
-        b.iter(|| driver.run_exhaustive(64))
+    group.bench_function("search_bound_64", |b| {
+        b.iter(|| driver.run(ExecMode { max_executions: 64 }))
     });
     group.finish();
 }

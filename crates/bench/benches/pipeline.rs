@@ -39,8 +39,9 @@ fn bench_pipeline(c: &mut Criterion) {
         b.iter(|| session.elaborate(QUICKSORT).unwrap())
     });
     group.bench_function("execute", |b| {
-        let driver = session.driver(QUICKSORT).unwrap();
-        b.iter(|| driver.run_random(0))
+        let config = session.config();
+        let driver = session.elaborate(QUICKSORT).unwrap().driver(&config.model);
+        b.iter(|| driver.run(config.mode))
     });
     group.bench_function("end_to_end_cold", |b| {
         b.iter(|| session.run_source(QUICKSORT).unwrap())

@@ -35,12 +35,11 @@ use cerberus::core_lang::pretty::expr_to_string;
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_ast::questions::{Question, QuestionCategory};
-use cerberus_gen::{
-    diff_one_bounded_in, generate, run_differential, DiffOutcome, DiffSummary, GenConfig,
-};
+use cerberus_gen::{run_differential, DiffOutcome, DiffSummary, GenConfig};
 use cerberus_litmus::{catalogue, run_suite};
 use cerberus_memory::cheri;
 use cerberus_memory::config::{ModelConfig, ToolProfile};
+use cerberus_memory::limits::ResourceLimits;
 use cerberus_memory::value::Provenance;
 use cerberus_queue::JobQueue;
 use cerberus_server::render;
@@ -129,38 +128,31 @@ fn fuzz_count(args: &[String]) -> Option<usize> {
     None
 }
 
-/// The CI fuzz smoke run: `count` generated seeds through the full pipeline
-/// under a wall-clock-bounded resource budget. Every seed must end in a
-/// structured verdict; disagreements, pipeline failures and contained engine
-/// faults are reported and make the run exit nonzero.
-fn fuzz_smoke(count: usize) -> ! {
-    use cerberus::pipeline::Config;
-    use cerberus_memory::limits::ResourceLimits;
-
+/// The CI fuzz smoke run: `count` generated seeds through the full pipeline,
+/// as one batch on `queue`, under a wall-clock-bounded resource budget. Every
+/// seed must end in a structured verdict; disagreements, pipeline failures
+/// and contained engine faults are reported and make the run exit nonzero.
+fn fuzz_smoke(queue: &JobQueue, count: usize) -> ! {
     let limits = ResourceLimits::default().with_wall_clock_ms(5_000);
-    let session =
-        Session::new(Config::with_model(ModelConfig::concrete()).with_limits(limits.clone()));
-    let (mut agree, mut timeout, mut bad) = (0usize, 0usize, 0usize);
-    for seed in 0..count as u64 {
-        let program = generate(seed, GenConfig::small());
-        match diff_one_bounded_in(&session, &program, &limits) {
-            DiffOutcome::Agree => agree += 1,
-            DiffOutcome::Timeout => timeout += 1,
+    let summary = run_differential(queue, count, GenConfig::small(), &limits);
+    queue.shutdown();
+    for (seed, outcome) in &summary.not_agreed {
+        match outcome {
+            DiffOutcome::Agree | DiffOutcome::Timeout => {}
             DiffOutcome::Disagree { expected, observed } => {
-                bad += 1;
                 eprintln!("seed {seed}: DISAGREE expected {expected}, observed {observed}");
             }
-            DiffOutcome::Failure(e) => {
-                bad += 1;
-                eprintln!("seed {seed}: pipeline failure: {e}");
-            }
+            DiffOutcome::Failure(e) => eprintln!("seed {seed}: pipeline failure: {e}"),
             DiffOutcome::Fault(payload) => {
-                bad += 1;
                 eprintln!("seed {seed}: contained engine fault: {payload}");
             }
         }
     }
-    println!("fuzz smoke: {count} seeds — {agree} agree, {timeout} budget-exhausted, {bad} bad");
+    let bad = summary.disagree + summary.failed + summary.faulted;
+    println!(
+        "fuzz smoke: {count} seeds — {} agree, {} budget-exhausted, {bad} bad",
+        summary.agree, summary.timeout
+    );
     std::process::exit(if bad > 0 { 1 } else { 0 });
 }
 
@@ -273,12 +265,17 @@ fn json_report(queue: &JobQueue, models: &[ModelConfig], quick: bool) -> (Json, 
         .collect();
 
     let (small_n, large_n) = if quick { (25, 5) } else { (200, 40) };
-    let small = run_differential(queue, small_n, GenConfig::small(), 2_000_000);
+    let small = run_differential(
+        queue,
+        small_n,
+        GenConfig::small(),
+        &ResourceLimits::with_steps(2_000_000),
+    );
     let large = run_differential(
         queue,
         large_n,
         GenConfig::large(),
-        if quick { 200_000 } else { 1_000_000 },
+        &ResourceLimits::with_steps(if quick { 200_000 } else { 1_000_000 }),
     );
     engine_faults += small.faulted + large.faulted;
 
@@ -294,20 +291,21 @@ fn json_report(queue: &JobQueue, models: &[ModelConfig], quick: bool) -> (Json, 
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    // The worker pool shared by the queued runs (the fuzz smoke, E11/E17,
+    // E15/E16).
+    let queue = JobQueue::start(
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(8))
+            .unwrap_or(2),
+    );
     if let Some(count) = fuzz_count(&args) {
-        fuzz_smoke(count);
+        fuzz_smoke(&queue, count);
     }
     if args.iter().any(|a| a == "--analyze") {
         analyze_corpus();
     }
     let quick = args.iter().any(|a| a == "--quick");
     let models = selected_models(&args);
-    // The worker pool shared by the queued experiments (E11/E17, E15/E16).
-    let queue = JobQueue::start(
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(2),
-    );
 
     if args.iter().any(|a| a == "--json") {
         let (document, engine_faults) = json_report(&queue, &models, quick);
@@ -538,7 +536,12 @@ fn main() {
         "E15",
         "differential validation on small generated programs (§6: 556/561 agree, 5 time out)",
     );
-    let small = run_differential(&queue, small_n, GenConfig::small(), 2_000_000);
+    let small = run_differential(
+        &queue,
+        small_n,
+        GenConfig::small(),
+        &ResourceLimits::with_steps(2_000_000),
+    );
     println!(
         "  measured: {}/{} agree, {} disagree, {} timeout, {} failed, {} faulted",
         small.agree, small.total, small.disagree, small.timeout, small.failed, small.faulted
@@ -548,7 +551,7 @@ fn main() {
         &queue,
         large_n,
         GenConfig::large(),
-        if quick { 200_000 } else { 1_000_000 },
+        &ResourceLimits::with_steps(if quick { 200_000 } else { 1_000_000 }),
     );
     println!(
         "  measured: {}/{} agree, {} disagree, {} timeout, {} failed, {} faulted",

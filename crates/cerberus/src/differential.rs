@@ -49,19 +49,17 @@ use crate::pipeline::{Config, Elaborated, RunOutcome};
 #[derive(Debug, Clone)]
 pub struct DifferentialRunner {
     models: Vec<ModelConfig>,
-    mode: ExecMode,
     limits: ResourceLimits,
 }
 
 impl DifferentialRunner {
-    /// A runner over the given models, with the default single-path mode and
-    /// resource budget.
+    /// A runner over the given models, with the resource budget of
+    /// [`Config::default`]. Every row runs at the default bound, one
+    /// execution: the leftmost sibling at every choice.
     pub fn new(models: Vec<ModelConfig>) -> Self {
-        let defaults = Config::default();
         DifferentialRunner {
             models,
-            mode: defaults.mode,
-            limits: defaults.limits,
+            limits: Config::default().limits,
         }
     }
 
@@ -69,12 +67,6 @@ impl DifferentialRunner {
     /// ([`ModelConfig::all_named`]).
     pub fn all_named() -> Self {
         DifferentialRunner::new(ModelConfig::all_named())
-    }
-
-    /// Use the given exploration mode for every model.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Use the given full per-execution resource budget.
@@ -90,7 +82,7 @@ impl DifferentialRunner {
     /// inside the closure), so `AssertUnwindSafe` is sound here.
     fn run_row(&self, program: &Elaborated, model: &ModelConfig) -> ModelRun {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            program.execute_bounded(model, self.mode, &self.limits)
+            program.execute_bounded(model, ExecMode::default(), &self.limits)
         }));
         let outcome = match result {
             Ok(outcome) => outcome,

@@ -5,7 +5,7 @@
 //! translation unit, [`Parsed::desugar`] a type-annotated [`Desugared`]
 //! program, and [`Desugared::elaborate`] an [`Elaborated`] Core program — a
 //! cheaply clonable, shareable (`Arc`) value that can be executed any number
-//! of times under different memory models and exploration modes without
+//! of times under different memory models and exploration bounds without
 //! re-running the front end. The session additionally **memoises**
 //! elaboration: a source seen before resolves to its cached artifact by hash
 //! lookup ([`Session::elaborate`] vs [`Session::elaborate_uncached`]).
@@ -52,7 +52,7 @@ use cerberus_parser::parser::ParseError;
 pub use cerberus_ast::memo::CacheStats;
 
 /// Pipeline configuration: the memory object model, the
-/// implementation-defined environment, the exploration mode, and the
+/// implementation-defined environment, the exploration bound, and the
 /// per-execution resource budget.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -61,7 +61,8 @@ pub struct Config {
     pub model: ModelConfig,
     /// The implementation-defined environment (default: LP64).
     pub impl_env: ImplEnv,
-    /// The exploration mode (default: pseudorandom single path, seed 0).
+    /// How many executions the search over evaluation orders may run
+    /// (default: one, the leftmost sibling at every choice).
     pub mode: ExecMode,
     /// The per-execution resource budget: steps, optional wall-clock
     /// watchdog, optional allocation bounds, call depth.
@@ -73,7 +74,7 @@ impl Default for Config {
         Config {
             model: ModelConfig::de_facto(),
             impl_env: ImplEnv::lp64(),
-            mode: ExecMode::Random { seed: 0 },
+            mode: ExecMode::default(),
             limits: ResourceLimits::default(),
         }
     }
@@ -89,9 +90,9 @@ impl Config {
         }
     }
 
-    /// Switch to exhaustive exploration with the given execution bound.
+    /// Search the evaluation orders up to the given execution bound.
     pub fn exhaustive(mut self, max_executions: usize) -> Self {
-        self.mode = ExecMode::Exhaustive { max_executions };
+        self.mode = ExecMode { max_executions };
         self
     }
 
@@ -242,7 +243,8 @@ impl From<Vec<ConstraintViolation>> for PipelineError {
 }
 
 /// The result of running a program: every distinct observable outcome the
-/// chosen exploration mode produced (exactly one for random mode).
+/// search over evaluation orders reached, sorted (exactly one at the default
+/// bound).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Distinct outcomes.
@@ -470,14 +472,6 @@ impl Session {
         Ok(report)
     }
 
-    /// Build an execution driver for a program under this session's model.
-    pub fn driver(&self, source: &str) -> Result<Driver<AnyEngine>, PipelineError> {
-        let program = self.elaborate(source)?;
-        Ok(program
-            .driver(&self.config.model)
-            .with_limits(self.config.limits.clone()))
-    }
-
     /// Run a program from source, returning the distinct observable outcomes.
     pub fn run_source(&self, source: &str) -> Result<RunOutcome, PipelineError> {
         let program = self.elaborate(source)?;
@@ -576,8 +570,8 @@ impl Elaborated {
         Driver::new(self.share(), engine)
     }
 
-    /// Execute under `model` with an explicit mode and full resource budget
-    /// (steps, wall-clock watchdog, allocation bounds, call depth).
+    /// Execute under `model` with an explicit search bound and full resource
+    /// budget (steps, wall-clock watchdog, allocation bounds, call depth).
     ///
     /// The execution runs on the caller's thread, which needs about 2 MiB of
     /// free stack, what a default Rust thread has. That run caps the call
@@ -628,8 +622,8 @@ impl Elaborated {
         }
     }
 
-    /// Execute under `model` with the default single-path mode and step
-    /// budget.
+    /// Execute under `model` with the default bound (one execution) and
+    /// resource budget.
     ///
     /// One elaboration serves any number of executions — including under the
     /// symbolic engine, whose configuration is named like any other:
@@ -1040,6 +1034,39 @@ mod tests {
             values.contains(&12) && values.contains(&21),
             "outcomes: {values:?}"
         );
+        // Three calls and a read of `trace`, all unsequenced: the search is
+        // breadth-first, so each bound explores the orders that differ at the
+        // earliest choices first. The first path runs left to right.
+        let src = "int trace = 0;\n\
+                   int f(void) { trace = trace * 10 + 1; return 1; }\n\
+                   int g(void) { trace = trace * 10 + 2; return 2; }\n\
+                   int h(void) { trace = trace * 10 + 3; return 3; }\n\
+                   int sum(int a, int b, int c) { return a + b + c; }\n\
+                   int main(void) { return sum(f(), g(), h()) + trace; }";
+        let program = Session::default().elaborate(src).unwrap();
+        let expected: [(usize, &[i128]); 6] = [
+            (1, &[129]),
+            (2, &[6, 129]),
+            (4, &[6, 129, 219]),
+            (8, &[6, 129, 219, 318]),
+            (16, &[6, 129, 138, 219, 318]),
+            (64, &[6, 129, 138, 219, 237, 318]),
+        ];
+        for model in [ModelConfig::de_facto(), ModelConfig::symbolic()] {
+            for (max_executions, values) in expected {
+                let out = program.execute_bounded(
+                    &model,
+                    ExecMode { max_executions },
+                    &ResourceLimits::default(),
+                );
+                let found: Vec<i128> = out
+                    .outcomes
+                    .iter()
+                    .filter_map(cerberus_exec::driver::main_return_value)
+                    .collect();
+                assert_eq!(found, values, "{} at bound {max_executions}", model.name);
+            }
+        }
     }
 
     #[test]

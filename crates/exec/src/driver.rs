@@ -1,18 +1,19 @@
-//! Execution drivers: pseudorandom single-path exploration and exhaustive
-//! enumeration of all allowed behaviours (§5.1, §6).
+//! The execution driver: a bounded breadth-first search over the evaluation
+//! orders C leaves unspecified, returning every distinct behaviour it
+//! reaches (§5.1, §6).
 //!
-//! Every source of semantic looseness is routed through a [`ChoiceOracle`],
-//! and the only choice points are the evaluation orders of `unseq` siblings
-//! (there is no `nd` branch). The random driver samples one schedule; the
-//! exhaustive driver enumerates choice sequences by depth-first search with
-//! replay, exactly the "test oracle" usage of the paper (compute the set of
-//! all allowed behaviours of a small test case).
+//! The only choice points are the evaluation orders of `unseq` siblings
+//! (there is no `nd` branch), and every one is routed through a
+//! [`ReplayOracle`]. The search replays choice prefixes: each execution
+//! follows its prefix, then takes the leftmost remaining sibling at every
+//! later choice, and every alternative it passes becomes a new prefix. Its
+//! first execution takes the leftmost sibling everywhere, the order the
+//! static analyzer walks; at the default bound of one execution that path is
+//! the verdict. A larger bound gives the paper's "test oracle" usage: the set
+//! of all allowed behaviours of a small test case.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use cerberus_ast::ub::UbKind;
 use cerberus_core::program::CoreProgram;
@@ -21,35 +22,8 @@ use cerberus_memory::model::MemoryModel;
 
 use crate::eval::{Interp, Stop};
 
-/// A source of scheduling decisions: which `unseq` sibling runs next.
-pub trait ChoiceOracle {
-    /// Choose one of `n` alternatives (`n >= 2`).
-    fn choose(&mut self, n: usize) -> usize;
-}
-
-/// A pseudorandom oracle (single-path exploration).
-#[derive(Debug)]
-pub struct RandomOracle {
-    rng: StdRng,
-}
-
-impl RandomOracle {
-    /// A seeded random oracle.
-    pub fn new(seed: u64) -> Self {
-        RandomOracle {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl ChoiceOracle for RandomOracle {
-    fn choose(&mut self, n: usize) -> usize {
-        self.rng.gen_range(0..n)
-    }
-}
-
-/// A replaying oracle used by the exhaustive driver: follows a forced prefix
-/// of choices, takes the first alternative beyond it, and records every
+/// The scheduling decisions of one execution: follows a forced prefix of
+/// choices, takes the first alternative beyond it, and records every
 /// decision point it encounters.
 #[derive(Debug, Default)]
 pub struct ReplayOracle {
@@ -68,15 +42,10 @@ impl ReplayOracle {
             recorded: Vec::new(),
         }
     }
-}
 
-impl ChoiceOracle for ReplayOracle {
-    fn choose(&mut self, n: usize) -> usize {
-        let chosen = if self.position < self.prefix.len() {
-            self.prefix[self.position].min(n - 1)
-        } else {
-            0
-        };
+    /// Choose which of `n` remaining `unseq` siblings runs next (`n >= 2`).
+    pub(crate) fn choose(&mut self, n: usize) -> usize {
+        let chosen = self.prefix.get(self.position).map_or(0, |&c| c.min(n - 1));
         self.position += 1;
         self.recorded.push((chosen, n));
         chosen
@@ -172,19 +141,18 @@ impl ProgramOutcome {
     }
 }
 
-/// The exploration mode.
+/// The search bound: how many executions [`Driver::run`] may explore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Pseudorandomly explore a single execution path.
-    Random {
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Exhaustively enumerate allowed executions, up to a bound.
-    Exhaustive {
-        /// Maximum number of executions to enumerate.
-        max_executions: usize,
-    },
+pub struct ExecMode {
+    /// The most executions to run. A bound of 0 still runs one.
+    pub max_executions: usize,
+}
+
+impl Default for ExecMode {
+    /// One execution: the leftmost sibling at every choice.
+    fn default() -> Self {
+        ExecMode { max_executions: 1 }
+    }
 }
 
 /// An execution driver for one elaborated program under one memory model.
@@ -220,22 +188,7 @@ impl<M: MemoryModel> Driver<M> {
         self
     }
 
-    /// The resource budget every execution runs under.
-    pub fn limits(&self) -> &ResourceLimits {
-        &self.limits
-    }
-
-    /// The elaborated program.
-    pub fn program(&self) -> &CoreProgram {
-        &self.program
-    }
-
-    /// The memory model prototype this driver executes against.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
-    fn run_with(&self, oracle: &mut dyn ChoiceOracle) -> ProgramOutcome {
+    fn execute(&self, oracle: &mut ReplayOracle) -> ProgramOutcome {
         let mem = self.model.fresh();
         let mut interp = Interp::new(&self.program, mem, oracle, self.limits.clone());
         let result = (|| -> Result<i128, Stop> {
@@ -258,55 +211,39 @@ impl<M: MemoryModel> Driver<M> {
         ProgramOutcome { result, stdout }
     }
 
-    /// Explore a single pseudorandom execution path.
-    pub fn run_random(&self, seed: u64) -> ProgramOutcome {
-        let mut oracle = RandomOracle::new(seed);
-        self.run_with(&mut oracle)
-    }
-
-    /// Exhaustively enumerate the allowed executions (up to
-    /// `max_executions`), returning the distinct observable outcomes.
-    pub fn run_exhaustive(&self, max_executions: usize) -> Vec<ProgramOutcome> {
+    /// Search the allowed executions breadth-first, up to `mode`'s bound,
+    /// returning the distinct observable outcomes in sorted order.
+    ///
+    /// Breadth-first order explores the earliest decision points (which
+    /// typically select among semantically different schedules) before deep
+    /// combinations of later ones. Every queued prefix ends in a nonzero
+    /// choice, and its parent is that prefix without its last choice and the
+    /// zeros before it, so no prefix is queued twice. Prefixes beyond the
+    /// bound would never run, so none is built: the search holds at most
+    /// `max_executions` prefixes, each no longer than the path it came from.
+    pub fn run(&self, mode: ExecMode) -> Vec<ProgramOutcome> {
+        let bound = mode.max_executions.max(1);
         let mut outcomes: BTreeSet<ProgramOutcome> = BTreeSet::new();
-        // Breadth-first over choice prefixes so the earliest decision points
-        // (which typically select among semantically different schedules) are
-        // explored before deep combinations of later ones.
         let mut pending: VecDeque<Vec<usize>> = VecDeque::from([Vec::new()]);
-        let mut seen_prefixes: BTreeSet<Vec<usize>> = BTreeSet::new();
-        let mut executions = 0usize;
+        let mut queued = 1;
         while let Some(prefix) = pending.pop_front() {
-            if executions >= max_executions {
-                break;
-            }
-            executions += 1;
-            let mut oracle = ReplayOracle::new(prefix.clone());
-            let outcome = self.run_with(&mut oracle);
-            let recorded = oracle.recorded;
-            outcomes.insert(outcome);
-            // Schedule unexplored alternatives at every decision point at or
-            // beyond the forced prefix.
-            for i in prefix.len()..recorded.len() {
-                let (chosen, arity) = recorded[i];
-                for alternative in (chosen + 1)..arity {
-                    let mut new_prefix: Vec<usize> =
-                        recorded[..i].iter().map(|(c, _)| *c).collect();
-                    new_prefix.push(alternative);
-                    if seen_prefixes.insert(new_prefix.clone()) {
-                        pending.push_back(new_prefix);
+            let forced = prefix.len();
+            let mut oracle = ReplayOracle::new(prefix);
+            outcomes.insert(self.execute(&mut oracle));
+            let recorded = &oracle.recorded;
+            'schedule: for (i, &(chosen, arity)) in recorded.iter().enumerate().skip(forced) {
+                for alternative in chosen + 1..arity {
+                    if queued == bound {
+                        break 'schedule;
                     }
+                    let mut next: Vec<usize> = recorded[..i].iter().map(|&(c, _)| c).collect();
+                    next.push(alternative);
+                    pending.push_back(next);
+                    queued += 1;
                 }
             }
         }
         outcomes.into_iter().collect()
-    }
-
-    /// Run according to the given mode, returning all distinct outcomes (a
-    /// single one in random mode).
-    pub fn run(&self, mode: ExecMode) -> Vec<ProgramOutcome> {
-        match mode {
-            ExecMode::Random { seed } => vec![self.run_random(seed)],
-            ExecMode::Exhaustive { max_executions } => self.run_exhaustive(max_executions),
-        }
     }
 }
 

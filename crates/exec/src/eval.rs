@@ -1,5 +1,6 @@
 //! The Core interpreter: a structural operational semantics over Core
-//! expressions, parameterised by the memory object model and a choice oracle.
+//! expressions, parameterised by the memory object model. The driver's
+//! [`ReplayOracle`] picks the order of `unseq` siblings.
 
 use std::collections::HashMap;
 
@@ -14,7 +15,7 @@ use cerberus_memory::state::{AllocKind, MemError};
 use cerberus_memory::value::{IntegerValue, PointerValue};
 
 use crate::builtins;
-use crate::driver::ChoiceOracle;
+use crate::driver::ReplayOracle;
 use crate::value::Value;
 
 /// A terminal, non-value outcome of an execution.
@@ -123,7 +124,7 @@ pub struct Interp<'a, M: MemoryModel> {
     globals: Env,
     /// Bytes written by `printf` during this execution.
     pub stdout: Vec<u8>,
-    oracle: &'a mut dyn ChoiceOracle,
+    oracle: &'a mut ReplayOracle,
     steps: u64,
     limits: ResourceLimits,
     /// Bytes allocated so far (`kill` does not refund them) and the
@@ -147,7 +148,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     pub fn new(
         program: &'a CoreProgram,
         mem: M,
-        oracle: &'a mut dyn ChoiceOracle,
+        oracle: &'a mut ReplayOracle,
         limits: ResourceLimits,
     ) -> Self {
         let deadline = limits

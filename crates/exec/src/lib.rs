@@ -1,17 +1,17 @@
-//! The Core operational semantics and execution drivers (§5.4, §5.6, §6).
+//! The Core operational semantics and its execution driver (§5.4, §5.6, §6).
 //!
 //! The evaluator executes elaborated [`cerberus_core::CoreProgram`]s against
 //! any [`cerberus_memory::MemoryModel`] implementation — the executor is
 //! generic over the paper's abstract memory object model interface (§5.9) and
-//! never names a concrete engine. All the looseness of the C semantics is
-//! routed through a single [`driver::ChoiceOracle`], and its only choice
-//! points are the orders in which `unseq` siblings are evaluated (Core has no
-//! `nd`, since the elaborator never emits one). "By selecting an appropriate
-//! sequencing monad implementation, we can select whether to perform an
-//! exhaustive search for all allowed executions or pseudorandomly explore
-//! single execution paths" (§5.1) — here the [`driver::Driver`] provides both
-//! modes: [`driver::Driver::run_random`] and
-//! [`driver::Driver::run_exhaustive`].
+//! never names a concrete engine. The looseness of the C semantics is the
+//! order in which `unseq` siblings are evaluated (Core has no `nd`, since the
+//! elaborator never emits one). "By selecting an appropriate sequencing monad
+//! implementation, we can select whether to perform an exhaustive search for
+//! all allowed executions or pseudorandomly explore single execution paths"
+//! (§5.1) — here one driver serves both: [`driver::Driver::run`] searches the
+//! orders breadth-first up to an [`ExecMode`] bound, and its first execution,
+//! the leftmost sibling at every choice, is the single path of the default
+//! bound.
 //!
 //! Undefined behaviour reached during execution (an `undef(...)` introduced by
 //! the elaboration, or one detected by the memory object model) terminates the
@@ -27,6 +27,6 @@ pub mod driver;
 pub mod eval;
 pub mod value;
 
-pub use driver::{ChoiceOracle, Driver, ExecMode, ProgramOutcome, RandomOracle};
+pub use driver::{Driver, ExecMode, ProgramOutcome};
 pub use eval::{Interp, Stop};
 pub use value::Value;

@@ -488,44 +488,23 @@ pub struct DiffSummary {
     pub faulted: usize,
     /// Total number of programs.
     pub total: usize,
+    /// Every seed that did not agree, with its outcome, in seed order.
+    pub not_agreed: Vec<(u64, DiffOutcome)>,
 }
 
-/// Differentially test one generated program with a throwaway session.
+/// Differentially test one generated program: elaborate it with a throwaway
+/// session and run it as a one-row concrete matrix under a `step_limit` step
+/// budget. The runner contains an engine defect as a fault row, so it tallies
+/// as [`DiffOutcome::Fault`] instead of unwinding.
 pub fn diff_one(p: &GenProgram, step_limit: u64) -> DiffOutcome {
-    diff_one_bounded_in(
-        &Session::with_model(ModelConfig::concrete()),
-        p,
-        &ResourceLimits::with_steps(step_limit),
-    )
-}
-
-/// Differentially test one generated program through an existing session
-/// under a full [`ResourceLimits`] budget (steps, wall-clock watchdog,
-/// allocation bounds, call depth) — the shape a fuzz worker runs: any budget
-/// exhaustion tallies as [`DiffOutcome::Timeout`], a contained engine panic
-/// as [`DiffOutcome::Fault`]. The session's memoised `Elaborated` artifacts
-/// are reused: re-testing a seed already elaborated (by any thread sharing
-/// the session) skips the whole front end.
-pub fn diff_one_bounded_in(
-    session: &Session,
-    p: &GenProgram,
-    limits: &ResourceLimits,
-) -> DiffOutcome {
-    let reference = reference_eval(p);
-    let source = to_c_source(p);
-    let program = match session.elaborate(&source) {
+    let program = match Session::default().elaborate(&to_c_source(p)) {
         Ok(program) => program,
         Err(e) => return DiffOutcome::Failure(e.to_string()),
     };
-    let config = session.config();
-    // A one-row matrix: the runner contains an engine defect as a fault row,
-    // so it becomes a `Fault` tally for this program, not an abort of the
-    // whole fuzz batch.
-    let matrix = DifferentialRunner::new(vec![config.model.clone()])
-        .with_mode(config.mode)
-        .with_limits(limits.clone())
+    let matrix = DifferentialRunner::new(vec![ModelConfig::concrete()])
+        .with_limits(ResourceLimits::with_steps(step_limit))
         .run(&program);
-    classify(&reference, &matrix.rows()[0].outcome)
+    classify(&reference_eval(p), &matrix.rows()[0].outcome)
 }
 
 /// Compare one observed [`RunOutcome`] against the reference result — the
@@ -556,25 +535,29 @@ fn classify(reference: &Reference, outcome: &cerberus::RunOutcome) -> DiffOutcom
     }
 }
 
-fn tally(summary: &mut DiffSummary, outcome: DiffOutcome) {
-    match outcome {
-        DiffOutcome::Agree => summary.agree += 1,
-        DiffOutcome::Disagree { .. } => summary.disagree += 1,
-        DiffOutcome::Timeout => summary.timeout += 1,
-        DiffOutcome::Failure(_) => summary.failed += 1,
-        DiffOutcome::Fault(_) => summary.faulted += 1,
+fn tally(summary: &mut DiffSummary, seed: u64, outcome: DiffOutcome) {
+    let count = match &outcome {
+        DiffOutcome::Agree => &mut summary.agree,
+        DiffOutcome::Disagree { .. } => &mut summary.disagree,
+        DiffOutcome::Timeout => &mut summary.timeout,
+        DiffOutcome::Failure(_) => &mut summary.failed,
+        DiffOutcome::Fault(_) => &mut summary.faulted,
+    };
+    *count += 1;
+    if outcome != DiffOutcome::Agree {
+        summary.not_agreed.push((seed, outcome));
     }
 }
 
 /// Run the differential harness over `count` programs generated from
 /// consecutive seeds, as one batch on a [`JobQueue`]: the §6 fuzz harness.
 ///
-/// Each seed becomes one (program × concrete-model) job under the default
-/// mode and a `step_limit` step budget, the budget [`diff_one`] uses. Engine
-/// panics arrive as contained [`ExecResult::EngineFault`] rows and tally as
-/// [`DiffSummary::faulted`]; front-end rejections (impossible for the
-/// generated fragment, possible for hand-fed programs) tally as
-/// [`DiffSummary::failed`].
+/// Each seed becomes one (program × concrete-model) job under `limits`.
+/// Engine panics arrive as contained [`ExecResult::EngineFault`] rows and
+/// tally as [`DiffSummary::faulted`]; front-end rejections (impossible for
+/// the generated fragment, possible for hand-fed programs) tally as
+/// [`DiffSummary::failed`]. Every seed that does not agree is listed in
+/// [`DiffSummary::not_agreed`].
 ///
 /// # Panics
 /// Panics if the queue has been shut down.
@@ -582,20 +565,19 @@ pub fn run_differential(
     queue: &JobQueue,
     count: usize,
     config: GenConfig,
-    step_limit: u64,
+    limits: &ResourceLimits,
 ) -> DiffSummary {
     let programs: Vec<GenProgram> = (0..count as u64).map(|s| generate(s, config)).collect();
     let outcomes = queue
         .run_batch(programs.iter().map(|p| {
-            Job::new(to_c_source(p), vec![ModelConfig::concrete()])
-                .with_limits(ResourceLimits::with_steps(step_limit))
+            Job::new(to_c_source(p), vec![ModelConfig::concrete()]).with_limits(limits.clone())
         }))
         .expect("the fuzz batch's job queue is running");
     let mut summary = DiffSummary {
         total: count,
         ..DiffSummary::default()
     };
-    for (program, outcome) in programs.iter().zip(outcomes) {
+    for (seed, (program, outcome)) in (0u64..).zip(programs.iter().zip(outcomes)) {
         let reference = reference_eval(program);
         let diff = match outcome {
             JobOutcome::Matrix(matrix) => {
@@ -605,7 +587,7 @@ pub fn run_differential(
             JobOutcome::Rejected(e) => DiffOutcome::Failure(e.to_string()),
             JobOutcome::FrontendFault(payload) => DiffOutcome::Fault(payload),
         };
-        tally(&mut summary, diff);
+        tally(&mut summary, seed, diff);
     }
     summary
 }
@@ -647,7 +629,8 @@ mod tests {
 
     #[test]
     fn differential_summary_counts_add_up() {
-        let summary = run_differential(&JobQueue::start(2), 6, GenConfig::small(), 2_000_000);
+        let limits = ResourceLimits::with_steps(2_000_000);
+        let summary = run_differential(&JobQueue::start(2), 6, GenConfig::small(), &limits);
         assert_eq!(summary.total, 6);
         assert_eq!(
             summary.agree + summary.disagree + summary.timeout + summary.failed + summary.faulted,
@@ -671,26 +654,11 @@ mod tests {
 
     #[test]
     fn starved_batches_register_as_timeouts() {
-        let summary = run_differential(&JobQueue::start(2), 4, GenConfig::large(), 50);
+        let limits = ResourceLimits::with_steps(50);
+        let summary = run_differential(&JobQueue::start(2), 4, GenConfig::large(), &limits);
         assert_eq!(summary.total, 4);
         assert_eq!(summary.timeout, summary.total, "{summary:?}");
-    }
-
-    #[test]
-    fn a_shared_session_memoises_repeated_seeds() {
-        let session = Session::with_model(ModelConfig::concrete());
-        let p = generate(2, GenConfig::small());
-        let limits = ResourceLimits::with_steps(2_000_000);
-        assert_eq!(
-            diff_one_bounded_in(&session, &p, &limits),
-            DiffOutcome::Agree
-        );
-        assert_eq!(session.cache_stats().elaboration.entries, 1);
-        // The second run of the same seed is a cache hit, not a new artifact.
-        assert_eq!(
-            diff_one_bounded_in(&session, &p, &limits),
-            DiffOutcome::Agree
-        );
-        assert_eq!(session.cache_stats().elaboration.entries, 1);
+        let starved: Vec<_> = (0..4).map(|seed| (seed, DiffOutcome::Timeout)).collect();
+        assert_eq!(summary.not_agreed, starved);
     }
 }

@@ -12,7 +12,7 @@
 //!   [`Session`], so every model row (and every re-submission) of a source
 //!   reuses the same `Arc`-shared `Elaborated` artifact;
 //! * **a bounded result cache** — completed jobs are memoised by
-//!   (source × models × mode × budget), so identical submissions are a
+//!   (source × models × budget), so identical submissions are a
 //!   lookup, not a run ([`JobQueue::stats`] reports the hit/miss counters);
 //! * **fault containment and resource budgets per job** — every row executes
 //!   under the job's [`ResourceLimits`] with engine panics contained to
@@ -42,7 +42,6 @@
 
 use cerberus::pipeline::{CacheStats, Config, Session};
 use cerberus::{DifferentialRunner, OutcomeMatrix, PipelineError};
-use cerberus_exec::driver::ExecMode;
 use cerberus_memory::config::ModelConfig;
 use cerberus_memory::limits::ResourceLimits;
 
@@ -60,32 +59,29 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// One unit of work: run one C program under a set of memory models with an
-/// exploration mode and a per-execution resource budget.
+/// One unit of work: run one C program under a set of memory models with a
+/// per-execution resource budget. Every row runs at the default bound of one
+/// execution, like [`DifferentialRunner::new`].
 #[derive(Debug, Clone)]
 pub struct Job {
     /// The C source to run.
     pub source: String,
     /// The memory models to execute under (one matrix row each).
     pub models: Vec<ModelConfig>,
-    /// The exploration mode for every row.
-    pub mode: ExecMode,
     /// The per-execution resource budget for every row.
     pub limits: ResourceLimits,
 }
 
 impl Job {
-    /// A job over the given models, with the default exploration mode and
-    /// resource budget of [`Config::default`] — the same parameters
-    /// [`DifferentialRunner::new`] and the single-program helpers use, so a
-    /// queued row is bit-identical to running the program directly.
+    /// A job over the given models, with the resource budget of
+    /// [`Config::default`] — the same parameters [`DifferentialRunner::new`]
+    /// and the single-program helpers use, so a queued row is bit-identical
+    /// to running the program directly.
     pub fn new(source: impl Into<String>, models: Vec<ModelConfig>) -> Self {
-        let defaults = Config::default();
         Job {
             source: source.into(),
             models,
-            mode: defaults.mode,
-            limits: defaults.limits,
+            limits: Config::default().limits,
         }
     }
 
@@ -100,17 +96,11 @@ impl Job {
         self
     }
 
-    /// Replace the exploration mode.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// The result-cache key: the exact run parameters, so two jobs share a
     /// cached result only when nothing about them could make the outcomes
     /// differ. The source string is the same key the [`Session`] elaboration
     /// memo uses; models contribute their full configuration (not just the
-    /// name), mode and budget their exact values.
+    /// name), the budget its exact values.
     pub(crate) fn cache_key(&self) -> String {
         use std::fmt::Write as _;
         let mut key = String::with_capacity(self.source.len() + 64);
@@ -118,7 +108,7 @@ impl Job {
         for model in &self.models {
             let _ = write!(key, "\u{0}{model:?}");
         }
-        let _ = write!(key, "\u{0}{:?}\u{0}{:?}", self.mode, self.limits);
+        let _ = write!(key, "\u{0}{:?}", self.limits);
         key
     }
 }
@@ -256,9 +246,7 @@ pub(crate) fn run_job(session: &Session, job: &Job) -> JobOutcome {
         Ok(Err(error)) => return JobOutcome::Rejected(error),
         Err(panic) => return JobOutcome::FrontendFault(cerberus::panic_payload(&*panic)),
     };
-    let runner = DifferentialRunner::new(job.models.clone())
-        .with_mode(job.mode)
-        .with_limits(job.limits.clone());
+    let runner = DifferentialRunner::new(job.models.clone()).with_limits(job.limits.clone());
     JobOutcome::Matrix(runner.run(&elaborated))
 }
 
@@ -274,9 +262,7 @@ mod tests {
     #[test]
     fn jobs_carry_the_sequential_defaults() {
         let job = Job::new(return_n(0), vec![ModelConfig::concrete()]);
-        let defaults = Config::default();
-        assert_eq!(job.mode, defaults.mode);
-        assert_eq!(job.limits, defaults.limits);
+        assert_eq!(job.limits, Config::default().limits);
         assert_eq!(Job::differential(return_n(0)).models.len(), 10);
     }
 
@@ -286,9 +272,8 @@ mod tests {
         assert_eq!(base.cache_key(), base.clone().cache_key());
         let other_source = Job::new(return_n(2), vec![ModelConfig::concrete()]);
         let other_models = Job::new(return_n(1), vec![ModelConfig::symbolic()]);
-        let other_mode = base.clone().with_mode(ExecMode::Random { seed: 9 });
         let other_limits = base.clone().with_limits(ResourceLimits::with_steps(7));
-        for different in [&other_source, &other_models, &other_mode, &other_limits] {
+        for different in [&other_source, &other_models, &other_limits] {
             assert_ne!(base.cache_key(), different.cache_key());
         }
     }

@@ -75,7 +75,7 @@ impl Inner {
         self.state.lock().expect("job queue state")
     }
 
-    /// Answer from the result cache when the exact (source × models × mode ×
+    /// Answer from the result cache when the exact (source × models ×
     /// budget) has been run before, otherwise run the job and memoise its
     /// outcome.
     fn execute(&self, job: &Job) -> JobOutcome {

@@ -19,11 +19,11 @@
 //!
 //! The submit body is a JSON object: `{"source": "<C source>"}` plus optional
 //! `"models"` (array of model names; defaults to every named model),
-//! `"steps"` (interpreter step budget), `"wall_clock_ms"` (watchdog) and
-//! `"seed"` (random-exploration seed). Engine panics never kill the service:
-//! they surface as `engine-fault` rows in the matrix (contained by the
-//! differential runner), and front-end panics as a `failed` job with the
-//! captured payload.
+//! `"steps"` (interpreter step budget, at most the default) and
+//! `"wall_clock_ms"` (watchdog); other members are ignored. Engine panics
+//! never kill the service: they surface as `engine-fault` rows in the matrix
+//! (contained by the differential runner), and front-end panics as a
+//! `failed` job with the captured payload.
 //!
 //! ```no_run
 //! let server = cerberus_server::serve("127.0.0.1:0", Default::default()).unwrap();
@@ -289,10 +289,16 @@ fn submit_route(queue: &JobQueue, body: &[u8]) -> (u16, Json) {
         }
     };
     let mut limits = ResourceLimits::default();
+    // A client may lower the step budget, never raise it: the watchdog is off
+    // by default, so the step budget is what bounds a row's time.
     if let Some(steps) = document.get("steps") {
-        match steps.as_int() {
-            Some(steps) if steps > 0 => limits.steps = steps.min(u64::MAX as i128) as u64,
-            _ => return (400, error_body("\"steps\" must be a positive integer")),
+        match steps.as_int().and_then(|steps| u64::try_from(steps).ok()) {
+            Some(steps @ 1..=ResourceLimits::DEFAULT_STEPS) => limits.steps = steps,
+            _ => {
+                let limit = ResourceLimits::DEFAULT_STEPS;
+                let message = format!("\"steps\" must be an integer from 1 to {limit}");
+                return (400, error_body(&message));
+            }
         }
     }
     if let Some(ms) = document.get("wall_clock_ms") {
@@ -306,17 +312,7 @@ fn submit_route(queue: &JobQueue, body: &[u8]) -> (u16, Json) {
             }
         }
     }
-    let mut job = Job::new(source, models).with_limits(limits);
-    if let Some(seed) = document.get("seed") {
-        match seed.as_int() {
-            Some(seed) if seed >= 0 => {
-                job = job.with_mode(cerberus::exec::ExecMode::Random {
-                    seed: seed.min(u64::MAX as i128) as u64,
-                });
-            }
-            _ => return (400, error_body("\"seed\" must be a non-negative integer")),
-        }
-    }
+    let job = Job::new(source, models).with_limits(limits);
     // Elaborate before queueing, so the worker that picks the job up finds
     // the artifact in the session memo instead of racing this thread through
     // the front end. A rejection is not cached; the job and the `analysis`
@@ -495,7 +491,10 @@ mod tests {
                 "unknown model",
             ),
             (r#"{"source": "int main(void){}", "steps": -3}"#, "steps"),
-            (r#"{"source": "int main(void){}", "seed": -1}"#, "seed"),
+            (
+                r#"{"source": "int main(void){}", "steps": 2000001}"#,
+                "steps",
+            ),
         ] {
             let (status, response) = handle_request(&queue, &post("/api/v0/submit", body));
             assert_eq!(status, 400, "{body}");

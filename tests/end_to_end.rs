@@ -1,7 +1,11 @@
 //! Integration tests: realistic C programs run end-to-end through the whole
 //! pipeline (parser → Ail → Core → evaluator → memory model).
 
+use std::collections::BTreeSet;
+
+use cerberus::analysis::FindingSeverity;
 use cerberus::pipeline::{run, run_with_model, Config, Session};
+use cerberus_ast::ub::UbKind;
 use cerberus_exec::driver::ExecResult;
 use cerberus_memory::config::ModelConfig;
 
@@ -188,18 +192,71 @@ fn the_same_program_can_be_checked_under_every_model() {
 }
 
 #[test]
-fn exhaustive_and_random_drivers_agree_on_deterministic_programs() {
+fn a_deterministic_program_has_one_behaviour_at_every_bound() {
     let src = "int sq(int x) { return x * x; } int main(void) { int acc = 0; for (int i = 0; i < 5; i++) acc += sq(i); return acc; }";
-    let random = Session::new(Config::default()).run_source(src).unwrap();
-    let exhaustive = Session::new(Config::default().exhaustive(32))
+    let first = Session::new(Config::default()).run_source(src).unwrap();
+    assert_eq!(first.outcomes.len(), 1);
+    for bound in [0, 32] {
+        let searched = Session::new(Config::default().exhaustive(bound))
+            .run_source(src)
+            .unwrap();
+        assert_eq!(searched.outcomes, first.outcomes, "bound {bound}");
+    }
+    // Thousands of choice points on one path: the search keeps at most one
+    // prefix per execution it may run, not one per choice point.
+    let src = "int main(void) { unsigned s = 0; \
+               for (unsigned i = 0; i < 4000u; i++) s = s + i * 3u; return (int)(s % 128u); }";
+    let searched = Session::new(Config::default().exhaustive(2))
         .run_source(src)
         .unwrap();
-    assert_eq!(
-        exhaustive.outcomes.len(),
-        1,
-        "a deterministic program has a single behaviour"
-    );
-    assert_eq!(random.outcomes[0].result, exhaustive.outcomes[0].result);
+    assert_eq!(searched.outcomes.len(), 1, "{:?}", searched.outcomes);
+}
+
+/// The static report and the default verdicts agree on evaluation order:
+/// both walk unsequenced siblings left to right. Every UB kind a model
+/// reports is in the static report, and every Must kind is realised by some
+/// model. The search finds both orders' behaviours.
+#[test]
+fn the_default_verdict_agrees_with_the_static_report() {
+    let prelude = "int y = 3; int *p = &y; \
+                   int f(void) { p = 0; return 0; } int g(void) { return *p; }";
+    let session = Session::default();
+    for body in ["f() + g()", "g() + f()"] {
+        let src = format!("{prelude} int main(void) {{ return {body}; }}");
+        let report = session.analyze(&src).unwrap();
+        let mut dynamic = BTreeSet::new();
+        for model in ModelConfig::all_named() {
+            let out = run_with_model(&src, model.clone()).unwrap();
+            for ub in out.outcomes.iter().filter_map(|o| o.result.ub_kind()) {
+                assert!(
+                    report.ub_kinds().contains(&ub),
+                    "{body}: {} reports {ub}, the static report does not",
+                    model.name
+                );
+                dynamic.insert(ub);
+            }
+        }
+        for finding in &report.findings {
+            if finding.severity == FindingSeverity::Must {
+                assert!(
+                    dynamic.contains(&finding.ub),
+                    "{body}: Must {} is realised by no model",
+                    finding.ub
+                );
+            }
+        }
+        let searched = Session::new(Config::default().exhaustive(8))
+            .run_source(&src)
+            .unwrap();
+        let results: Vec<&ExecResult> = searched.outcomes.iter().map(|o| &o.result).collect();
+        assert!(
+            results.contains(&&ExecResult::Return(3))
+                && results
+                    .iter()
+                    .any(|r| r.ub_kind() == Some(UbKind::NullPointerDeref)),
+            "{body}: {results:?}"
+        );
+    }
 }
 
 #[test]

@@ -75,11 +75,7 @@ fn the_wall_clock_watchdog_stops_an_unbounded_loop() {
         .unwrap();
     let limits = ResourceLimits::with_steps(u64::MAX).with_wall_clock_ms(200);
     let started = Instant::now();
-    let outcome = program.execute_bounded(
-        &ModelConfig::de_facto(),
-        ExecMode::Random { seed: 0 },
-        &limits,
-    );
+    let outcome = program.execute_bounded(&ModelConfig::de_facto(), ExecMode::default(), &limits);
     let elapsed = started.elapsed();
     assert!(
         matches!(
@@ -106,11 +102,7 @@ fn runaway_recursion_exhausts_the_call_depth_budget() {
         .elaborate("int f(int n) { return f(n + 1); } int main(void) { return f(0); }")
         .unwrap();
     let limits = ResourceLimits::with_steps(10_000_000).with_call_depth(64);
-    let outcome = program.execute_bounded(
-        &ModelConfig::de_facto(),
-        ExecMode::Random { seed: 0 },
-        &limits,
-    );
+    let outcome = program.execute_bounded(&ModelConfig::de_facto(), ExecMode::default(), &limits);
     assert!(
         matches!(
             outcome.outcomes[0].result,
@@ -140,7 +132,7 @@ const CALL_DEPTH_EXHAUSTED: ExecResult = ExecResult::ResourceExhausted(ResourceK
 
 fn run(source: &str, model: &ModelConfig, limits: &ResourceLimits) -> ExecResult {
     let program = Session::default().elaborate(source).unwrap();
-    let outcome = program.execute_bounded(model, ExecMode::Random { seed: 0 }, limits);
+    let outcome = program.execute_bounded(model, ExecMode::default(), limits);
     outcome.outcomes[0].result.clone()
 }
 
@@ -274,7 +266,7 @@ fn allocation_and_output_budgets_stop_every_model() {
         let program = session.elaborate(source).unwrap();
         for model in ModelConfig::all_named() {
             let outcome = &program
-                .execute_bounded(&model, ExecMode::Random { seed: 0 }, &limits)
+                .execute_bounded(&model, ExecMode::default(), &limits)
                 .outcomes[0];
             assert_eq!(
                 outcome.result,
