@@ -310,8 +310,13 @@ pub struct SessionStats {
     pub solver: CacheStats,
 }
 
-/// The most elaborated artifacts a session memoises.
-const ARTIFACT_CAPACITY: usize = 512;
+/// The most elaborated artifacts a session memoises. An artifact holds
+/// about 130 KB of heap for a `GenConfig::small()` program and 290 KB for a
+/// `large()` one, so this memo is most of a long-running session's memory,
+/// while most of its hits come within milliseconds of the miss (the
+/// service's acknowledgement, worker and analysis look a fresh source up in
+/// turn).
+const ARTIFACT_CAPACITY: usize = 128;
 
 /// The most analysis reports a session memoises.
 const ANALYSIS_CAPACITY: usize = 512;

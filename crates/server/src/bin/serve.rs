@@ -73,8 +73,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
         server.local_addr(),
         server.queue().worker_count()
     );
-    // Serve until the process is killed; the accept loop runs on its own
-    // thread, so just park this one.
+    // Serve until the process is killed; the accept and handler threads run
+    // on their own, so just park this one.
     loop {
         std::thread::park();
     }

@@ -192,6 +192,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         413 => "Content Too Large",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
@@ -279,5 +280,6 @@ mod tests {
             Some(413)
         );
         assert_eq!(reason_phrase(404), "Not Found");
+        assert_eq!(reason_phrase(503), "Service Unavailable");
     }
 }

@@ -8,6 +8,17 @@
 //! offline, so there is no HTTP framework, no async runtime, and no JSON
 //! dependency (see [`cerberus_wire::json`]).
 //!
+//! # Connections
+//!
+//! One thread blocks in `accept` and hands each connection to [`HANDLERS`]
+//! handler threads, spawned once by [`serve`], through a hand-off that holds
+//! at most [`HANDOFF_CAPACITY`] waiting connections. A connection that finds
+//! the hand-off full is answered `503` at once, so neither threads nor
+//! waiting connections grow with load. A handler serves one request per
+//! connection (`Connection: close`, no keep-alive) and gives an idle peer
+//! 10 s to send it; a panic while it routes a request is answered `500` and
+//! costs neither the handler nor the service.
+//!
 //! # Routes (versioned under `/api/v0`)
 //!
 //! | Route | Effect |
@@ -45,8 +56,11 @@ pub mod http;
 pub mod render;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cerberus_memory::{ModelConfig, ResourceLimits};
@@ -54,6 +68,16 @@ use cerberus_queue::{Job, JobId, JobOutcome, JobQueue, JobStatus};
 use cerberus_wire::json::Json;
 
 use http::{read_request, write_response, Request};
+
+/// Handler threads per server, spawned once by [`serve`]. Each serves one
+/// connection at a time, so at most this many requests are read, routed
+/// and answered at once.
+pub const HANDLERS: usize = 8;
+
+/// Accepted connections that may wait for a free handler. A connection that
+/// arrives while [`HANDLERS`] are busy and this many wait is answered `503`
+/// at once.
+pub const HANDOFF_CAPACITY: usize = 8;
 
 /// How the service is provisioned.
 #[derive(Debug, Clone)]
@@ -72,7 +96,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running service: the bound address, the accept loop, and the pool.
+/// A running service: the bound address, the accept thread, the
+/// [`HANDLERS`] handler threads and the job pool.
 ///
 /// Dropping the handle shuts the service down (idempotently); call
 /// [`Server::shutdown`] to do so explicitly.
@@ -80,7 +105,8 @@ pub struct Server {
     local_addr: SocketAddr,
     queue: Arc<JobQueue>,
     stop: Arc<AtomicBool>,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The accept thread first, then the handlers: the order shutdown joins.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Server {
@@ -94,13 +120,34 @@ impl Server {
         &self.queue
     }
 
-    /// Stop accepting connections and drain the pool. Idempotent.
+    /// Stop accepting connections, let the handlers answer every connection
+    /// already handed off, and drain the pool. Idempotent.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.lock().unwrap().take() {
-            let _ = handle.join();
+        // `Drop` runs this, so a poisoned lock must not panic here; the list
+        // stays valid whatever a panicking holder did.
+        let mut threads = self.threads.lock().unwrap_or_else(PoisonError::into_inner);
+        if !threads.is_empty() {
+            self.stop.store(true, Ordering::SeqCst);
+            // Wake the blocking `accept`: it sees the flag and returns, which
+            // drops the hand-off's sender, so each handler exits once the
+            // channel is empty.
+            let _ = TcpStream::connect(self.local_addr);
+        }
+        for thread in threads.drain(..) {
+            let _ = thread.join();
         }
         self.queue.shutdown();
+    }
+
+    fn spawn(&self, name: &str, body: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let thread = std::thread::Builder::new()
+            .name(name.to_owned())
+            .spawn(body)?;
+        self.threads
+            .lock()
+            .expect("no thread panics while holding the thread list")
+            .push(thread);
+        Ok(())
     }
 }
 
@@ -111,66 +158,97 @@ impl Drop for Server {
 }
 
 /// Bind `addr` (e.g. `"127.0.0.1:8080"`, or port `0` for an ephemeral port)
-/// and serve the API until [`Server::shutdown`].
+/// and serve the API until [`Server::shutdown`]: one thread blocks in
+/// `accept` and hands each connection to the [`HANDLERS`] handler threads
+/// through a hand-off of [`HANDOFF_CAPACITY`] slots.
 pub fn serve(addr: &str, config: ServerConfig) -> std::io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    // Non-blocking accept so the loop can observe the stop flag promptly.
-    listener.set_nonblocking(true)?;
-    let queue = Arc::new(JobQueue::start(config.workers.max(1)));
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = {
-        let queue = Arc::clone(&queue);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("cerberus-serve-accept".to_owned())
-            .spawn(move || accept_loop(listener, queue, stop))?
+    let server = Server {
+        local_addr: listener.local_addr()?,
+        queue: Arc::new(JobQueue::start(config.workers.max(1))),
+        stop: Arc::new(AtomicBool::new(false)),
+        threads: Mutex::new(Vec::with_capacity(1 + HANDLERS)),
     };
-    Ok(Server {
-        local_addr,
-        queue,
-        stop,
-        accept_thread: Mutex::new(Some(accept_thread)),
-    })
+    // If a spawn fails, dropping `server` stops the threads already running.
+    let (handoff, handed_off) = sync_channel(HANDOFF_CAPACITY);
+    let stop = Arc::clone(&server.stop);
+    server.spawn("cerberus-serve-accept", move || {
+        accept_loop(&listener, &handoff, &stop)
+    })?;
+    let handed_off = Arc::new(Mutex::new(handed_off));
+    for _ in 0..HANDLERS {
+        let handed_off = Arc::clone(&handed_off);
+        let queue = Arc::clone(&server.queue);
+        server.spawn("cerberus-serve-handler", move || {
+            handler_loop(&handed_off, |request| handle_request(&queue, request))
+        })?;
+    }
+    Ok(server)
 }
 
-fn accept_loop(listener: TcpListener, queue: Arc<JobQueue>, stop: Arc<AtomicBool>) {
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let queue = Arc::clone(&queue);
-                let handle = std::thread::Builder::new()
-                    .name("cerberus-serve-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &queue));
-                match handle {
-                    Ok(handle) => connections.push(handle),
-                    Err(_) => continue, // thread spawn failed; drop the connection
+fn accept_loop(listener: &TcpListener, handoff: &SyncSender<TcpStream>, stop: &AtomicBool) {
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream {
+            Ok(stream) => match handoff.try_send(stream) {
+                Ok(()) => {}
+                // Refused at once, before anything is read from it.
+                Err(TrySendError::Full(mut stream) | TrySendError::Disconnected(mut stream)) => {
+                    let busy = error_body("every connection handler is busy; retry later");
+                    respond(&mut stream, 503, &busy);
                 }
-                connections.retain(|c| !c.is_finished());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            },
+            // Out of descriptors (`EMFILE`) and the like: back off, do not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    for connection in connections {
-        let _ = connection.join();
+}
+
+/// Serve handed-off connections, answering each request with `route`, until
+/// the accept thread has stopped and the hand-off is empty.
+fn handler_loop(handed_off: &Mutex<Receiver<TcpStream>>, route: impl Fn(&Request) -> (u16, Json)) {
+    loop {
+        // The guard is a temporary, so the lock is released before the
+        // connection is served.
+        let next = handed_off
+            .lock()
+            .expect("no handler panics while holding the hand-off")
+            .recv();
+        let Ok(stream) = next else { return };
+        handle_connection(stream, &route);
     }
 }
 
-fn handle_connection(mut stream: TcpStream, queue: &JobQueue) {
+fn handle_connection(mut stream: TcpStream, route: &impl Fn(&Request) -> (u16, Json)) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let (status, body) = match read_request(&mut stream) {
-        Ok(request) => handle_request(queue, &request),
-        Err(failure) => match http::error_status(&failure) {
+    // The submit route runs the front end and the analysis on this thread,
+    // as a worker's `run_job` does; a panic there answers this request `500`
+    // and leaves the handler serving.
+    let answer = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        read_request(&mut stream).map(|request| route(&request))
+    }));
+    let (status, body) = match answer {
+        Ok(Ok(answer)) => answer,
+        Ok(Err(failure)) => match http::error_status(&failure) {
             Some((status, _)) => (status, error_body(&format!("{failure:?}"))),
             None => return, // peer went away before sending a request
         },
+        Err(panic) => {
+            let payload = cerberus::panic_payload(&*panic);
+            (
+                500,
+                error_body(&format!("request handler panicked: {payload}")),
+            )
+        }
     };
+    respond(&mut stream, status, &body);
+}
+
+fn respond(stream: &mut TcpStream, status: u16, body: &Json) {
     let _ = write_response(
-        &mut stream,
+        stream,
         status,
         http::reason_phrase(status),
         "application/json",
@@ -396,6 +474,46 @@ mod tests {
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
         }
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_500_and_its_handler_keeps_serving() {
+        use std::io::{Read, Write};
+        let listener = match TcpListener::bind("127.0.0.1:0") {
+            Ok(listener) => listener,
+            Err(e) => {
+                eprintln!("skipping: cannot bind loopback: {e}");
+                return;
+            }
+        };
+        let addr = listener.local_addr().unwrap();
+        let (handoff, handed_off) = sync_channel(HANDOFF_CAPACITY);
+        let handler = std::thread::spawn(move || {
+            handler_loop(&Mutex::new(handed_off), |request| {
+                panic!("route panicked on {}", request.path)
+            })
+        });
+        // One handler, two requests: the second is served only if the first
+        // panic left the handler running.
+        for path in ["/first", "/second"] {
+            let mut client = TcpStream::connect(addr).unwrap();
+            handoff.send(listener.accept().unwrap().0).unwrap();
+            write!(client, "GET {path} HTTP/1.1\r\n\r\n").unwrap();
+            let mut response = String::new();
+            client.read_to_string(&mut response).unwrap();
+            assert!(
+                response.starts_with("HTTP/1.1 500 Internal Server Error\r\n"),
+                "{response}"
+            );
+            assert!(
+                response.contains(&format!("route panicked on {path}")),
+                "{response}"
+            );
+        }
+        drop(handoff);
+        handler
+            .join()
+            .expect("the handler exits once the hand-off closes");
     }
 
     #[test]

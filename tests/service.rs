@@ -1,14 +1,18 @@
 //! End-to-end drill of the UB-oracle service: boot a real server on an
 //! ephemeral loopback port, then drive it purely through the wire protocol —
-//! submit, poll to completion, verify the memoisation cache, and confirm that
+//! submit, poll to completion, verify the memoisation cache, confirm that
 //! faulting and over-budget submissions come back as structured rows rather
-//! than taking the service down.
+//! than taking the service down, and check that the front door refuses the
+//! connections it cannot hold and recovers.
 
-use std::time::Duration;
+use std::io::Read;
+use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use cerberus_memory::config::ModelConfig;
 use cerberus_rs::cerberus_server::client::{http_request, poll_job};
-use cerberus_rs::cerberus_server::{serve, Server, ServerConfig};
+use cerberus_rs::cerberus_server::{serve, Server, ServerConfig, HANDLERS, HANDOFF_CAPACITY};
 use cerberus_wire::json::Json;
 
 /// Binding loopback can be forbidden in sandboxed environments; skip (rather
@@ -372,4 +376,93 @@ fn huge_allocations_and_output_floods_end_in_resource_exhausted_rows() {
     assert_eq!(status, 200);
 
     server.shutdown();
+}
+
+/// The front door is bounded and recovers. A burst of [`HANDLERS`]
+/// submissions is never refused. Once idle connections hold every handler
+/// and every hand-off slot, the next connection is answered `503` before it
+/// sends anything. When they close, the server answers again, and an idle
+/// server shuts down promptly, so the blocking `accept` is woken.
+#[test]
+fn the_front_door_is_bounded_and_recovers() {
+    let Some(server) = try_serve() else { return };
+    let addr = server.local_addr().to_string();
+
+    let start = Arc::new(Barrier::new(HANDLERS));
+    let burst: Vec<_> = (0..HANDLERS)
+        .map(|i| {
+            let addr = addr.clone();
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let body = format!(
+                    r#"{{"source": "int main(void) {{ return {i}; }}", "models": ["concrete"]}}"#
+                );
+                start.wait();
+                submit_status(&addr, &body)
+            })
+        })
+        .collect();
+    for submission in burst {
+        assert_eq!(submission.join().expect("submitter"), 202);
+    }
+
+    // Each pause lets the accept thread hand the connection off, and a free
+    // handler take it, before the next one arrives.
+    let held: Vec<TcpStream> = (0..HANDLERS + HANDOFF_CAPACITY)
+        .map(|_| {
+            let stream = TcpStream::connect(&addr).expect("connect an idle connection");
+            std::thread::sleep(Duration::from_millis(100));
+            stream
+        })
+        .collect();
+    let mut refused = TcpStream::connect(&addr).expect("connect past the bound");
+    refused
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut response = Vec::new();
+    refused
+        .read_to_end(&mut response)
+        .expect("a connection past the bound is answered without sending anything");
+    let response = String::from_utf8(response).expect("UTF-8 response");
+    assert!(
+        response.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+        "{response}"
+    );
+    let body = response
+        .split_once("\r\n\r\n")
+        .and_then(|(_, body)| Json::parse(body).ok())
+        .unwrap_or_else(|| panic!("no JSON body in {response}"));
+    assert!(
+        body.get("error").and_then(Json::as_str).is_some(),
+        "{response}"
+    );
+
+    drop(held);
+    let deadline = Instant::now() + DEADLINE;
+    loop {
+        match http_request(&addr, "GET", "/api/v0/stats", None) {
+            Ok((200, _)) => break,
+            // The handlers may not have dropped every closed connection yet.
+            Ok((503, _)) | Err(_) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20))
+            }
+            other => panic!("stats after the idle connections closed: {other:?}"),
+        }
+    }
+    let document = submit_and_wait(
+        &addr,
+        r#"{"source": "int main(void) { return 3; }", "models": ["concrete"]}"#,
+    );
+    assert_eq!(
+        document.get("status").and_then(Json::as_str),
+        Some("completed")
+    );
+
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "an idle server took {:?} to shut down",
+        started.elapsed()
+    );
 }
