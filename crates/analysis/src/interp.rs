@@ -30,9 +30,19 @@
 //! when it fired: a `Must` finding turns them into a satisfying *witness*
 //! assignment (a concrete layout/value choice realising the UB), a `May`
 //! finding reports them as the residual constraint under which the UB fires.
-//! The [`AnalysisMode::FlowJoin`] mode keeps PR 7's join-everything
-//! behaviour as a differential baseline; path-sensitive results are a
-//! refinement of it (checked by a property test at the workspace root).
+//! The [`AnalysisMode::FlowJoin`] mode keeps the join-everything behaviour
+//! as a differential baseline; path-sensitive results are a refinement of it
+//! (checked by a property test at the workspace root).
+//!
+//! The walk borrows the program, as the concrete interpreter does: no
+//! procedure body or global initialiser is copied. `let`, sequencing, a
+//! decided `if` and a decided `case` bind names in place in the procedure's
+//! environment; the elaborator gives every pattern a fresh symbol, so a
+//! binding never shadows a name read later. Every undecided `if` or `case`,
+//! pure or effectful, in either mode, goes through one routine,
+//! `Interp::fork`, which holds everything about a branch that differs
+//! between the modes. Effectful arms run on copies of the state and the
+//! environment, which are joined afterwards.
 //!
 //! The pass is deliberately a *may*-analysis: when the state cannot exclude a
 //! violation it reports `May` rather than staying silent, because the corpus
@@ -385,15 +395,18 @@ enum AFlow {
 
 type Env = HashMap<String, AbsValue>;
 
-/// A pattern-match arm selected for abstract evaluation: the arm index, the
-/// bindings the match would introduce, and whether the match is definite
-/// (`true`) or merely possible (`false`).
-type SelectedArm = (usize, Vec<(String, AbsValue)>, bool);
+/// The names a pattern match introduces, in binding order.
+type Bindings = Vec<(String, AbsValue)>;
+
+/// One arm of an undecided branch: the path constraint it runs under (an
+/// `if` arm's condition, `None` for a `case` arm), the names it binds, and
+/// its body.
+type Arm<'e, E> = (Option<Atom>, Bindings, &'e E);
 
 /// Result of matching a pattern against an abstract value.
 enum MatchQ {
-    Yes(Vec<(String, AbsValue)>),
-    Maybe(Vec<(String, AbsValue)>),
+    Yes(Bindings),
+    Maybe(Bindings),
     No,
 }
 
@@ -793,40 +806,34 @@ impl<'a> Interp<'a> {
     }
 
     fn setup_globals(&mut self) {
-        for (name, bytes) in &self.program.string_literals {
-            let ty = Ctype::Array(
-                Box::new(Ctype::integer(IntegerType::Char)),
-                Some(bytes.len() as u64),
+        let program: &'a CoreProgram = self.program;
+        for (index, (name, bytes)) in program.string_literals.iter().enumerate() {
+            let size = bytes.len() as u64;
+            let ty = Ctype::Array(Box::new(Ctype::integer(IntegerType::Char)), Some(size));
+            // Named by its place in the program, not by its fresh symbol, so
+            // a finding's text does not depend on what else the process
+            // elaborated first.
+            let id = self.alloc(
+                StorageKind::StringLit,
+                Some(ty),
+                Some(size),
+                InitState::Init,
+                &format!("<string literal {index}>"),
             );
-            let id = self.state.allocs.len();
-            self.state.allocs.push(AllocInfo {
-                kind: StorageKind::StringLit,
-                ty: Some(ty),
-                size: Some(bytes.len() as u64),
-                life: Lifetime::Live,
-                init: InitState::Init,
-                content: AbsValue::Top,
-                last_store: None,
-                name: name.as_str().to_owned(),
-            });
             self.globals.insert(
                 name.as_str().to_owned(),
                 AbsValue::Ptr(AbsPtr::to_target(id)),
             );
         }
-        for g in &self.program.globals {
-            let size = layout::size_of(&g.ty, self.ienv, &self.program.tags).ok();
-            let id = self.state.allocs.len();
-            self.state.allocs.push(AllocInfo {
-                kind: StorageKind::Static,
-                ty: Some(g.ty.clone()),
+        for g in &program.globals {
+            let size = self.size_of_ty(&g.ty);
+            let id = self.alloc(
+                StorageKind::Static,
+                Some(g.ty.clone()),
                 size,
-                life: Lifetime::Live,
-                init: InitState::Uninit,
-                content: AbsValue::Top,
-                last_store: None,
-                name: g.name.as_str().to_owned(),
-            });
+                InitState::Uninit,
+                g.name.as_str(),
+            );
             self.globals.insert(
                 g.name.as_str().to_owned(),
                 AbsValue::Ptr(AbsPtr::to_target(id)),
@@ -834,15 +841,8 @@ impl<'a> Interp<'a> {
         }
         self.cur_proc = "<static init>".to_owned();
         self.ret_stack.push(None);
-        let inits: Vec<Expr> = self
-            .program
-            .globals
-            .iter()
-            .map(|g| g.init.clone())
-            .collect();
-        for init in &inits {
-            let mut env = Env::new();
-            let _ = self.eval_expr(&mut env, init);
+        for g in &program.globals {
+            let _ = self.eval_expr(&mut Env::new(), &g.init);
         }
         self.ret_stack.pop();
         // Objects with static storage duration are zero-initialised (6.7.9p10)
@@ -855,15 +855,14 @@ impl<'a> Interp<'a> {
     }
 
     fn analyze_proc(&mut self, name: &str) {
-        let Some(proc) = self.program.proc(name) else {
+        let program: &'a CoreProgram = self.program;
+        let Some(proc) = program.proc(name) else {
             return;
         };
-        let params = proc.params.clone();
-        let body = proc.body.clone();
         self.cur_proc = name.to_owned();
         let mut env = Env::new();
         let mut param_ids = Vec::new();
-        for (sym, ty) in &params {
+        for (sym, ty) in &proc.params {
             let size = self.size_of_ty(ty);
             // Parameters hold the (unknown) incoming argument, so they are
             // initialised from the start.
@@ -881,7 +880,7 @@ impl<'a> Interp<'a> {
             param_ids.push(id);
         }
         self.ret_stack.push(None);
-        let _ = self.eval_expr(&mut env, &body);
+        let _ = self.eval_expr(&mut env, &proc.body);
         self.ret_stack.pop();
         for id in param_ids {
             self.state.allocs[id].life = Lifetime::Dead;
@@ -897,7 +896,8 @@ impl<'a> Interp<'a> {
                 _ => AbsValue::Top,
             };
         }
-        let Some(proc) = self.program.proc(name) else {
+        let program: &'a CoreProgram = self.program;
+        let Some(proc) = program.proc(name) else {
             return AbsValue::Top;
         };
         if self.call_stack.len() >= self.config.call_depth
@@ -908,15 +908,13 @@ impl<'a> Interp<'a> {
             self.havoc_memory();
             return AbsValue::Top;
         }
-        let params = proc.params.clone();
-        let body = proc.body.clone();
         let saved_proc = self.cur_proc.clone();
         let saved_jumps = std::mem::take(&mut self.jump_states);
         self.call_stack.push(name.to_owned());
         self.cur_proc = name.to_owned();
         let mut env = Env::new();
         let mut param_ids = Vec::new();
-        for ((sym, ty), arg) in params.iter().zip(args) {
+        for ((sym, ty), arg) in proc.params.iter().zip(args) {
             let size = self.size_of_ty(ty);
             let id = self.alloc(
                 StorageKind::Stack,
@@ -934,7 +932,7 @@ impl<'a> Interp<'a> {
             param_ids.push(id);
         }
         self.ret_stack.push(None);
-        let flow = self.eval_expr(&mut env, &body);
+        let flow = self.eval_expr(&mut env, &proc.body);
         let returned = self.ret_stack.pop().flatten();
         for id in param_ids {
             self.state.allocs[id].life = Lifetime::Dead;
@@ -1072,78 +1070,25 @@ impl<'a> Interp<'a> {
                 match self.as_bool(&cond) {
                     Some(true) => self.eval_pexpr(env, t),
                     Some(false) => self.eval_pexpr(env, f),
-                    None if self.path_mode() => {
-                        let atom = self.cond_atom(&cond);
-                        let arms: [(Option<Atom>, &PExpr); 2] =
-                            [(atom.clone(), t), (atom.as_ref().map(Atom::negate), f)];
-                        self.eval_pure_fork(env, &arms)
-                    }
                     None => {
-                        // Pure expressions have no memory effects, so only the
-                        // path-definiteness flag needs saving.
-                        let saved = self.definite;
-                        self.definite = false;
-                        let vt = self.eval_pexpr(env, t);
-                        let vf = self.eval_pexpr(env, f);
-                        self.definite = saved;
-                        vt.join(&vf)
+                        let atom = self.cond_atom(&cond);
+                        let negated = atom.as_ref().map(Atom::negate);
+                        self.fork_pure(
+                            env,
+                            vec![(atom, Vec::new(), &**t), (negated, Vec::new(), &**f)],
+                        )
                     }
                 }
             }
             PExpr::Case(scrutinee, arms) => {
                 let v = self.eval_pexpr(env, scrutinee);
-                let candidates = self.select_arms(&v, arms.iter().map(|(p, _)| p));
-                match candidates.as_slice() {
-                    [(idx, bindings, true)] => {
-                        let mut env2 = env.clone();
-                        for (n, bv) in bindings {
-                            env2.insert(n.clone(), bv.clone());
-                        }
-                        self.eval_pexpr(&mut env2, &arms[*idx].1)
-                    }
-                    [] => AbsValue::Top,
-                    many if self.path_mode() => {
-                        // Opaque fork (no per-arm constraint): the frame
-                        // machinery still merges definiteness across arms.
-                        let many = many.to_vec();
-                        let mut joined: Option<AbsValue> = None;
-                        let mut frames = Vec::new();
-                        for (idx, bindings, _) in many {
-                            self.finding_frames.push(Frame::new());
-                            self.paths_explored += 1;
-                            let mut env2 = env.clone();
-                            for (n, bv) in bindings {
-                                env2.insert(n, bv);
-                            }
-                            let v = self.eval_pexpr(&mut env2, &arms[idx].1);
-                            frames.push(self.finding_frames.pop().expect("fork frame"));
-                            joined = Some(match joined {
-                                Some(j) => j.join(&v),
-                                None => v,
-                            });
-                        }
-                        self.merge_sibling_findings(frames);
-                        joined.unwrap_or(AbsValue::Top)
-                    }
-                    many => {
-                        let saved = self.definite;
-                        self.definite = false;
-                        let mut joined: Option<AbsValue> = None;
-                        let many = many.to_vec();
-                        for (idx, bindings, _) in many {
-                            let mut env2 = env.clone();
-                            for (n, bv) in bindings {
-                                env2.insert(n, bv);
-                            }
-                            let v = self.eval_pexpr(&mut env2, &arms[idx].1);
-                            joined = Some(match joined {
-                                Some(j) => j.join(&v),
-                                None => v,
-                            });
-                        }
-                        self.definite = saved;
-                        joined.unwrap_or(AbsValue::Top)
-                    }
+                let (mut candidates, decided) = Self::select_arms(&v, arms);
+                if decided {
+                    let (_, bindings, body) = candidates.remove(0);
+                    env.extend(bindings);
+                    self.eval_pexpr(env, body)
+                } else {
+                    self.fork_pure(env, candidates)
                 }
             }
             PExpr::Builtin(f, args) => {
@@ -1190,36 +1135,6 @@ impl<'a> Interp<'a> {
                 AbsValue::Ptr(p.with_offset(offset))
             }
         }
-    }
-
-    /// Path-mode fork over pure arms: each feasible arm is evaluated under
-    /// its constraint with a fresh finding frame; infeasible arms are pruned.
-    /// Pure expressions have no memory effects, so no state fork is needed.
-    fn eval_pure_fork(&mut self, env: &mut Env, arms: &[(Option<Atom>, &PExpr)]) -> AbsValue {
-        let mut joined: Option<AbsValue> = None;
-        let mut frames = Vec::new();
-        for (atom, arm) in arms {
-            let depth = self.path.len();
-            if let Some(a) = atom {
-                self.path.push(a.clone());
-                if !self.path_feasible() {
-                    self.path.truncate(depth);
-                    self.paths_pruned += 1;
-                    continue;
-                }
-            }
-            self.paths_explored += 1;
-            self.finding_frames.push(Frame::new());
-            let v = self.eval_pexpr(env, arm);
-            frames.push(self.finding_frames.pop().expect("fork frame"));
-            self.path.truncate(depth);
-            joined = Some(match joined {
-                Some(j) => j.join(&v),
-                None => v,
-            });
-        }
-        self.merge_sibling_findings(frames);
-        joined.unwrap_or(AbsValue::Top)
     }
 
     fn array_shift(&mut self, pv: &AbsValue, elem_ty: &Ctype, index: Option<i128>) -> AbsValue {
@@ -1506,7 +1421,7 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn bind_all_top(ps: &[Pattern]) -> Vec<(String, AbsValue)> {
+    fn bind_all_top(ps: &[Pattern]) -> Bindings {
         let mut out = Vec::new();
         for p in ps {
             match p {
@@ -1521,25 +1436,23 @@ impl<'a> Interp<'a> {
         out
     }
 
-    /// Which arms can match `v`: all `Maybe`s up to and including the first
-    /// definite `Yes`. The bool marks a definite match.
-    fn select_arms<'p>(
-        &self,
-        v: &AbsValue,
-        pats: impl Iterator<Item = &'p Pattern>,
-    ) -> Vec<SelectedArm> {
+    /// The arms of a `case` that can match `v`: every arm that may match, up
+    /// to and including the first that must. The flag is set when that
+    /// certain match is the only candidate, so the `case` is decided.
+    fn select_arms<'e, E>(v: &AbsValue, arms: &'e [(Pattern, E)]) -> (Vec<Arm<'e, E>>, bool) {
         let mut out = Vec::new();
-        for (idx, pat) in pats.enumerate() {
+        for (pat, body) in arms {
             match Self::match_quality(pat, v) {
                 MatchQ::Yes(bs) => {
-                    out.push((idx, bs, true));
-                    break;
+                    let decided = out.is_empty();
+                    out.push((None, bs, body));
+                    return (out, decided);
                 }
-                MatchQ::Maybe(bs) => out.push((idx, bs, false)),
+                MatchQ::Maybe(bs) => out.push((None, bs, body)),
                 MatchQ::No => {}
             }
         }
-        out
+        (out, false)
     }
 
     // ----- effectful expressions -------------------------------------------------
@@ -1564,69 +1477,24 @@ impl<'a> Interp<'a> {
                     Some(true) => self.eval_expr(env, t),
                     Some(false) => self.eval_expr(env, f),
                     None => {
-                        let atom = if self.path_mode() {
-                            self.cond_atom(&cond)
-                        } else {
-                            None
-                        };
-                        let branches: Vec<(Option<Atom>, &Expr)> =
-                            vec![(atom.clone(), t), (atom.as_ref().map(Atom::negate), f)];
-                        self.eval_forked(env, branches)
+                        let atom = self.cond_atom(&cond);
+                        let negated = atom.as_ref().map(Atom::negate);
+                        self.fork_expr(
+                            env,
+                            vec![(atom, Vec::new(), &**t), (negated, Vec::new(), &**f)],
+                        )
                     }
                 }
             }
             Expr::Case(scrutinee, arms) => {
                 let v = self.eval_pexpr(env, scrutinee);
-                let candidates = self.select_arms(&v, arms.iter().map(|(p, _)| p));
-                match candidates.as_slice() {
-                    [(idx, bindings, true)] => {
-                        let mut env2 = env.clone();
-                        for (n, bv) in bindings {
-                            env2.insert(n.clone(), bv.clone());
-                        }
-                        self.eval_expr(&mut env2, &arms[*idx].1)
-                    }
-                    [] => AFlow::Val(AbsValue::Top),
-                    many if self.path_mode() => {
-                        // Opaque fork: no per-arm constraint, but definite
-                        // findings shared by every arm stay definite.
-                        let many = many.to_vec();
-                        let saved_state = self.state.clone();
-                        let mut results = Vec::new();
-                        let mut frames = Vec::new();
-                        for (idx, bindings, _) in many {
-                            self.finding_frames.push(Frame::new());
-                            self.paths_explored += 1;
-                            self.state = saved_state.clone();
-                            let mut env2 = env.clone();
-                            for (n, bv) in bindings {
-                                env2.insert(n, bv);
-                            }
-                            let flow = self.eval_expr(&mut env2, &arms[idx].1);
-                            frames.push(self.finding_frames.pop().expect("fork frame"));
-                            results.push((flow, self.state.clone()));
-                        }
-                        self.merge_sibling_findings(frames);
-                        self.join_results(results)
-                    }
-                    many => {
-                        let many = many.to_vec();
-                        let saved_def = self.definite;
-                        self.definite = false;
-                        let saved_state = self.state.clone();
-                        let mut results = Vec::new();
-                        for (idx, bindings, _) in many {
-                            self.state = saved_state.clone();
-                            let mut env2 = env.clone();
-                            for (n, bv) in bindings {
-                                env2.insert(n, bv);
-                            }
-                            let flow = self.eval_expr(&mut env2, &arms[idx].1);
-                            results.push((flow, self.state.clone()));
-                        }
-                        self.definite = saved_def;
-                        self.join_results(results)
-                    }
+                let (mut candidates, decided) = Self::select_arms(&v, arms);
+                if decided {
+                    let (_, bindings, body) = candidates.remove(0);
+                    env.extend(bindings);
+                    self.eval_expr(env, body)
+                } else {
+                    self.fork_expr(env, candidates)
                 }
             }
             Expr::Ccall(f, args) => {
@@ -1764,65 +1632,88 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Evaluate each alternative on a copy of the current state and join the
-    /// surviving outcomes.
-    fn eval_branches(&mut self, env: &Env, bodies: &[&Expr]) -> AFlow {
-        if self.path_mode() {
-            let branches: Vec<(Option<Atom>, &Expr)> = bodies.iter().map(|b| (None, *b)).collect();
-            return self.eval_forked(env, branches);
-        }
-        let saved_def = self.definite;
-        self.definite = false;
-        let saved_state = self.state.clone();
-        let mut results = Vec::new();
-        for body in bodies {
-            self.state = saved_state.clone();
-            let mut env2 = env.clone();
-            let flow = self.eval_expr(&mut env2, body);
-            results.push((flow, self.state.clone()));
-        }
-        self.definite = saved_def;
-        self.join_results(results)
-    }
+    // ----- undecided branches ----------------------------------------------------
 
-    /// Path-mode fork over effectful branches, each under its constraint (if
-    /// any) on a copy of the state. Infeasible branches are pruned; when only
-    /// one branch survives, its findings keep full definiteness (the `May` →
-    /// `Must` flip); definite findings shared by all survivors stay definite.
-    fn eval_forked(&mut self, env: &Env, branches: Vec<(Option<Atom>, &Expr)>) -> AFlow {
-        if !self.path_mode() {
-            let bodies: Vec<&Expr> = branches.iter().map(|(_, b)| *b).collect();
-            return self.eval_branches(env, &bodies);
+    /// The one routine for an undecided `if` or `case`: run each arm through
+    /// `run`, which binds the arm's names and evaluates its body, and return
+    /// the results of the arms that survive, in order. In path mode an arm
+    /// first pushes its constraint, if it has one, and is pruned when the
+    /// solver refutes the path; each surviving arm runs in its own finding
+    /// frame, and the frames merge afterwards, so a finding stays definite
+    /// only if every surviving arm fired it definitely (one survivor keeps
+    /// its definiteness: the `May` → `Must` flip). The flow baseline ignores
+    /// the constraints and runs every arm with definiteness dropped.
+    fn fork<E, R>(
+        &mut self,
+        arms: Vec<Arm<'_, E>>,
+        mut run: impl FnMut(&mut Self, Bindings, &E) -> R,
+    ) -> Vec<R> {
+        let path_mode = self.path_mode();
+        let saved_definite = self.definite;
+        if !path_mode {
+            self.definite = false;
         }
-        let saved_state = self.state.clone();
         let mut results = Vec::new();
         let mut frames = Vec::new();
-        for (atom, body) in branches {
+        for (atom, bindings, body) in arms {
             let depth = self.path.len();
-            if let Some(a) = atom {
-                self.path.push(a);
-                if !self.path_feasible() {
-                    self.path.truncate(depth);
-                    self.paths_pruned += 1;
-                    continue;
+            if path_mode {
+                if let Some(atom) = atom {
+                    self.path.push(atom);
+                    if !self.path_feasible() {
+                        self.path.truncate(depth);
+                        self.paths_pruned += 1;
+                        continue;
+                    }
                 }
+                self.paths_explored += 1;
+                self.finding_frames.push(Frame::new());
             }
-            self.paths_explored += 1;
-            self.finding_frames.push(Frame::new());
-            self.state = saved_state.clone();
-            let mut env2 = env.clone();
-            let flow = self.eval_expr(&mut env2, body);
-            frames.push(self.finding_frames.pop().expect("fork frame"));
-            self.path.truncate(depth);
-            results.push((flow, self.state.clone()));
+            results.push(run(self, bindings, body));
+            if path_mode {
+                frames.push(self.finding_frames.pop().expect("fork frame"));
+                self.path.truncate(depth);
+            }
         }
+        if path_mode {
+            self.merge_sibling_findings(frames);
+        } else {
+            self.definite = saved_definite;
+        }
+        results
+    }
+
+    /// Fork over pure arms. They have no memory effects, and every name a
+    /// `case` pattern binds is fresh, so each arm binds in place, as `let`
+    /// does; the arms' values are joined.
+    fn fork_pure(&mut self, env: &mut Env, arms: Vec<Arm<'_, PExpr>>) -> AbsValue {
+        let values = self.fork(arms, |it, bindings, body| {
+            env.extend(bindings);
+            it.eval_pexpr(env, body)
+        });
+        values
+            .into_iter()
+            .reduce(|joined, v| joined.join(&v))
+            .unwrap_or(AbsValue::Top)
+    }
+
+    /// Fork over effectful arms. Each arm runs on its own copy of the state
+    /// and of `env`: a prefix that a forward `goto` skips must read `Top`,
+    /// not a sibling's binding. The surviving outcomes are joined; when no
+    /// arm survives, the branch is unreachable under the current path, and
+    /// no arm has touched the state.
+    fn fork_expr(&mut self, env: &Env, arms: Vec<Arm<'_, Expr>>) -> AFlow {
+        let saved = self.state.clone();
+        let results = self.fork(arms, |it, bindings, body| {
+            it.state = saved.clone();
+            let mut env = env.clone();
+            env.extend(bindings);
+            let flow = it.eval_expr(&mut env, body);
+            (flow, std::mem::take(&mut it.state))
+        });
         if results.is_empty() {
-            // Every branch was infeasible: the fork is unreachable under the
-            // current path; leave the state untouched.
-            self.state = saved_state;
             return AFlow::Val(AbsValue::Top);
         }
-        self.merge_sibling_findings(frames);
         self.join_results(results)
     }
 

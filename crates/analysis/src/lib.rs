@@ -233,8 +233,8 @@ pub struct AnalysisReport {
     /// then carries validator results only. The analyzer is expected to never
     /// set this (see the totality property in `tests/properties.rs`).
     pub aborted: Option<String>,
-    /// Path-sensitive mode: branch arms explored (flow-join mode counts every
-    /// arm here too, it just never prunes).
+    /// Arms of undecided branches explored in path-sensitive mode. The
+    /// flow-join baseline counts none, so it always reports 0.
     pub paths_explored: usize,
     /// Branch arms whose path constraints the solver proved unsatisfiable.
     pub paths_pruned: usize,

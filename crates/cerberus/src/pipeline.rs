@@ -1388,6 +1388,16 @@ mod tests {
         assert!(session.analyze("int main(void) { return 0 }").is_err());
         let stats = session.cache_stats().analysis;
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 0));
+        // A report depends on its source alone: elaborating the source again
+        // mints fresh symbols, and none of them may reach a finding's text.
+        let literal = "int main(void) { char *s = \"ab\"; s[0] = 'x'; return 0; }";
+        let before = session.analyze(literal).unwrap();
+        assert_eq!(
+            before.reports(UbKind::StringLiteralModification),
+            Some(FindingSeverity::Must)
+        );
+        session.clear_cache();
+        assert_eq!(before, session.analyze(literal).unwrap());
     }
 
     #[test]

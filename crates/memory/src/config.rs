@@ -115,9 +115,6 @@ pub struct ModelConfig {
     pub effective_types: bool,
     /// Semantics of integer-to-pointer casts.
     pub int_to_ptr: IntToPtrSemantics,
-    /// Use of a pointer value whose object's lifetime has ended is undefined
-    /// behaviour (rather than comparing stale addresses).
-    pub dangling_use_is_ub: bool,
     /// CHERI capability semantics: pointers carry bounds metadata, equality
     /// compares metadata, and non-`intptr_t` integers do not carry provenance.
     pub cheri: bool,
@@ -148,7 +145,6 @@ impl ModelConfig {
             padding: PaddingSemantics::Preserved,
             effective_types: false,
             int_to_ptr: IntToPtrSemantics::Wildcard,
-            dangling_use_is_ub: false,
             cheri: false,
             provenance_optimising_stores: false,
         }
@@ -170,7 +166,6 @@ impl ModelConfig {
             padding: PaddingSemantics::Preserved,
             effective_types: false,
             int_to_ptr: IntToPtrSemantics::TrackedProvenance,
-            dangling_use_is_ub: true,
             cheri: false,
             provenance_optimising_stores: false,
         }
@@ -192,7 +187,6 @@ impl ModelConfig {
             padding: PaddingSemantics::MemberStoreClobbers,
             effective_types: true,
             int_to_ptr: IntToPtrSemantics::TrackedProvenance,
-            dangling_use_is_ub: true,
             cheri: false,
             provenance_optimising_stores: false,
         }
@@ -224,7 +218,6 @@ impl ModelConfig {
             padding: PaddingSemantics::MemberStoreClobbers,
             effective_types: false,
             int_to_ptr: IntToPtrSemantics::Forbidden,
-            dangling_use_is_ub: true,
             cheri: false,
             provenance_optimising_stores: false,
         }
@@ -244,7 +237,6 @@ impl ModelConfig {
             padding: PaddingSemantics::Preserved,
             effective_types: false,
             int_to_ptr: IntToPtrSemantics::TrackedProvenance,
-            dangling_use_is_ub: true,
             cheri: true,
             provenance_optimising_stores: false,
         }
@@ -267,7 +259,6 @@ impl ModelConfig {
                 padding: PaddingSemantics::Preserved,
                 effective_types: false,
                 int_to_ptr: IntToPtrSemantics::Wildcard,
-                dangling_use_is_ub: true,
                 cheri: false,
                 provenance_optimising_stores: false,
             },
@@ -284,7 +275,6 @@ impl ModelConfig {
                 padding: PaddingSemantics::MemberStoreClobbers,
                 effective_types: false,
                 int_to_ptr: IntToPtrSemantics::TrackedProvenance,
-                dangling_use_is_ub: true,
                 cheri: false,
                 provenance_optimising_stores: false,
             },
@@ -302,7 +292,6 @@ impl ModelConfig {
                 padding: PaddingSemantics::Preserved,
                 effective_types: false,
                 int_to_ptr: IntToPtrSemantics::TrackedProvenance,
-                dangling_use_is_ub: true,
                 cheri: false,
                 provenance_optimising_stores: false,
             },
@@ -329,7 +318,6 @@ impl ModelConfig {
             padding: PaddingSemantics::Preserved,
             effective_types: false,
             int_to_ptr: IntToPtrSemantics::TrackedProvenance,
-            dangling_use_is_ub: true,
             cheri: false,
             provenance_optimising_stores: false,
         }
@@ -491,7 +479,6 @@ mod tests {
                 padding,
                 effective_types,
                 int_to_ptr,
-                dangling_use_is_ub,
                 cheri,
                 provenance_optimising_stores,
             } = config;
@@ -509,7 +496,6 @@ mod tests {
                 ("allow_oob_pointer_arith", allow_oob_pointer_arith),
                 ("equality_uses_provenance", equality_uses_provenance),
                 ("effective_types", effective_types),
-                ("dangling_use_is_ub", dangling_use_is_ub),
                 ("cheri", cheri),
                 ("provenance_optimising_stores", provenance_optimising_stores),
             ] {

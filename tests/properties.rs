@@ -290,3 +290,55 @@ proptest! {
         }
     }
 }
+
+/// The analyzer's cost is linear in the length of straight-line code: a
+/// `case` with one certain arm binds its names in place, so no statement
+/// copies the environment that the statements before it built. Both lengths
+/// run on the same host, interleaved, so the bound is a ratio and not a
+/// time: eight times the statements must cost less than twenty times as
+/// much.
+#[test]
+fn analysis_cost_is_linear_in_straight_line_code() {
+    use std::time::{Duration, Instant};
+
+    use cerberus::analysis::analyze;
+    use cerberus::pipeline::Session;
+
+    // Every walker still recurses along the statement spine, so the work
+    // runs on a thread with room for it.
+    let worker = std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            let session = Session::default();
+            let programs: Vec<_> = [250, 2_000]
+                .into_iter()
+                .map(|n| {
+                    let body = "x = x + 1; ".repeat(n);
+                    let source = format!("int main(void) {{ int x = 0; {body}return x; }}");
+                    session
+                        .elaborate(&source)
+                        .expect("straight-line code elaborates")
+                })
+                .collect();
+            let mut best = [Duration::MAX; 2];
+            for _ in 0..3 {
+                for (program, best) in programs.iter().zip(&mut best) {
+                    let start = Instant::now();
+                    let report = analyze(program.core(), program.impl_env());
+                    *best = (*best).min(start.elapsed());
+                    assert!(
+                        report.aborted.is_none() && !report.budget_exhausted,
+                        "the analysis did not complete: {:?}",
+                        report.aborted
+                    );
+                }
+            }
+            best
+        })
+        .expect("spawn the analysis thread");
+    let [short, long] = worker.join().expect("the analysis thread finishes");
+    assert!(
+        long < short * 20,
+        "250 statements took {short:?} to analyse, 2,000 took {long:?}"
+    );
+}
