@@ -38,11 +38,12 @@
 //! procedure body or global initialiser is copied. `let`, sequencing, a
 //! decided `if` and a decided `case` bind names in place in the procedure's
 //! environment; the elaborator gives every pattern a fresh symbol, so a
-//! binding never shadows a name read later. Every undecided `if` or `case`,
-//! pure or effectful, in either mode, goes through one routine,
-//! `Interp::fork`, which holds everything about a branch that differs
-//! between the modes. Effectful arms run on copies of the state and the
-//! environment, which are joined afterwards.
+//! binding never shadows a name read later. A jump lands only in a scope
+//! (`Interp::eval_scope`), so those are walked in a loop, not by recursion.
+//! Every undecided `if` or `case`, pure or effectful, in either mode, goes
+//! through one routine, `Interp::fork`, which holds everything about a
+//! branch that differs between the modes. Effectful arms run on copies of
+//! the state and the environment, which are joined afterwards.
 //!
 //! The pass is deliberately a *may*-analysis: when the state cannot exclude a
 //! violation it reports `May` rather than staying silent, because the corpus
@@ -880,7 +881,7 @@ impl<'a> Interp<'a> {
             param_ids.push(id);
         }
         self.ret_stack.push(None);
-        let _ = self.eval_expr(&mut env, &proc.body);
+        let _ = self.eval_scope(&mut env, &proc.body, None, None, None);
         self.ret_stack.pop();
         for id in param_ids {
             self.state.allocs[id].life = Lifetime::Dead;
@@ -932,7 +933,7 @@ impl<'a> Interp<'a> {
             param_ids.push(id);
         }
         self.ret_stack.push(None);
-        let flow = self.eval_expr(&mut env, &proc.body);
+        let flow = self.eval_scope(&mut env, &proc.body, None, None, None);
         let returned = self.ret_stack.pop().flatten();
         for id in param_ids {
             self.state.allocs[id].life = Lifetime::Dead;
@@ -1457,178 +1458,147 @@ impl<'a> Interp<'a> {
 
     // ----- effectful expressions -------------------------------------------------
 
+    /// Evaluate an effectful Core expression. The last operand of a sequence,
+    /// a `let`, a decided `if` and a decided `case` is a tail position: the
+    /// walk continues there in a loop, one tick per step as a recursive call
+    /// would take, so a block's statements cost no host stack.
     fn eval_expr(&mut self, env: &mut Env, e: &Expr) -> AFlow {
-        if self.tick() {
-            return AFlow::Val(AbsValue::Top);
-        }
-        match e {
-            Expr::Pure(pe) => AFlow::Val(self.eval_pexpr(env, pe)),
-            Expr::Memop(op, args) => self.eval_memop(env, *op, args),
-            Expr::Action(pol, action) => self.eval_action(env, action, *pol == Polarity::Negative),
-            Expr::Skip => AFlow::Val(AbsValue::Unit),
-            Expr::Let(pat, value, body) => {
-                let v = self.eval_pexpr(env, value);
-                Self::bind(env, pat, v);
-                self.eval_expr(env, body)
+        let mut e = e;
+        loop {
+            if self.tick() {
+                return AFlow::Val(AbsValue::Top);
             }
-            Expr::If(c, t, f) => {
-                let cond = self.eval_pexpr(env, c);
-                match self.as_bool(&cond) {
-                    Some(true) => self.eval_expr(env, t),
-                    Some(false) => self.eval_expr(env, f),
-                    None => {
-                        let atom = self.cond_atom(&cond);
-                        let negated = atom.as_ref().map(Atom::negate);
-                        self.fork_expr(
-                            env,
-                            vec![(atom, Vec::new(), &**t), (negated, Vec::new(), &**f)],
-                        )
+            e = match e {
+                Expr::Pure(pe) => return AFlow::Val(self.eval_pexpr(env, pe)),
+                Expr::Memop(op, args) => return self.eval_memop(env, *op, args),
+                Expr::Action(pol, action) => {
+                    return self.eval_action(env, action, *pol == Polarity::Negative)
+                }
+                Expr::Skip => return AFlow::Val(AbsValue::Unit),
+                Expr::Let(pat, value, body) => {
+                    let v = self.eval_pexpr(env, value);
+                    Self::bind(env, pat, v);
+                    body
+                }
+                Expr::If(c, t, f) => {
+                    let cond = self.eval_pexpr(env, c);
+                    match self.as_bool(&cond) {
+                        Some(true) => t,
+                        Some(false) => f,
+                        None => {
+                            let atom = self.cond_atom(&cond);
+                            let negated = atom.as_ref().map(Atom::negate);
+                            return self.fork_expr(
+                                env,
+                                vec![(atom, Vec::new(), &**t), (negated, Vec::new(), &**f)],
+                            );
+                        }
                     }
                 }
-            }
-            Expr::Case(scrutinee, arms) => {
-                let v = self.eval_pexpr(env, scrutinee);
-                let (mut candidates, decided) = Self::select_arms(&v, arms);
-                if decided {
+                Expr::Case(scrutinee, arms) => {
+                    let v = self.eval_pexpr(env, scrutinee);
+                    let (mut candidates, decided) = Self::select_arms(&v, arms);
+                    if !decided {
+                        return self.fork_expr(env, candidates);
+                    }
                     let (_, bindings, body) = candidates.remove(0);
                     env.extend(bindings);
-                    self.eval_expr(env, body)
-                } else {
-                    self.fork_expr(env, candidates)
+                    body
                 }
-            }
-            Expr::Ccall(f, args) => {
-                let fv = self.eval_pexpr(env, f);
-                let vs: Vec<AbsValue> = args.iter().map(|a| self.eval_pexpr(env, a)).collect();
-                // The elaborator wraps function designators as
-                // `Specified(cfunction(f))`; `as_ptr` sees through the
-                // wrapper and the env binding.
-                let name = self.as_ptr(&fv).func;
-                match name {
-                    Some(name) => AFlow::Val(self.call_proc(&name, vs)),
-                    None => {
-                        self.havoc_memory();
-                        AFlow::Val(AbsValue::Top)
-                    }
-                }
-            }
-            Expr::Unseq(items) => {
-                let mut frames = Vec::new();
-                let mut values = Vec::new();
-                for item in items {
-                    self.fp_stack.push(Vec::new());
-                    let flow = self.eval_expr(env, item);
-                    let frame = self.fp_stack.pop().unwrap_or_default();
-                    frames.push(frame);
-                    match flow {
-                        AFlow::Val(v) => values.push(v),
-                        other => {
-                            self.merge_frames(frames);
-                            return other;
+                Expr::Ccall(f, args) => {
+                    let fv = self.eval_pexpr(env, f);
+                    let vs: Vec<AbsValue> = args.iter().map(|a| self.eval_pexpr(env, a)).collect();
+                    // The elaborator wraps function designators as
+                    // `Specified(cfunction(f))`; `as_ptr` sees through the
+                    // wrapper and the env binding.
+                    let name = self.as_ptr(&fv).func;
+                    return match name {
+                        Some(name) => AFlow::Val(self.call_proc(&name, vs)),
+                        None => {
+                            self.havoc_memory();
+                            AFlow::Val(AbsValue::Top)
                         }
-                    }
+                    };
                 }
-                for i in 0..frames.len() {
-                    for j in (i + 1)..frames.len() {
-                        self.check_race(&frames[i], &frames[j], false);
-                    }
-                }
-                self.merge_frames(frames);
-                AFlow::Val(AbsValue::Tuple(values))
-            }
-            Expr::Wseq(pat, a, b) => {
-                self.fp_stack.push(Vec::new());
-                let fa = self.eval_expr(env, a);
-                let fp_a = self.fp_stack.pop().unwrap_or_default();
-                match fa {
-                    AFlow::Val(v) => {
-                        Self::bind(env, pat, v);
+                Expr::Unseq(items) => {
+                    let mut frames = Vec::new();
+                    let mut values = Vec::new();
+                    for item in items {
                         self.fp_stack.push(Vec::new());
-                        let fb = self.eval_expr(env, b);
-                        let fp_b = self.fp_stack.pop().unwrap_or_default();
-                        // Weak sequencing leaves only the negative actions of
-                        // the first operand unsequenced w.r.t. the second.
-                        self.check_race(&fp_a, &fp_b, true);
-                        self.merge_frames(vec![fp_a, fp_b]);
-                        fb
-                    }
-                    AFlow::Jump(l) => {
-                        self.merge_frames(vec![fp_a]);
-                        if b.contains_save(&l) {
-                            self.eval_seeking(env, b, &l)
-                        } else {
-                            AFlow::Jump(l)
-                        }
-                    }
-                    other => {
-                        self.merge_frames(vec![fp_a]);
-                        other
-                    }
-                }
-            }
-            Expr::Sseq(pat, a, b) => match self.eval_expr(env, a) {
-                AFlow::Val(v) => {
-                    Self::bind(env, pat, v);
-                    self.eval_expr(env, b)
-                }
-                AFlow::Jump(l) => {
-                    if b.contains_save(&l) {
-                        self.eval_seeking(env, b, &l)
-                    } else {
-                        AFlow::Jump(l)
-                    }
-                }
-                other => other,
-            },
-            Expr::Indet(body) => {
-                // Accesses inside an indeterminately-sequenced region are not
-                // candidates for the enclosing race checks.
-                let saved = std::mem::take(&mut self.fp_stack);
-                let flow = self.eval_expr(env, body);
-                self.fp_stack = saved;
-                flow
-            }
-            Expr::Save(label, body) => self.eval_save(env, label, body),
-            Expr::Exit(label, body) => {
-                let flow = self.eval_expr(env, body);
-                let pending = self.jump_states.remove(label.as_str());
-                match pending {
-                    Some(js) => {
-                        // Some path broke out to this delimiter; its state
-                        // joins whatever the body ended with.
-                        self.state.join_from(&js);
-                        self.definite = false;
+                        let flow = self.eval_expr(env, item);
+                        let frame = self.fp_stack.pop().unwrap_or_default();
+                        frames.push(frame);
                         match flow {
-                            AFlow::Val(v) => AFlow::Val(v.join(&AbsValue::Unit)),
-                            _ => AFlow::Val(AbsValue::Unit),
+                            AFlow::Val(v) => values.push(v),
+                            other => {
+                                self.merge_frames(frames);
+                                return other;
+                            }
                         }
                     }
-                    None => match flow {
-                        AFlow::Jump(l) if l == *label => AFlow::Val(AbsValue::Unit),
-                        other => other,
-                    },
-                }
-            }
-            Expr::Run(label) => {
-                let snapshot = self.state.clone();
-                match self.jump_states.get_mut(label.as_str()) {
-                    Some(existing) => existing.join_from(&snapshot),
-                    None => {
-                        self.jump_states.insert(label.as_str().to_owned(), snapshot);
+                    for i in 0..frames.len() {
+                        for j in (i + 1)..frames.len() {
+                            self.check_race(&frames[i], &frames[j], false);
+                        }
                     }
+                    self.merge_frames(frames);
+                    return AFlow::Val(AbsValue::Tuple(values));
                 }
-                AFlow::Jump(label.clone())
-            }
-            Expr::Return(pe) => {
-                let v = self.eval_pexpr(env, pe);
-                if let Some(slot) = self.ret_stack.last_mut() {
-                    *slot = Some(match slot.take() {
-                        Some(prev) => prev.join(&v),
-                        None => v,
-                    });
+                Expr::Wseq(pat, a, b) => {
+                    self.fp_stack.push(Vec::new());
+                    let fa = self.eval_expr(env, a);
+                    let fp_a = self.fp_stack.pop().unwrap_or_default();
+                    let AFlow::Val(v) = fa else {
+                        self.merge_frames(vec![fp_a]);
+                        return fa;
+                    };
+                    Self::bind(env, pat, v);
+                    self.fp_stack.push(Vec::new());
+                    let fb = self.eval_expr(env, b);
+                    let fp_b = self.fp_stack.pop().unwrap_or_default();
+                    // Weak sequencing leaves only the negative actions of
+                    // the first operand unsequenced w.r.t. the second.
+                    self.check_race(&fp_a, &fp_b, true);
+                    self.merge_frames(vec![fp_a, fp_b]);
+                    return fb;
                 }
-                AFlow::Ret
-            }
+                Expr::Sseq(pat, a, b) => {
+                    let flow = self.eval_expr(env, a);
+                    let AFlow::Val(v) = flow else { return flow };
+                    Self::bind(env, pat, v);
+                    b
+                }
+                Expr::Indet(body) => {
+                    // Accesses inside an indeterminately-sequenced region are not
+                    // candidates for the enclosing race checks.
+                    let saved = std::mem::take(&mut self.fp_stack);
+                    let flow = self.eval_expr(env, body);
+                    self.fp_stack = saved;
+                    return flow;
+                }
+                Expr::Save(l, body) => return self.eval_scope(env, body, Some(l), None, None),
+                Expr::Exit(l, body) => return self.eval_scope(env, body, None, Some(l), None),
+                Expr::Run(label) => {
+                    let snapshot = self.state.clone();
+                    match self.jump_states.get_mut(label.as_str()) {
+                        Some(existing) => existing.join_from(&snapshot),
+                        None => {
+                            self.jump_states.insert(label.as_str().to_owned(), snapshot);
+                        }
+                    }
+                    return AFlow::Jump(label.clone());
+                }
+                Expr::Return(pe) => {
+                    let v = self.eval_pexpr(env, pe);
+                    if let Some(slot) = self.ret_stack.last_mut() {
+                        *slot = Some(match slot.take() {
+                            Some(prev) => prev.join(&v),
+                            None => v,
+                        });
+                    }
+                    return AFlow::Ret;
+                }
+            };
         }
     }
 
@@ -1759,29 +1729,100 @@ impl<'a> Interp<'a> {
         AFlow::Ret
     }
 
-    fn eval_save(&mut self, env: &mut Env, label: &Ident, body: &Expr) -> AFlow {
-        let key = label.as_str().to_owned();
-        let mut iterations = 0usize;
-        loop {
-            if let Some(js) = self.jump_states.remove(&key) {
-                self.state.join_from(&js);
+    /// Run the body of a scope, the only place a jump lands: a `save`'s body,
+    /// which a jump to `restart` runs again; an `exit`'s, which a jump to
+    /// `finish` ends; or a procedure's. The first pass seeks `seek`, if any.
+    /// A jump to another label the body holds re-enters the body seeking it,
+    /// and so, before the scope ends, does each state parked for such a label
+    /// by a branch arm whose sibling went on; what the pass before left the
+    /// scope with joins the result. A state parked for `restart` joins each
+    /// pass from the top, one parked for `finish` the scope's end.
+    ///
+    /// A restart is a loop pass, and so is a re-entry for a label re-entered
+    /// before (a backward `goto`); the first is free (a forward `goto`,
+    /// `switch` dispatch). Passes, parked re-entries and `finish` joins drop
+    /// definiteness. After [`AnalysisConfig::loop_bound`] passes the scope
+    /// widens and ends, but a label's loop, whose exit may lie in this body
+    /// after its jump back, first takes one last pass.
+    fn eval_scope(
+        &mut self,
+        env: &mut Env,
+        body: &Expr,
+        restart: Option<&Ident>,
+        finish: Option<&Ident>,
+        seek: Option<&Ident>,
+    ) -> AFlow {
+        let holds = |l: &Ident| finish != Some(l) && body.contains_save(l);
+        let mut seek = seek.cloned();
+        let mut reentered: Vec<Ident> = Vec::new();
+        let mut passes = 0;
+        // What passes left the scope with before a parked state re-entered it.
+        let mut left: Vec<(AFlow, State)> = Vec::new();
+        let mut flow = 'scope: loop {
+            if let (Some(l), None) = (restart, &seek) {
+                if let Some(js) = self.jump_states.remove(l.as_str()) {
+                    self.state.join_from(&js);
+                }
             }
-            let flow = self.eval_expr(env, body);
-            let jumped_here = matches!(&flow, AFlow::Jump(l) if l.as_str() == key);
-            let pending = self.jump_states.contains_key(&key);
-            if !jumped_here && !pending {
-                return flow;
-            }
-            iterations += 1;
-            self.definite = false;
-            if iterations >= self.config.loop_bound || self.budget_exhausted {
-                self.jump_states.remove(&key);
-                self.widen_after_loop();
-                return match flow {
-                    AFlow::Jump(l) if l.as_str() == key => AFlow::Val(AbsValue::Top),
-                    other => other,
+            let mut flow = match &seek {
+                Some(label) => self.eval_seeking(env, body, label),
+                None => self.eval_expr(env, body),
+            };
+            // The label the next pass starts from, and whether it seeks it.
+            let (label, seeking) = loop {
+                let pending = restart.filter(|l| self.jump_states.contains_key(l.as_str()));
+                let (label, seeking) = match (&flow, pending) {
+                    (AFlow::Jump(l), _) if restart == Some(l) => (l.clone(), false),
+                    (AFlow::Jump(l), _) if holds(l) => (l.clone(), true),
+                    (_, Some(l)) => (l.clone(), false),
+                    (_, None) => {
+                        let parked = self.jump_states.keys().map(Ident::new).filter(holds).min();
+                        let Some(l) = parked else { break 'scope flow };
+                        let js = self.jump_states.remove(l.as_str()).expect("found above");
+                        let state = std::mem::replace(&mut self.state, js);
+                        left.push((std::mem::replace(&mut flow, AFlow::Jump(l.clone())), state));
+                        self.definite = false;
+                        (l, true)
+                    }
                 };
-            }
+                if seeking && !reentered.contains(&label) {
+                    reentered.push(label.clone());
+                    break (label, seeking);
+                }
+                passes += 1;
+                self.definite = false;
+                if passes < self.config.loop_bound && !self.budget_exhausted {
+                    break (label, seeking);
+                }
+                self.jump_states.remove(label.as_str());
+                self.widen_after_loop();
+                if seeking && passes == self.config.loop_bound && !self.budget_exhausted {
+                    break (label, seeking);
+                }
+                // The loop ends: a jump to its label goes no further.
+                if matches!(&flow, AFlow::Jump(l) if *l == label) {
+                    flow = AFlow::Val(AbsValue::Top);
+                }
+            };
+            seek = seeking.then_some(label);
+        };
+        if !left.is_empty() {
+            left.push((flow, std::mem::take(&mut self.state)));
+            flow = self.join_results(left);
+        }
+        // Some path broke out to this delimiter; its state joins whatever
+        // the body ended with.
+        let Some(js) = finish.and_then(|l| self.jump_states.remove(l.as_str())) else {
+            return match flow {
+                AFlow::Jump(l) if finish == Some(&l) => AFlow::Val(AbsValue::Unit),
+                other => other,
+            };
+        };
+        self.state.join_from(&js);
+        self.definite = false;
+        match flow {
+            AFlow::Val(v) => AFlow::Val(v.join(&AbsValue::Unit)),
+            _ => AFlow::Val(AbsValue::Unit),
         }
     }
 
@@ -1796,86 +1837,45 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Skip forward through `e` to the `save` for `label` (forward `goto` /
-    /// `switch` dispatch), mirroring the concrete interpreter's seeking mode.
-    /// Bindings on the skipped prefix stay unbound and read back as `Top`.
+    /// Skip forward through `e`, which holds the `save` for `label`, to that
+    /// `save` (a scope re-entering its body: `goto`, `switch` dispatch),
+    /// mirroring the concrete interpreter's seeking mode. Bindings on the
+    /// skipped prefix stay unbound and read back as `Top`.
     fn eval_seeking(&mut self, env: &mut Env, e: &Expr, label: &Ident) -> AFlow {
-        if self.tick() {
-            return AFlow::Val(AbsValue::Top);
-        }
-        match e {
-            Expr::Save(l, body) => {
-                if l == label {
-                    self.eval_save(env, label, body)
-                } else if body.contains_save(label) {
-                    let flow = self.eval_seeking(env, body, label);
-                    match flow {
-                        AFlow::Jump(j) if &j == l => self.eval_save(env, l, body),
-                        other => other,
-                    }
-                } else {
-                    AFlow::Val(AbsValue::Top)
-                }
+        let mut e = e;
+        loop {
+            if self.tick() {
+                return AFlow::Val(AbsValue::Top);
             }
-            Expr::Exit(l, body) => {
-                let flow = self.eval_seeking(env, body, label);
-                let pending = self.jump_states.remove(l.as_str());
-                if let Some(js) = pending {
-                    self.state.join_from(&js);
-                    self.definite = false;
-                    return AFlow::Val(AbsValue::Unit);
+            e = match e {
+                Expr::Save(l, body) => {
+                    return self.eval_scope(env, body, Some(l), None, (l != label).then_some(label))
                 }
-                match flow {
-                    AFlow::Jump(j) if &j == l => AFlow::Val(AbsValue::Unit),
-                    other => other,
+                Expr::Exit(l, body) => {
+                    return self.eval_scope(env, body, None, Some(l), Some(label))
                 }
-            }
-            Expr::Sseq(pat, a, b) | Expr::Wseq(pat, a, b) => {
-                if a.contains_save(label) {
+                Expr::Sseq(pat, a, b) | Expr::Wseq(pat, a, b) if a.contains_save(label) => {
                     let flow = self.eval_seeking(env, a, label);
-                    match flow {
-                        AFlow::Val(v) => {
-                            Self::bind(env, pat, v);
-                            self.eval_expr(env, b)
-                        }
-                        AFlow::Jump(l) => {
-                            if b.contains_save(&l) {
-                                self.eval_seeking(env, b, &l)
-                            } else {
-                                AFlow::Jump(l)
-                            }
-                        }
-                        other => other,
-                    }
-                } else {
-                    self.eval_seeking(env, b, label)
+                    let AFlow::Val(v) = flow else { return flow };
+                    Self::bind(env, pat, v);
+                    return self.eval_expr(env, b);
                 }
-            }
-            Expr::Let(_, _, body) | Expr::Indet(body) => self.eval_seeking(env, body, label),
-            Expr::If(_, t, f) => {
-                if t.contains_save(label) {
-                    self.eval_seeking(env, t, label)
-                } else {
-                    self.eval_seeking(env, f, label)
-                }
-            }
-            Expr::Case(_, arms) => {
-                for (_, body) in arms {
-                    if body.contains_save(label) {
-                        return self.eval_seeking(env, body, label);
-                    }
-                }
-                AFlow::Val(AbsValue::Top)
-            }
-            Expr::Unseq(items) => {
-                for item in items {
-                    if item.contains_save(label) {
-                        return self.eval_seeking(env, item, label);
-                    }
-                }
-                AFlow::Val(AbsValue::Top)
-            }
-            _ => AFlow::Val(AbsValue::Top),
+                Expr::If(_, t, _) if t.contains_save(label) => t,
+                Expr::Sseq(_, _, b)
+                | Expr::Wseq(_, _, b)
+                | Expr::Let(_, _, b)
+                | Expr::Indet(b)
+                | Expr::If(_, _, b) => b,
+                Expr::Case(_, arms) => match arms.iter().find(|(_, a)| a.contains_save(label)) {
+                    Some((_, arm)) => arm,
+                    None => return AFlow::Val(AbsValue::Top),
+                },
+                Expr::Unseq(items) => match items.iter().find(|item| item.contains_save(label)) {
+                    Some(item) => item,
+                    None => return AFlow::Val(AbsValue::Top),
+                },
+                _ => return AFlow::Val(AbsValue::Top),
+            };
         }
     }
 

@@ -22,7 +22,7 @@
 //! * **label discipline** — every `run l` targets a `save`/`exit` label that
 //!   exists somewhere in the same procedure body.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use cerberus_ast::diag::ConstraintViolation;
 use cerberus_ast::ident::Ident;
@@ -49,10 +49,37 @@ struct Validator<'a> {
     /// Symbols visible everywhere: globals and string-literal objects.
     statics: HashSet<String>,
     /// All `save`/`exit` labels of the procedure under validation.
-    labels: HashSet<String>,
+    labels: HashSet<&'a str>,
     /// Name of the procedure (or pseudo-procedure) under validation.
     context: String,
     violations: Vec<ConstraintViolation>,
+}
+
+/// The names bound at a point of the walk: in binding order, which
+/// truncation needs, and counted per name, so a lookup is one hash probe.
+#[derive(Default)]
+struct Scope<'a> {
+    names: Vec<&'a str>,
+    counts: HashMap<&'a str, usize>,
+}
+
+impl<'a> Scope<'a> {
+    fn push(&mut self, name: &'a str) {
+        self.names.push(name);
+        *self.counts.entry(name).or_default() += 1;
+    }
+
+    /// Unbind every name bound after the first `depth`.
+    fn truncate(&mut self, depth: usize) {
+        for name in self.names.drain(depth..) {
+            match self.counts.get_mut(name) {
+                Some(count) if *count > 1 => *count -= 1,
+                _ => {
+                    self.counts.remove(name);
+                }
+            }
+        }
+    }
 }
 
 impl<'a> Validator<'a> {
@@ -66,10 +93,10 @@ impl<'a> Validator<'a> {
 
     // ----- scope helpers ---------------------------------------------------
 
-    fn bind_pattern(pat: &Pattern, scope: &mut Vec<String>) {
+    fn bind_pattern(pat: &'a Pattern, scope: &mut Scope<'a>) {
         match pat {
             Pattern::Wildcard => {}
-            Pattern::Sym(name) => scope.push(name.as_str().to_owned()),
+            Pattern::Sym(name) => scope.push(name.as_str()),
             Pattern::Tuple(ps) => {
                 for p in ps {
                     Self::bind_pattern(p, scope);
@@ -79,9 +106,9 @@ impl<'a> Validator<'a> {
         }
     }
 
-    fn is_bound(&self, name: &Ident, scope: &[String]) -> bool {
+    fn is_bound(&self, name: &Ident, scope: &Scope) -> bool {
         let text = name.as_str();
-        scope.iter().any(|s| s == text) || self.statics.contains(text)
+        scope.counts.contains_key(text) || self.statics.contains(text)
     }
 
     /// A tuple pattern must match the arity of a literal tuple value; other
@@ -101,38 +128,42 @@ impl<'a> Validator<'a> {
 
     // ----- label collection ------------------------------------------------
 
-    fn collect_labels(e: &Expr, into: &mut HashSet<String>) {
-        match e {
-            Expr::Save(l, body) | Expr::Exit(l, body) => {
-                into.insert(l.as_str().to_owned());
-                Self::collect_labels(body, into);
-            }
-            Expr::Let(_, _, body) | Expr::Indet(body) => Self::collect_labels(body, into),
-            Expr::If(_, t, f) => {
-                Self::collect_labels(t, into);
-                Self::collect_labels(f, into);
-            }
-            Expr::Case(_, arms) => {
-                for (_, body) in arms {
-                    Self::collect_labels(body, into);
+    /// Collect every `save`/`exit` label in `e`, continuing in the last
+    /// operand of a sequence, `let`, `if`, `save`, `exit` and `indet` in a
+    /// loop.
+    fn collect_labels(e: &'a Expr, into: &mut HashSet<&'a str>) {
+        let mut e = e;
+        loop {
+            e = match e {
+                Expr::Save(l, body) | Expr::Exit(l, body) => {
+                    into.insert(l.as_str());
+                    body
                 }
-            }
-            Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
-                Self::collect_labels(a, into);
-                Self::collect_labels(b, into);
-            }
-            Expr::Unseq(items) => {
-                for item in items {
-                    Self::collect_labels(item, into);
+                Expr::Let(_, _, body) | Expr::Indet(body) => body,
+                Expr::If(_, a, b) | Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
+                    Self::collect_labels(a, into);
+                    b
                 }
-            }
-            _ => {}
+                Expr::Case(_, arms) => {
+                    for (_, body) in arms {
+                        Self::collect_labels(body, into);
+                    }
+                    return;
+                }
+                Expr::Unseq(items) => {
+                    for item in items {
+                        Self::collect_labels(item, into);
+                    }
+                    return;
+                }
+                _ => return,
+            };
         }
     }
 
     // ----- node checks -----------------------------------------------------
 
-    fn check_pexpr(&mut self, pe: &PExpr, scope: &mut Vec<String>) {
+    fn check_pexpr(&mut self, pe: &'a PExpr, scope: &mut Scope<'a>) {
         match pe {
             PExpr::Sym(name) => {
                 if !self.is_bound(name, scope) {
@@ -173,7 +204,7 @@ impl<'a> Validator<'a> {
                 self.check_pexpr(scrutinee, scope);
                 for (pat, body) in arms {
                     self.check_pattern_arity(pat, scrutinee);
-                    let depth = scope.len();
+                    let depth = scope.names.len();
                     Self::bind_pattern(pat, scope);
                     self.check_pexpr(body, scope);
                     scope.truncate(depth);
@@ -214,7 +245,7 @@ impl<'a> Validator<'a> {
         }
     }
 
-    fn check_action(&mut self, action: &MemAction, scope: &mut Vec<String>) {
+    fn check_action(&mut self, action: &'a MemAction, scope: &mut Scope<'a>) {
         match action {
             MemAction::Create { align, ty } => {
                 self.check_action_type_operand("create", ty);
@@ -247,93 +278,114 @@ impl<'a> Validator<'a> {
         }
     }
 
-    fn check_expr(&mut self, e: &Expr, scope: &mut Vec<String>) {
-        match e {
-            Expr::Pure(pe) => self.check_pexpr(pe, scope),
-            Expr::Memop(_, args) => {
-                for a in args {
-                    self.check_pexpr(a, scope);
-                }
-            }
-            Expr::Action(_, action) => self.check_action(action, scope),
-            Expr::Case(scrutinee, arms) => {
-                self.check_pexpr(scrutinee, scope);
-                for (pat, body) in arms {
-                    self.check_pattern_arity(pat, scrutinee);
-                    let depth = scope.len();
+    /// Check `e`, continuing in the last operand of a sequence, `let`, `if`,
+    /// `save`, `exit` and `indet` in a loop. The names bound along that
+    /// chain go out of scope on return.
+    fn check_expr(&mut self, e: &'a Expr, scope: &mut Scope<'a>) {
+        let depth = scope.names.len();
+        let mut e = e;
+        loop {
+            e = match e {
+                Expr::Let(pat, value, body) => {
+                    self.check_pexpr(value, scope);
+                    self.check_pattern_arity(pat, value);
                     Self::bind_pattern(pat, scope);
-                    self.check_expr(body, scope);
-                    scope.truncate(depth);
+                    body
                 }
-            }
-            Expr::Let(pat, value, body) => {
-                self.check_pexpr(value, scope);
-                self.check_pattern_arity(pat, value);
-                let depth = scope.len();
-                Self::bind_pattern(pat, scope);
-                self.check_expr(body, scope);
-                scope.truncate(depth);
-            }
-            Expr::If(c, t, f) => {
-                self.check_pexpr(c, scope);
-                self.check_expr(t, scope);
-                self.check_expr(f, scope);
-            }
-            Expr::Skip => {}
-            Expr::Ccall(f, args) => {
-                match &**f {
-                    PExpr::FunctionPtr(name) | PExpr::Sym(name)
-                        if self.program.proc(name.as_str()).is_some() =>
-                    {
-                        let proc = &self.program.procs[name.as_str()];
-                        if proc.params.len() != args.len() {
-                            self.violation(format!(
-                                "{}: call to `{name}` passes {} arguments, expected {}",
-                                self.context,
-                                args.len(),
-                                proc.params.len()
-                            ));
-                        }
+                Expr::If(c, t, f) => {
+                    self.check_pexpr(c, scope);
+                    self.check_expr(t, scope);
+                    f
+                }
+                Expr::Wseq(pat, a, b) | Expr::Sseq(pat, a, b) => {
+                    self.check_expr(a, scope);
+                    Self::bind_pattern(pat, scope);
+                    b
+                }
+                Expr::Indet(body) | Expr::Save(_, body) | Expr::Exit(_, body) => body,
+                Expr::Pure(pe) => {
+                    self.check_pexpr(pe, scope);
+                    break;
+                }
+                Expr::Memop(_, args) => {
+                    for a in args {
+                        self.check_pexpr(a, scope);
                     }
-                    PExpr::FunctionPtr(name) => {
-                        if !builtin_names().contains(&name.as_str()) {
-                            self.violation(format!(
-                                "{}: call target `{name}` resolves to no procedure or builtin",
-                                self.context
-                            ));
-                        }
+                    break;
+                }
+                Expr::Action(_, action) => {
+                    self.check_action(action, scope);
+                    break;
+                }
+                Expr::Case(scrutinee, arms) => {
+                    self.check_pexpr(scrutinee, scope);
+                    for (pat, body) in arms {
+                        self.check_pattern_arity(pat, scrutinee);
+                        let depth = scope.names.len();
+                        Self::bind_pattern(pat, scope);
+                        self.check_expr(body, scope);
+                        scope.truncate(depth);
                     }
-                    // A call through a computed pointer is only checkable
-                    // dynamically; validate the operand expression itself.
-                    other => self.check_pexpr(other, scope),
+                    break;
                 }
-                for a in args {
-                    self.check_pexpr(a, scope);
+                Expr::Skip => break,
+                Expr::Ccall(f, args) => {
+                    self.check_call(f, args, scope);
+                    break;
                 }
-            }
-            Expr::Unseq(items) => {
-                for item in items {
-                    self.check_expr(item, scope);
+                Expr::Unseq(items) => {
+                    for item in items {
+                        self.check_expr(item, scope);
+                    }
+                    break;
                 }
-            }
-            Expr::Wseq(pat, a, b) | Expr::Sseq(pat, a, b) => {
-                self.check_expr(a, scope);
-                let depth = scope.len();
-                Self::bind_pattern(pat, scope);
-                self.check_expr(b, scope);
-                scope.truncate(depth);
-            }
-            Expr::Indet(body) => self.check_expr(body, scope),
-            Expr::Save(_, body) | Expr::Exit(_, body) => self.check_expr(body, scope),
-            Expr::Run(label) => {
-                if !self.labels.contains(label.as_str()) {
+                Expr::Run(label) => {
+                    if !self.labels.contains(label.as_str()) {
+                        self.violation(format!(
+                            "{}: `run {label}` targets no save/exit label in the procedure",
+                            self.context
+                        ));
+                    }
+                    break;
+                }
+                Expr::Return(value) => {
+                    self.check_pexpr(value, scope);
+                    break;
+                }
+            };
+        }
+        scope.truncate(depth);
+    }
+
+    fn check_call(&mut self, f: &'a PExpr, args: &'a [PExpr], scope: &mut Scope<'a>) {
+        match f {
+            PExpr::FunctionPtr(name) | PExpr::Sym(name)
+                if self.program.proc(name.as_str()).is_some() =>
+            {
+                let proc = &self.program.procs[name.as_str()];
+                if proc.params.len() != args.len() {
                     self.violation(format!(
-                        "{}: `run {label}` targets no save/exit label in the procedure",
+                        "{}: call to `{name}` passes {} arguments, expected {}",
+                        self.context,
+                        args.len(),
+                        proc.params.len()
+                    ));
+                }
+            }
+            PExpr::FunctionPtr(name) => {
+                if !builtin_names().contains(&name.as_str()) {
+                    self.violation(format!(
+                        "{}: call target `{name}` resolves to no procedure or builtin",
                         self.context
                     ));
                 }
             }
-            Expr::Return(value) => self.check_pexpr(value, scope),
+            // A call through a computed pointer is only checkable
+            // dynamically; validate the operand expression itself.
+            other => self.check_pexpr(other, scope),
+        }
+        for a in args {
+            self.check_pexpr(a, scope);
         }
     }
 }
@@ -364,8 +416,7 @@ pub fn validate(program: &CoreProgram) -> Vec<ConstraintViolation> {
         validator.context = format!("global `{}`", global.name);
         validator.labels.clear();
         Validator::collect_labels(&global.init, &mut validator.labels);
-        let mut scope = Vec::new();
-        validator.check_expr(&global.init, &mut scope);
+        validator.check_expr(&global.init, &mut Scope::default());
     }
 
     let mut names: Vec<&String> = program.procs.keys().collect();
@@ -375,11 +426,10 @@ pub fn validate(program: &CoreProgram) -> Vec<ConstraintViolation> {
         validator.context = name.clone();
         validator.labels.clear();
         Validator::collect_labels(&proc.body, &mut validator.labels);
-        let mut scope: Vec<String> = proc
-            .params
-            .iter()
-            .map(|(sym, _)| sym.as_str().to_owned())
-            .collect();
+        let mut scope = Scope::default();
+        for (sym, _) in &proc.params {
+            scope.push(sym.as_str());
+        }
         validator.check_expr(&proc.body, &mut scope);
     }
 

@@ -256,20 +256,53 @@ impl Expr {
         }
     }
 
-    /// Whether a `save` for `label` occurs in this expression: where a jump
-    /// to `label` lands, which the interpreter and the analyzer both seek.
+    /// Whether a `save` for `label` occurs in this expression: whether a
+    /// jump to `label` that reaches a scope with this body re-enters the
+    /// body, seeking the label, in the interpreter and the analyzer alike.
+    /// The walk continues in the last operand of a sequence, `let`, `if`,
+    /// `save`, `exit` and `indet` in a loop, so its stack depth is the
+    /// nesting, not the length, of the expression.
     pub fn contains_save(&self, label: &Ident) -> bool {
-        match self {
-            Expr::Save(l, body) => l == label || body.contains_save(label),
-            Expr::Exit(_, body) | Expr::Indet(body) | Expr::Let(_, _, body) => {
-                body.contains_save(label)
+        let mut e = self;
+        loop {
+            e = match e {
+                Expr::Save(l, _) if l == label => return true,
+                Expr::Save(_, body)
+                | Expr::Exit(_, body)
+                | Expr::Indet(body)
+                | Expr::Let(_, _, body) => body,
+                Expr::If(_, a, b) | Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
+                    if a.contains_save(label) {
+                        return true;
+                    }
+                    b
+                }
+                Expr::Case(_, arms) => {
+                    return arms.iter().any(|(_, body)| body.contains_save(label))
+                }
+                Expr::Unseq(items) => return items.iter().any(|item| item.contains_save(label)),
+                _ => return false,
+            };
+        }
+    }
+}
+
+/// Freeing an expression unlinks the chain of last operands of `Sseq`,
+/// `Wseq` and `Let` (a block's statements and declarations) one link at a
+/// time, so freeing a long block costs no stack. Every other child is freed
+/// by the usual recursion, whose depth is the nesting of the program.
+impl Drop for Expr {
+    fn drop(&mut self) {
+        let mut spine = match self {
+            Expr::Sseq(_, _, rest) | Expr::Wseq(_, _, rest) | Expr::Let(_, _, rest) => {
+                std::mem::replace(&mut **rest, Expr::Skip)
             }
-            Expr::If(_, a, b) | Expr::Wseq(_, a, b) | Expr::Sseq(_, a, b) => {
-                a.contains_save(label) || b.contains_save(label)
-            }
-            Expr::Case(_, arms) => arms.iter().any(|(_, body)| body.contains_save(label)),
-            Expr::Unseq(items) => items.iter().any(|item| item.contains_save(label)),
-            _ => false,
+            _ => return,
+        };
+        while let Expr::Sseq(_, _, rest) | Expr::Wseq(_, _, rest) | Expr::Let(_, _, rest) =
+            &mut spine
+        {
+            spine = std::mem::replace(&mut **rest, Expr::Skip);
         }
     }
 }
@@ -281,10 +314,10 @@ mod tests {
     #[test]
     fn seq_all_builds_right_nested_sequences() {
         let e = Expr::seq_all(vec![Expr::Skip, Expr::Skip, Expr::Pure(PExpr::Unit)]);
-        match e {
+        match &e {
             Expr::Sseq(_, first, rest) => {
-                assert_eq!(*first, Expr::Skip);
-                assert!(matches!(*rest, Expr::Sseq(..)));
+                assert_eq!(**first, Expr::Skip);
+                assert!(matches!(**rest, Expr::Sseq(..)));
             }
             other => panic!("unexpected shape: {other:?}"),
         }

@@ -1,6 +1,10 @@
 //! The Core interpreter: a structural operational semantics over Core
 //! expressions, parameterised by the memory object model. The driver's
 //! [`ReplayOracle`] picks the order of `unseq` siblings.
+//!
+//! A jump (`run l`) lands only in a scope: a `save`, an `exit` or a
+//! procedure body (`Interp::eval_scope`). Every other construct passes it
+//! through, so sequences, `let`s and decided branches continue in a loop.
 
 use std::collections::HashMap;
 
@@ -8,7 +12,7 @@ use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_ast::ident::Ident;
 use cerberus_ast::ub::UbKind;
 use cerberus_core::program::CoreProgram;
-use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, PtrOp};
+use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, Polarity, PtrOp};
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
 use cerberus_memory::model::MemoryModel;
 use cerberus_memory::state::{AllocKind, MemError};
@@ -231,7 +235,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
             env.insert(sym.as_str().to_owned(), Value::Pointer(ptr.clone()));
             param_ptrs.push(ptr);
         }
-        let flow = self.eval_expr(&mut env, &proc.body);
+        let flow = self.eval_scope(&mut env, &proc.body, None, None, None);
         for ptr in &param_ptrs {
             let _ = self.kill(ptr, false);
         }
@@ -243,10 +247,11 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     }
 
     /// The host-stack guard. The interpreter recurses on the host stack, and
-    /// a C frame's share of it grows with the statements of its function, so
-    /// counting C frames alone cannot keep an execution within
-    /// [`ResourceLimits::host_stack_bytes`]. This check does: past that
-    /// size less [`STACK_MARGIN`], the call-depth budget is exhausted.
+    /// a C frame's share of it grows with how deeply its function nests
+    /// blocks, loops and expressions, so counting C frames alone cannot keep
+    /// an execution within [`ResourceLimits::host_stack_bytes`]. This check
+    /// does: past that size less [`STACK_MARGIN`], the call-depth budget is
+    /// exhausted.
     fn check_stack(&self) -> Result<(), Stop> {
         if stack_position().abs_diff(self.stack_base) > self.stack_budget {
             return Err(Stop::Resource(ResourceKind::CallDepth));
@@ -707,245 +712,200 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
         }
     }
 
-    // ----- label search ------------------------------------------------------------
+    // ----- scopes and label search -------------------------------------------------
 
-    /// Evaluate `e` in "seeking" mode: skip everything until the `save` for
-    /// `label` is reached, evaluate its body, then continue normally with the
-    /// remainder of `e`. This realises forward `goto`s and `switch` dispatch.
+    /// Run the body of a scope, the only place a jump lands: a `save`'s body,
+    /// which a jump to `restart` runs again; an `exit`'s, which a jump to
+    /// `finish` ends with unit; or a procedure's, which has neither. A jump
+    /// to any other label the body holds re-enters the body seeking that
+    /// label, and any other flow leaves the scope. The first pass seeks
+    /// `seek`, when given. A `save` ticks once per pass.
+    fn eval_scope(
+        &mut self,
+        env: &mut Env,
+        body: &Expr,
+        restart: Option<&Ident>,
+        finish: Option<&Ident>,
+        seek: Option<&Ident>,
+    ) -> EResult {
+        let mut seek = seek.cloned();
+        loop {
+            if restart.is_some() {
+                self.tick()?;
+            }
+            let flow = match &seek {
+                Some(label) => self.eval_seeking(env, body, label)?,
+                None => self.eval_expr(env, body)?,
+            };
+            seek = match flow {
+                Flow::Jump(l) if restart == Some(&l) => None,
+                Flow::Jump(l) if finish == Some(&l) => return Ok(Flow::Value(Value::Unit)),
+                Flow::Jump(l) if body.contains_save(&l) => Some(l),
+                other => return Ok(other),
+            };
+        }
+    }
+
+    /// Evaluate `e`, which holds the `save` for `label`, in "seeking" mode:
+    /// skip everything until that `save` is reached, run it, then continue
+    /// normally with the remainder of `e`. A scope re-enters its body this
+    /// way, which realises `goto` and `switch` dispatch.
     fn eval_seeking(&mut self, env: &mut Env, e: &Expr, label: &Ident) -> EResult {
-        self.tick()?;
-        match e {
-            Expr::Save(l, body) => {
-                if l == label {
-                    self.eval_save(env, l, body)
-                } else if body.contains_save(label) {
-                    // Seek inside, then keep this save active for later jumps.
-                    let flow = self.eval_seeking(env, body, label)?;
-                    match flow {
-                        Flow::Jump(j) if &j == l => self.eval_save(env, l, body),
-                        other => Ok(other),
-                    }
-                } else {
-                    Err(Stop::Error(format!(
-                        "label {label} not found while seeking"
-                    )))
+        let not_found = || Stop::Error(format!("label {label} not found while seeking"));
+        let mut e = e;
+        loop {
+            self.tick()?;
+            e = match e {
+                Expr::Save(l, body) => {
+                    return self.eval_scope(env, body, Some(l), None, (l != label).then_some(label))
                 }
-            }
-            Expr::Exit(l, body) => {
-                let flow = self.eval_seeking(env, body, label)?;
-                match flow {
-                    Flow::Jump(j) if &j == l => Ok(Flow::Value(Value::Unit)),
-                    other => Ok(other),
+                Expr::Exit(l, body) => {
+                    return self.eval_scope(env, body, None, Some(l), Some(label))
                 }
-            }
-            Expr::Sseq(pat, a, b) | Expr::Wseq(pat, a, b) => {
-                if a.contains_save(label) {
-                    let flow = self.eval_seeking(env, a, label)?;
-                    match flow {
+                Expr::Sseq(pat, a, b) | Expr::Wseq(pat, a, b) if a.contains_save(label) => {
+                    return match self.eval_seeking(env, a, label)? {
                         Flow::Value(v) => {
                             Self::bind(env, pat, v)?;
                             self.eval_expr(env, b)
                         }
-                        Flow::Jump(l) => {
-                            if b.contains_save(&l) {
-                                self.eval_seeking(env, b, &l)
-                            } else {
-                                Ok(Flow::Jump(l))
-                            }
-                        }
                         other => Ok(other),
-                    }
-                } else {
-                    self.eval_seeking(env, b, label)
+                    };
                 }
-            }
-            Expr::Let(_, _, body) | Expr::Indet(body) => self.eval_seeking(env, body, label),
-            Expr::If(_, t, f) => {
-                if t.contains_save(label) {
-                    self.eval_seeking(env, t, label)
-                } else {
-                    self.eval_seeking(env, f, label)
+                Expr::Sseq(_, _, b) | Expr::Wseq(_, _, b) | Expr::Let(_, _, b) | Expr::Indet(b) => {
+                    b
                 }
-            }
-            Expr::Case(_, arms) => {
-                for (_, body) in arms {
-                    if body.contains_save(label) {
-                        return self.eval_seeking(env, body, label);
+                Expr::If(_, t, f) => {
+                    if t.contains_save(label) {
+                        t
+                    } else {
+                        f
                     }
                 }
-                Err(Stop::Error(format!("label {label} not found in case arms")))
-            }
-            Expr::Unseq(items) => {
-                for item in items {
-                    if item.contains_save(label) {
-                        return self.eval_seeking(env, item, label);
-                    }
-                }
-                Err(Stop::Error(format!(
-                    "label {label} not found while seeking"
-                )))
-            }
-            _ => Err(Stop::Error(format!(
-                "label {label} not found while seeking"
-            ))),
-        }
-    }
-
-    fn eval_save(&mut self, env: &mut Env, label: &Ident, body: &Expr) -> EResult {
-        loop {
-            self.tick()?;
-            match self.eval_expr(env, body)? {
-                Flow::Jump(l) if &l == label => continue,
-                other => return Ok(other),
-            }
+                Expr::Case(_, arms) => arms
+                    .iter()
+                    .map(|(_, body)| body)
+                    .find(|body| body.contains_save(label))
+                    .ok_or_else(not_found)?,
+                Expr::Unseq(items) => items
+                    .iter()
+                    .find(|item| item.contains_save(label))
+                    .ok_or_else(not_found)?,
+                _ => return Err(not_found()),
+            };
         }
     }
 
     // ----- effectful expressions ------------------------------------------------------
 
-    /// Evaluate an effectful Core expression.
+    /// Evaluate an effectful Core expression. The last operand of a sequence,
+    /// a `let`, a decided `if` and a decided `case` is a tail position: the
+    /// evaluation continues there in a loop, ticking once per step as a
+    /// recursive call would, so a block's statements cost no host stack.
     pub fn eval_expr(&mut self, env: &mut Env, e: &Expr) -> EResult {
-        self.tick()?;
-        match e {
-            Expr::Pure(pe) => Ok(Flow::Value(self.eval_pexpr(env, pe)?)),
-            Expr::Memop(op, args) => self.eval_memop(env, *op, args),
-            Expr::Action(polarity, action) => self.eval_action(
-                env,
-                action,
-                *polarity == cerberus_core::syntax::Polarity::Negative,
-            ),
-            Expr::Case(scrutinee, arms) => {
-                let v = self.eval_pexpr(env, scrutinee)?;
-                for (pat, body) in arms {
-                    if let Some(bindings) = Self::match_pattern(pat, &v) {
-                        for (name, value) in bindings {
-                            env.insert(name, value);
+        let mut e = e;
+        loop {
+            self.tick()?;
+            e = match e {
+                Expr::Pure(pe) => return Ok(Flow::Value(self.eval_pexpr(env, pe)?)),
+                Expr::Memop(op, args) => return self.eval_memop(env, *op, args),
+                Expr::Action(pol, action) => {
+                    return self.eval_action(env, action, *pol == Polarity::Negative)
+                }
+                Expr::Case(scrutinee, arms) => {
+                    let v = self.eval_pexpr(env, scrutinee)?;
+                    let arm = arms
+                        .iter()
+                        .find_map(|(pat, body)| Some((Self::match_pattern(pat, &v)?, body)));
+                    let Some((bindings, body)) = arm else {
+                        return Err(Stop::Error(format!("no case arm matches {v}")));
+                    };
+                    env.extend(bindings);
+                    body
+                }
+                Expr::Let(pat, value, body) => {
+                    let v = self.eval_pexpr(env, value)?;
+                    Self::bind(env, pat, v)?;
+                    body
+                }
+                Expr::If(c, t, f) => match self.eval_pexpr(env, c)?.truthiness() {
+                    Some(true) => t,
+                    Some(false) => f,
+                    None => return Err(Stop::Error("non-scalar condition in if".into())),
+                },
+                Expr::Skip => return Ok(Flow::Value(Value::Unit)),
+                Expr::Ccall(f, args) => {
+                    let fv = self.eval_pexpr(env, f)?;
+                    let name = match fv.as_pointer() {
+                        Some(p) => p
+                            .function
+                            .or_else(|| self.mem.function_at(p.addr).cloned())
+                            .ok_or_else(|| Stop::Undef {
+                                ub: UbKind::IncompatibleFunctionCall,
+                                detail: "call through a pointer that is not a function".into(),
+                            })?,
+                        None => {
+                            return Err(Stop::Error(format!("call of a non-function value {fv}")))
                         }
-                        return self.eval_expr(env, body);
+                    };
+                    let mut arg_values = Vec::with_capacity(args.len());
+                    for a in args {
+                        arg_values.push(self.eval_pexpr(env, a)?);
                     }
+                    return Ok(Flow::Value(self.call_named(name.as_str(), arg_values)?));
                 }
-                Err(Stop::Error(format!("no case arm matches {v}")))
-            }
-            Expr::Let(pat, value, body) => {
-                let v = self.eval_pexpr(env, value)?;
-                Self::bind(env, pat, v)?;
-                self.eval_expr(env, body)
-            }
-            Expr::If(c, t, f) => {
-                let cond = self.eval_pexpr(env, c)?;
-                match cond.truthiness() {
-                    Some(true) => self.eval_expr(env, t),
-                    Some(false) => self.eval_expr(env, f),
-                    None => Err(Stop::Error("non-scalar condition in if".into())),
+                Expr::Unseq(items) => return self.eval_unseq(env, items),
+                Expr::Wseq(pat, a, b) => {
+                    // Weak sequencing orders only the *positive* actions of the
+                    // first expression before the second, so a negative action of
+                    // the first (e.g. a postfix increment's store) that conflicts
+                    // with an access of the second is an unsequenced race (6.5p2).
+                    self.footprints.push(Vec::new());
+                    let first_flow = self.eval_expr(env, a);
+                    let fp_first = self.footprints.pop().unwrap_or_default();
+                    let v = match first_flow? {
+                        Flow::Value(v) => v,
+                        other => return Ok(other),
+                    };
+                    Self::bind(env, pat, v)?;
+                    self.footprints.push(Vec::new());
+                    let second_flow = self.eval_expr(env, b);
+                    let fp_second = self.footprints.pop().unwrap_or_default();
+                    let flow = second_flow?;
+                    if negative_conflicts(&fp_first, &fp_second) {
+                        return Err(Stop::Undef {
+                            ub: UbKind::UnsequencedRace,
+                            detail: "a side-effect store is unsequenced with a conflicting access"
+                                .into(),
+                        });
+                    }
+                    return Ok(flow);
                 }
-            }
-            Expr::Skip => Ok(Flow::Value(Value::Unit)),
-            Expr::Ccall(f, args) => {
-                let fv = self.eval_pexpr(env, f)?;
-                let name = match fv.as_pointer() {
-                    Some(p) => match p.function {
-                        Some(name) => name,
-                        None => match self.mem.function_at(p.addr).cloned() {
-                            Some(name) => name,
-                            None => {
-                                return Err(Stop::Undef {
-                                    ub: UbKind::IncompatibleFunctionCall,
-                                    detail: "call through a pointer that is not a function".into(),
-                                })
-                            }
-                        },
-                    },
-                    None => return Err(Stop::Error(format!("call of a non-function value {fv}"))),
-                };
-                let mut arg_values = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_values.push(self.eval_pexpr(env, a)?);
-                }
-                Ok(Flow::Value(self.call_named(name.as_str(), arg_values)?))
-            }
-            Expr::Unseq(items) => self.eval_unseq(env, items),
-            Expr::Wseq(pat, a, b) => {
-                // Weak sequencing orders only the *positive* actions of the
-                // first expression before the second, so a negative action of
-                // the first (e.g. a postfix increment's store) that conflicts
-                // with an access of the second is an unsequenced race (6.5p2).
-                self.footprints.push(Vec::new());
-                let first_flow = self.eval_expr(env, a);
-                let fp_first = self.footprints.pop().unwrap_or_default();
-                match first_flow? {
+                Expr::Sseq(pat, a, b) => match self.eval_expr(env, a)? {
                     Flow::Value(v) => {
                         Self::bind(env, pat, v)?;
-                        self.footprints.push(Vec::new());
-                        let second_flow = self.eval_expr(env, b);
-                        let fp_second = self.footprints.pop().unwrap_or_default();
-                        let flow = second_flow?;
-                        if negative_conflicts(&fp_first, &fp_second) {
-                            return Err(Stop::Undef {
-                                ub: UbKind::UnsequencedRace,
-                                detail:
-                                    "a side-effect store is unsequenced with a conflicting access"
-                                        .into(),
-                            });
-                        }
-                        match flow {
-                            Flow::Jump(l) if a.contains_save(&l) => self.eval_seeking(env, a, &l),
-                            other => Ok(other),
-                        }
+                        b
                     }
-                    Flow::Jump(l) => {
-                        if b.contains_save(&l) {
-                            self.eval_seeking(env, b, &l)
-                        } else {
-                            Ok(Flow::Jump(l))
-                        }
-                    }
-                    Flow::Return(v) => Ok(Flow::Return(v)),
+                    other => return Ok(other),
+                },
+                Expr::Indet(body) => {
+                    // The body (a called function's execution) is indeterminately
+                    // sequenced with respect to the surrounding expression, not
+                    // unsequenced: its accesses do not form unsequenced races with
+                    // the siblings, so they are hidden from the active collectors.
+                    let saved = std::mem::take(&mut self.footprints);
+                    let result = self.eval_expr(env, body);
+                    self.footprints = saved;
+                    return result;
                 }
-            }
-            Expr::Sseq(pat, a, b) => {
-                match self.eval_expr(env, a)? {
-                    Flow::Value(v) => {
-                        Self::bind(env, pat, v)?;
-                        match self.eval_expr(env, b)? {
-                            Flow::Jump(l) if a.contains_save(&l) => {
-                                // A backward jump to a label in the already
-                                // evaluated part of the sequence: re-enter it
-                                // seeking the label.
-                                self.eval_seeking(env, a, &l)
-                            }
-                            other => Ok(other),
-                        }
-                    }
-                    Flow::Jump(l) => {
-                        if b.contains_save(&l) {
-                            self.eval_seeking(env, b, &l)
-                        } else {
-                            Ok(Flow::Jump(l))
-                        }
-                    }
-                    Flow::Return(v) => Ok(Flow::Return(v)),
+                Expr::Save(label, body) => {
+                    return self.eval_scope(env, body, Some(label), None, None)
                 }
-            }
-            Expr::Indet(body) => {
-                // The body (a called function's execution) is indeterminately
-                // sequenced with respect to the surrounding expression, not
-                // unsequenced: its accesses do not form unsequenced races with
-                // the siblings, so they are hidden from the active collectors.
-                let saved = std::mem::take(&mut self.footprints);
-                let result = self.eval_expr(env, body);
-                self.footprints = saved;
-                result
-            }
-            Expr::Save(label, body) => self.eval_save(env, label, body),
-            Expr::Exit(label, body) => match self.eval_expr(env, body)? {
-                Flow::Jump(l) if &l == label => Ok(Flow::Value(Value::Unit)),
-                other => Ok(other),
-            },
-            Expr::Run(label) => Ok(Flow::Jump(label.clone())),
-            Expr::Return(value) => {
-                let v = self.eval_pexpr(env, value)?;
-                Ok(Flow::Return(v))
-            }
+                Expr::Exit(label, body) => {
+                    return self.eval_scope(env, body, None, Some(label), None)
+                }
+                Expr::Run(label) => return Ok(Flow::Jump(label.clone())),
+                Expr::Return(value) => return Ok(Flow::Return(self.eval_pexpr(env, value)?)),
+            };
         }
     }
 

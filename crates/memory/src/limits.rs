@@ -131,19 +131,19 @@ impl ResourceLimits {
     /// The host-stack size an execution under this budget needs: 64 KiB per
     /// C frame of [`ResourceLimits::call_depth`] plus 1 MiB of headroom.
     ///
-    /// The interpreter recurses on the host stack, and a C frame's share
-    /// grows with the number of statements in the called function, because
-    /// the elaborator nests a block's statements one inside the next. On
-    /// x86-64 a frame takes about 17 KiB in an optimised build for a
-    /// two-statement function, 27 KiB for five statements and 84 KiB for
-    /// twenty-two; an unoptimised build takes about eight times as much. So
-    /// the 64 KiB per frame is only an estimate; the interpreter's
-    /// host-stack guard is what holds the bound. It keeps an execution within
-    /// this many bytes of where it started (less a margin for the frames
-    /// pushed between two checks), reporting [`ResourceKind::CallDepth`]
-    /// when recursion would take more, so a thread with this much free stack
-    /// runs the execution safely whatever the program. Clamped to 1 GiB so
-    /// an absurd depth cannot make spawning such a thread fail.
+    /// The interpreter recurses on the host stack. A C frame's share grows
+    /// with how deeply the called function nests blocks, loops and
+    /// expressions, not with how many statements it has: those run in a
+    /// loop. On x86-64 a frame of a flat function takes about 8–11 KiB in an
+    /// optimised build and 67–90 KiB in an unoptimised one, for 2 statements
+    /// or 200. So the 64 KiB per frame is only an estimate; the
+    /// interpreter's host-stack guard is what holds the bound. It keeps an
+    /// execution within this many bytes of where it started (less a margin
+    /// for the frames pushed between two checks), reporting
+    /// [`ResourceKind::CallDepth`] when recursion would take more, so a
+    /// thread with this much free stack runs the execution safely whatever
+    /// the program. Clamped to 1 GiB so an absurd depth cannot make spawning
+    /// such a thread fail.
     pub fn host_stack_bytes(&self) -> usize {
         const BYTES_PER_C_FRAME: usize = 64 * 1024;
         const HEADROOM: usize = 1 << 20;

@@ -98,8 +98,9 @@ pub fn wait_for_server(addr: &str, deadline: Duration) -> std::io::Result<()> {
 /// The end-to-end smoke drill run by CI against a live server:
 /// models are listed, a submission completes with an agreeing matrix, an
 /// identical resubmission is acknowledged from the analysis cache and
-/// answered from the result cache, and a `malloc` of 2⁴⁰ bytes ends in
-/// resource-exhausted rows while the server keeps answering.
+/// answered from the result cache, a `malloc` of 2⁴⁰ bytes ends in
+/// resource-exhausted rows, a `main` of 20,000 statements returns under both
+/// models, and the server keeps answering after each.
 ///
 /// Returns a human-readable transcript on success; errors describe the first
 /// failed step.
@@ -163,14 +164,7 @@ pub fn smoke(addr: &str, deadline: Duration) -> std::io::Result<String> {
         return Err(fail("huge allocation", &body));
     };
     let finished = poll_job(addr, third, deadline)?;
-    let exhausted = finished
-        .get("result")
-        .and_then(|r| r.get("rows"))
-        .and_then(Json::as_array)
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|row| row.get("outcomes").and_then(Json::as_array))
-        .flatten()
+    let exhausted = outcomes(&finished)
         .filter(|o| {
             o.get("kind").and_then(Json::as_str) == Some("resource-exhausted")
                 && o.get("budget").and_then(Json::as_str) == Some("allocated-bytes budget")
@@ -187,7 +181,48 @@ pub fn smoke(addr: &str, deadline: Duration) -> std::io::Result<String> {
         "job {third}: a 2^40-byte malloc exhausted the heap budget under both models, \
          and the server still answers\n"
     ));
+
+    let statements = "x = x + 1; ".repeat(20_000);
+    let long = format!(
+        r#"{{"source": "int main(void) {{ int x = 0; {statements}return x; }}", "models": ["concrete", "symbolic"]}}"#
+    );
+    let (status, body) = http_request(addr, "POST", "/api/v0/submit", Some(&long))?;
+    let Some(fourth) = body.get("job").and_then(Json::as_int) else {
+        return Err(fail("long program", &body));
+    };
+    if status != 202 {
+        return Err(fail("long program", &body));
+    }
+    let finished = poll_job(addr, fourth, deadline)?;
+    let returned = outcomes(&finished)
+        .filter(|o| {
+            o.get("kind").and_then(Json::as_str) == Some("return")
+                && o.get("value").and_then(Json::as_int) == Some(20_000)
+        })
+        .count();
+    if returned != 2 {
+        return Err(fail("long program", &finished));
+    }
+    let (status, stats) = http_request(addr, "GET", "/api/v0/stats", None)?;
+    if status != 200 {
+        return Err(fail("GET /api/v0/stats after the long program", &stats));
+    }
+    transcript.push_str(&format!(
+        "job {fourth}: a 20,000-statement main returned 20000 under both models, \
+         and the server still answers\n"
+    ));
     Ok(transcript)
+}
+
+/// Every outcome of every row of a finished job's matrix.
+fn outcomes(job: &Json) -> impl Iterator<Item = &Json> {
+    job.get("result")
+        .and_then(|r| r.get("rows"))
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|row| row.get("outcomes").and_then(Json::as_array))
+        .flatten()
 }
 
 #[cfg(test)]
@@ -226,6 +261,7 @@ mod tests {
         assert!(transcript.contains("result cache"), "{transcript}");
         assert!(transcript.contains("analysis cache"), "{transcript}");
         assert!(transcript.contains("heap budget"), "{transcript}");
+        assert!(transcript.contains("20,000-statement"), "{transcript}");
         server.shutdown();
     }
 }

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use cerberus::analysis::FindingSeverity;
+use cerberus::analysis::{AnalysisConfig, FindingSeverity};
 use cerberus::pipeline::{run, run_with_model, Config, Session};
 use cerberus_ast::ub::UbKind;
 use cerberus_exec::driver::ExecResult;
@@ -178,7 +178,7 @@ fn the_same_program_can_be_checked_under_every_model() {
             41,
         ),
     ];
-    for (src, expected) in cases {
+    for (src, expected) in cases.into_iter().chain(JUMPS) {
         for model in ModelConfig::all_named() {
             let out = run_with_model(src, model.clone()).unwrap();
             assert_eq!(
@@ -212,6 +212,34 @@ fn a_deterministic_program_has_one_behaviour_at_every_bound() {
     assert_eq!(searched.outcomes.len(), 1, "{:?}", searched.outcomes);
 }
 
+/// Both analyzer contracts on one program: every UB kind a named model
+/// reports at the default bound is in the static report (soundness), and
+/// every Must kind is realised by some model (precision).
+fn assert_report_agrees_with_every_model(session: &Session, src: &str) {
+    let report = session.analyze(src).unwrap();
+    let mut dynamic = BTreeSet::new();
+    for model in ModelConfig::all_named() {
+        let out = run_with_model(src, model.clone()).unwrap();
+        for ub in out.outcomes.iter().filter_map(|o| o.result.ub_kind()) {
+            assert!(
+                report.ub_kinds().contains(&ub),
+                "{src}: {} reports {ub}, the static report does not",
+                model.name
+            );
+            dynamic.insert(ub);
+        }
+    }
+    for finding in &report.findings {
+        if finding.severity == FindingSeverity::Must {
+            assert!(
+                dynamic.contains(&finding.ub),
+                "{src}: Must {} is realised by no model",
+                finding.ub
+            );
+        }
+    }
+}
+
 /// The static report and the default verdicts agree on evaluation order:
 /// both walk unsequenced siblings left to right. Every UB kind a model
 /// reports is in the static report, and every Must kind is realised by some
@@ -223,28 +251,7 @@ fn the_default_verdict_agrees_with_the_static_report() {
     let session = Session::default();
     for body in ["f() + g()", "g() + f()"] {
         let src = format!("{prelude} int main(void) {{ return {body}; }}");
-        let report = session.analyze(&src).unwrap();
-        let mut dynamic = BTreeSet::new();
-        for model in ModelConfig::all_named() {
-            let out = run_with_model(&src, model.clone()).unwrap();
-            for ub in out.outcomes.iter().filter_map(|o| o.result.ub_kind()) {
-                assert!(
-                    report.ub_kinds().contains(&ub),
-                    "{body}: {} reports {ub}, the static report does not",
-                    model.name
-                );
-                dynamic.insert(ub);
-            }
-        }
-        for finding in &report.findings {
-            if finding.severity == FindingSeverity::Must {
-                assert!(
-                    dynamic.contains(&finding.ub),
-                    "{body}: Must {} is realised by no model",
-                    finding.ub
-                );
-            }
-        }
+        assert_report_agrees_with_every_model(&session, &src);
         let searched = Session::new(Config::default().exhaustive(8))
             .run_source(&src)
             .unwrap();
@@ -257,6 +264,144 @@ fn the_default_verdict_agrees_with_the_static_report() {
             "{body}: {results:?}"
         );
     }
+}
+
+/// Programs that jump with `goto` and `switch`, and the value gcc -O0 makes
+/// each return (checked under every model above).
+const JUMPS: [(&str, i128); 14] = [
+    (
+        "int main(void) { int i = 0; { L: i++; } if (i < 3) goto L; return i; }",
+        3,
+    ),
+    (
+        "int main(void) { int i = 0; if (1) { L: i++; } if (i < 3) goto L; return i + 10; }",
+        13,
+    ),
+    (
+        "int main(void) { int i = 0; L: i++; if (i < 3) goto L; return i; }",
+        3,
+    ),
+    (
+        "int main(void) { int x = 0; goto done; x = 100; done: return x + 1; }",
+        1,
+    ),
+    (
+        "int main(void) { int n = 0; for (int i = 0; i < 10; i++) { if (i == 4) goto out; \
+         n += i; } out: return n; }",
+        6,
+    ),
+    (
+        "int main(void) { int n = 0; goto inside; while (n < 5) { inside: n += 2; } return n; }",
+        6,
+    ),
+    (
+        "int main(void) { int n = 7, c = 0; switch (n % 4) { case 0: do { c++; case 3: c++; \
+         case 2: c++; case 1: c++; } while ((n -= 4) > 0); } return c; }",
+        7,
+    ),
+    (
+        "int main(void) { int acc = 0; for (int i = 0; i < 6; i++) { switch (i % 3) { \
+         case 0: acc += 1; break; case 1: acc += 10; continue; default: acc += 100; } \
+         acc += 1000; } return acc % 256; }",
+        126,
+    ),
+    (
+        "int f(int x) { int r = 0; again: r++; if (r < x) { goto again; } return r; } \
+         int main(void) { return f(5) + f(1); }",
+        6,
+    ),
+    (
+        "int main(void) { int i = 0, s = 0; top: { if (i >= 4) goto end; s += i; i++; } \
+         goto top; end: return s; }",
+        6,
+    ),
+    (
+        "int main(void) { int s = 0; int i = 0; { goto mid; s = 50; { mid: s += 1; } } \
+         s += 2; return s; }",
+        3,
+    ),
+    (
+        "int main(void) { int *p = 0; goto skip; *p = 1; skip: return 0; }",
+        0,
+    ),
+    (
+        "int g(int k) { int i = 0; int s = 0; top: { s += i; i++; } if (i < k) goto top; \
+         return s; } int main(void) { return g(3); }",
+        3,
+    ),
+    (
+        "int main(void) { int acc = 0; for (int i = 0; i < 4; i++) { switch (i) { \
+         case 0: acc += 1; case 1: acc += 2; break; case 3: goto done; default: acc += 4; } } \
+         done: return acc; }",
+        9,
+    ),
+];
+
+/// Programs whose jumps reach undefined behaviour, some of it only on a
+/// second pass through a label, some only through a jump the analyzer
+/// takes under a branch it cannot decide (the `for` loops and the last two
+/// label loops outlast its loop bound).
+const JUMPS_TO_UB: [&str; 11] = [
+    "int f(int x) { int a[2] = {1, 2}; switch (x) { case 0: return a[5]; case 1: return 1; \
+     default: return 0; } } int main(void) { return f(0); }",
+    "int main(void) { int n = 0; int *p = 0; { L: if (n == 1) *p = 1; n++; } \
+     if (n < 2) goto L; return 0; }",
+    "int main(void) { int n = 0; int x; { L: n++; } if (n < 2) goto L; return x; }",
+    "int main(void) { int i = 0; int a[3] = {0, 0, 0}; { again: a[i] = i; i++; } \
+     if (i <= 3) goto again; return a[0]; }",
+    "int h(int v) { switch (v) { case 1: { int *q = 0; return *q; } default: break; } \
+     return 7; } int main(void) { return h(2) + h(1); }",
+    "int main(void) { int a = 0; { int k = 1; { M: a += k; } } if (a < 5) goto M; return a; }",
+    "int main(void) { int x; for (int i = 0; i < 10; i++) { if (i == 9) x = 0; } \
+     switch (x) { case 0: { int *p = 0; return *p; } } return 1; }",
+    "int main(void) { int x = 0; for (int i = 0; i < 10; i++) x += i; int *p = 0; \
+     switch (x) { case 1: return 0; default: *p = 1; } return 0; }",
+    "int main(void) { int n = 0; int *p = 0; for (int i = 0; i < 5; i++) n += i; \
+     if (n) { goto L; n = 1; L: *p = 1; } return 0; }",
+    "int main(void) { int n = 0; { L: n++; } if (n < 5) goto L; int *p = 0; return *p; }",
+    "int main(void) { int k = 0, n = 0; int *p = 0; for (int i = 0; i < 5; i++) k += i; \
+     { again: n++; } if (k) goto out; if (n < 5) goto again; return 0; out: return *p; }",
+];
+
+#[test]
+fn the_static_report_agrees_with_every_model_on_goto_and_switch() {
+    let session = Session::default();
+    for src in JUMPS.iter().map(|(src, _)| *src).chain(JUMPS_TO_UB) {
+        assert_report_agrees_with_every_model(&session, src);
+    }
+}
+
+/// The flow baseline reports every kind the path-sensitive analysis does on
+/// the programs above and on a `switch` over a parameter, whose value the
+/// standalone analysis of its function cannot know.
+#[test]
+fn the_flow_baseline_covers_the_path_report_on_goto_and_switch() {
+    let over_a_parameter = "int f(int x) { int *p = 0; switch (x) { case 0: return *p; } \
+                            return 0; } int main(void) { return f(1); }";
+    let session = Session::default();
+    let flow_of = |src| {
+        session
+            .analyze_with(src, AnalysisConfig::default().flow_baseline())
+            .unwrap()
+    };
+    let jumps = JUMPS.iter().map(|(src, _)| *src).chain(JUMPS_TO_UB);
+    for src in jumps.chain([over_a_parameter]) {
+        let path = session.analyze(src).unwrap();
+        let flow = flow_of(src);
+        assert!(!path.budget_exhausted && !flow.budget_exhausted, "{src}");
+        let missing: Vec<_> = path
+            .ub_kinds()
+            .difference(&flow.ub_kinds())
+            .copied()
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "{src}: the flow baseline misses {missing:?}"
+        );
+    }
+    assert!(flow_of(over_a_parameter)
+        .ub_kinds()
+        .contains(&UbKind::NullPointerDeref));
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use cerberus::pipeline::Session;
+use cerberus::pipeline::{Config, Session};
 use cerberus::DifferentialRunner;
 use cerberus_exec::driver::{ExecMode, ExecResult};
 use cerberus_exec::eval::OUTPUT_BYTES;
@@ -282,4 +282,44 @@ fn allocation_and_output_budgets_stop_every_model() {
             assert_eq!(outcome.stdout.len(), printed, "{}", model.name);
         }
     }
+}
+
+/// Program length costs no host stack. On a thread the size of a service
+/// handler's, a `main` of 20,000 statements and one of 20,000 declarations
+/// are elaborated, analyzed, run under both engines and freed. A function
+/// of 200 statements recursing 100 deep stays within the default budget.
+#[test]
+fn long_programs_run_on_a_default_sized_thread() {
+    let statements = format!(
+        "int main(void) {{ int x = 0; {}return x; }}",
+        "x = x + 1; ".repeat(20_000)
+    );
+    let declarations: String = (0..20_000).map(|n| format!("int v{n} = {n}; ")).collect();
+    let declarations = format!("int main(void) {{ {declarations}return 0; }}");
+    on_a_default_sized_thread(|| {
+        for (source, expected) in [(&statements, 20_000), (&declarations, 0)] {
+            let session = Session::default();
+            let program = session.elaborate(source).unwrap();
+            let report = session.analyze(source).unwrap();
+            assert_eq!(report.aborted, None);
+            for model in [ModelConfig::de_facto(), ModelConfig::symbolic()] {
+                assert_eq!(
+                    program.run_under(&model).outcomes[0].result,
+                    ExecResult::Return(expected),
+                    "{}",
+                    model.name
+                );
+            }
+        }
+    });
+    let increments = "x = x + 1; ".repeat(197);
+    let recursion = format!(
+        "int f(int n) {{ int x = 0; {increments}if (n > 0) return f(n - 1); return x; }} \
+         int main(void) {{ return f(100); }}"
+    );
+    let session = Session::new(Config::default());
+    assert_eq!(
+        session.run_source(&recursion).unwrap().outcomes[0].result,
+        ExecResult::Return(197)
+    );
 }

@@ -291,54 +291,72 @@ proptest! {
     }
 }
 
-/// The analyzer's cost is linear in the length of straight-line code: a
-/// `case` with one certain arm binds its names in place, so no statement
-/// copies the environment that the statements before it built. Both lengths
-/// run on the same host, interleaved, so the bound is a ratio and not a
-/// time: eight times the statements must cost less than twenty times as
-/// much.
-#[test]
-fn analysis_cost_is_linear_in_straight_line_code() {
+/// Require `run` to cost linearly in its input: the best of 3 timings of a
+/// short and a long input, interleaved so both run on the same host load,
+/// whose sizes differ eightfold. The bound is a ratio and not a time: the
+/// long input must cost less than twenty times as much as the short one.
+fn assert_linear<P>(what: &str, inputs: [(usize, P); 2], mut run: impl FnMut(&P)) {
     use std::time::{Duration, Instant};
 
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..3 {
+        for ((_, input), best) in inputs.iter().zip(&mut best) {
+            let start = Instant::now();
+            run(input);
+            *best = (*best).min(start.elapsed());
+        }
+    }
+    let [(short_n, _), (long_n, _)] = &inputs;
+    let [short, long] = best;
+    assert!(
+        long < short * 20,
+        "{what}: {short_n} took {short:?}, {long_n} took {long:?}"
+    );
+}
+
+/// The analyzer's cost is linear in the length of straight-line code: a
+/// `case` with one certain arm binds its names in place, so no statement
+/// copies the environment that the statements before it built.
+#[test]
+fn analysis_cost_is_linear_in_straight_line_code() {
     use cerberus::analysis::analyze;
     use cerberus::pipeline::Session;
 
-    // Every walker still recurses along the statement spine, so the work
-    // runs on a thread with room for it.
-    let worker = std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(|| {
-            let session = Session::default();
-            let programs: Vec<_> = [250, 2_000]
-                .into_iter()
-                .map(|n| {
-                    let body = "x = x + 1; ".repeat(n);
-                    let source = format!("int main(void) {{ int x = 0; {body}return x; }}");
-                    session
-                        .elaborate(&source)
-                        .expect("straight-line code elaborates")
-                })
-                .collect();
-            let mut best = [Duration::MAX; 2];
-            for _ in 0..3 {
-                for (program, best) in programs.iter().zip(&mut best) {
-                    let start = Instant::now();
-                    let report = analyze(program.core(), program.impl_env());
-                    *best = (*best).min(start.elapsed());
-                    assert!(
-                        report.aborted.is_none() && !report.budget_exhausted,
-                        "the analysis did not complete: {:?}",
-                        report.aborted
-                    );
-                }
-            }
-            best
-        })
-        .expect("spawn the analysis thread");
-    let [short, long] = worker.join().expect("the analysis thread finishes");
-    assert!(
-        long < short * 20,
-        "250 statements took {short:?} to analyse, 2,000 took {long:?}"
-    );
+    let session = Session::default();
+    let inputs = [250, 2_000].map(|n| {
+        let body = "x = x + 1; ".repeat(n);
+        let source = format!("int main(void) {{ int x = 0; {body}return x; }}");
+        let program = session
+            .elaborate(&source)
+            .expect("straight-line code elaborates");
+        (n, program)
+    });
+    assert_linear("analysing statements", inputs, |program| {
+        let report = analyze(program.core(), program.impl_env());
+        assert!(
+            report.aborted.is_none() && !report.budget_exhausted,
+            "the analysis did not complete: {:?}",
+            report.aborted
+        );
+    });
+}
+
+/// Validation is linear in a body's declarations: a name lookup is one hash
+/// probe, not a scan of every binding in scope.
+#[test]
+fn validation_cost_is_linear_in_declarations() {
+    use cerberus::pipeline::Session;
+
+    let session = Session::default();
+    let inputs = [2_500, 20_000].map(|n| {
+        let decls: String = (0..n).map(|i| format!("int v{i} = {i}; ")).collect();
+        let program = session
+            .elaborate(&format!("int main(void) {{ {decls}return 0; }}"))
+            .expect("declarations elaborate");
+        (n, program)
+    });
+    assert_linear("validating declarations", inputs, |program| {
+        let violations = program.validate();
+        assert!(violations.is_empty(), "{violations:?}");
+    });
 }
