@@ -2,10 +2,10 @@
 //! E15/E16 — Cerberus vs the reference oracle), plus the Session artifact
 //! cache on the Session/DifferentialRunner pipeline:
 //!
-//! * `model_matrix_shared_artifact`: one elaboration, every named model
-//!   executed in runner order on the calling thread.
 //! * `end_to_end_uncached_sequential`: re-elaborate and run the full matrix
-//!   on every iteration.
+//!   on every iteration. A fresh artifact starts with no tabled executions,
+//!   so this times the rows it executes and the rows it shares; rerunning
+//!   one artifact would time only table lookups after the first iteration.
 //! * `elaborate_uncached` vs `elaborate_memoized` measure the Session
 //!   artifact cache: the memoized path resolves a repeated source by hash
 //!   lookup instead of re-running parse/desugar/elaborate.
@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cerberus::memory::ResourceLimits;
+use cerberus::memory::{ModelConfig, ResourceLimits};
 use cerberus::pipeline::Session;
 use cerberus::DifferentialRunner;
 use cerberus_gen::{diff_one, generate, run_differential, to_c_source, GenConfig};
@@ -31,14 +31,6 @@ fn bench_differential(c: &mut Criterion) {
     group.bench_function("large_program", |b| {
         let program = generate(1, GenConfig::large());
         b.iter(|| diff_one(&program, 2_000_000))
-    });
-    // One elaboration shared across the full model matrix (the Session-API
-    // fast path: no per-model re-parse or re-elaboration).
-    group.bench_function("model_matrix_shared_artifact", |b| {
-        let source = to_c_source(&generate(1, GenConfig::small()));
-        let program = Session::default().elaborate(&source).unwrap();
-        let runner = DifferentialRunner::all_named();
-        b.iter(|| runner.run(&program))
     });
     // The exploration workflow end to end: re-elaborate the source and run
     // the full matrix, per iteration.
@@ -69,7 +61,16 @@ fn bench_differential(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("seed_batch_sequential", |b| {
         let limits = ResourceLimits::with_steps(2_000_000);
-        b.iter(|| run_differential(&JobQueue::start(1), 16, GenConfig::small(), &limits))
+        let models = [ModelConfig::concrete()];
+        b.iter(|| {
+            run_differential(
+                &JobQueue::start(1),
+                16,
+                GenConfig::small(),
+                &limits,
+                &models,
+            )
+        })
     });
     group.finish();
 }

@@ -129,18 +129,27 @@ fn fuzz_count(args: &[String]) -> Option<usize> {
 }
 
 /// The CI fuzz smoke run: `count` generated seeds through the full pipeline,
-/// as one batch on `queue`, under a wall-clock-bounded resource budget. Every
-/// seed must end in a structured verdict; disagreements, pipeline failures
-/// and contained engine faults are reported and make the run exit nonzero.
+/// as one batch of ten-model jobs on `queue`, under a wall-clock-bounded
+/// resource budget. Every seed must end in a structured verdict, and every
+/// named model's row must match the reference; disagreements (naming the
+/// model), pipeline failures and contained engine faults are reported and
+/// make the run exit nonzero.
 fn fuzz_smoke(queue: &JobQueue, count: usize) -> ! {
     let limits = ResourceLimits::default().with_wall_clock_ms(5_000);
-    let summary = run_differential(queue, count, GenConfig::small(), &limits);
+    let models = ModelConfig::all_named();
+    let summary = run_differential(queue, count, GenConfig::small(), &limits, &models);
     queue.shutdown();
     for (seed, outcome) in &summary.not_agreed {
         match outcome {
             DiffOutcome::Agree | DiffOutcome::Timeout => {}
-            DiffOutcome::Disagree { expected, observed } => {
-                eprintln!("seed {seed}: DISAGREE expected {expected}, observed {observed}");
+            DiffOutcome::Disagree {
+                model,
+                expected,
+                observed,
+            } => {
+                eprintln!(
+                    "seed {seed}: DISAGREE under {model}: expected {expected}, observed {observed}"
+                );
             }
             DiffOutcome::Failure(e) => eprintln!("seed {seed}: pipeline failure: {e}"),
             DiffOutcome::Fault(payload) => {
@@ -270,12 +279,14 @@ fn json_report(queue: &JobQueue, models: &[ModelConfig], quick: bool) -> (Json, 
         small_n,
         GenConfig::small(),
         &ResourceLimits::with_steps(2_000_000),
+        &[ModelConfig::concrete()],
     );
     let large = run_differential(
         queue,
         large_n,
         GenConfig::large(),
         &ResourceLimits::with_steps(if quick { 200_000 } else { 1_000_000 }),
+        &[ModelConfig::concrete()],
     );
     engine_faults += small.faulted + large.faulted;
 
@@ -541,6 +552,7 @@ fn main() {
         small_n,
         GenConfig::small(),
         &ResourceLimits::with_steps(2_000_000),
+        &[ModelConfig::concrete()],
     );
     println!(
         "  measured: {}/{} agree, {} disagree, {} timeout, {} failed, {} faulted",
@@ -552,6 +564,7 @@ fn main() {
         large_n,
         GenConfig::large(),
         &ResourceLimits::with_steps(if quick { 200_000 } else { 1_000_000 }),
+        &[ModelConfig::concrete()],
     );
     println!(
         "  measured: {}/{} agree, {} disagree, {} timeout, {} failed, {} faulted",

@@ -8,12 +8,16 @@
 //! re-elaboration, returning an [`OutcomeMatrix`] that can be queried for
 //! agreement and per-model verdicts.
 //!
-//! Rows are *independent*: every model executes a pristine engine against the
-//! same `Arc`-shared Core program. [`DifferentialRunner::run`] executes them
-//! in runner order on the calling thread; running many programs at once is
-//! the job queue's work (`cerberus-queue`), not the runner's. With the
-//! symbolic engine registered in [`ModelConfig::all_named`], the default
-//! matrix mixes two genuinely different [`cerberus_memory::MemoryModel`]
+//! Every row is the outcome a pristine engine gives against the same
+//! `Arc`-shared Core program, but a row need not execute:
+//! [`Elaborated::execute_bounded`] gives a concrete configuration the
+//! outcomes of an earlier execution when the two configurations agree on
+//! every field that execution consulted, since those are the outcomes it
+//! would compute. [`DifferentialRunner::run`] takes the rows in runner
+//! order on the calling thread; running many programs at once is the job
+//! queue's work (`cerberus-queue`), not the runner's. With the symbolic
+//! engine registered in [`ModelConfig::all_named`], the default matrix
+//! mixes two genuinely different [`cerberus_memory::MemoryModel`]
 //! implementations, not just configurations of one.
 //!
 //! Rows are also *fault-isolated*: each row runs behind
@@ -357,10 +361,12 @@ mod tests {
             }
             other => panic!("expected an engine fault, got {other}"),
         }
-        // ...every other row is identical to a run without the faulty model...
+        // ...every other row is identical to a run without the faulty model
+        // (on an artifact of its own, so no row is answered from the first
+        // run's executions)...
         let without =
             DifferentialRunner::new(vec![ModelConfig::concrete(), ModelConfig::de_facto()])
-                .run(&program);
+                .run(&Session::default().elaborate(DR260).unwrap());
         assert_eq!(
             with_fault.outcome_for("concrete"),
             without.outcome_for("concrete")

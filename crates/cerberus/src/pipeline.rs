@@ -29,7 +29,7 @@
 //! For running one artifact across a whole *set* of models and comparing the
 //! outcomes, see [`crate::differential::DifferentialRunner`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cerberus_ail::ail::AilProgram;
 use cerberus_ail::desugar::desugar_translation_unit_all;
@@ -42,7 +42,7 @@ use cerberus_ast::memo::Memo;
 use cerberus_core::program::CoreProgram;
 use cerberus_elab::elaborate_program;
 use cerberus_exec::driver::{Driver, ExecMode, ExecResult, ProgramOutcome};
-use cerberus_memory::config::ModelConfig;
+use cerberus_memory::config::{FieldSet, ModelConfig};
 use cerberus_memory::limits::{ResourceKind, ResourceLimits};
 use cerberus_memory::model::AnyEngine;
 use cerberus_parser::cabs::TranslationUnit;
@@ -523,6 +523,7 @@ impl Desugared {
         Elaborated {
             core: Arc::new(core),
             impl_env: self.impl_env.clone(),
+            executions: Arc::default(),
         }
     }
 }
@@ -533,10 +534,73 @@ impl Desugared {
 /// one elaboration can back many concurrent or sequential executions under
 /// different memory models — the shape of the paper's §3 tool comparison and
 /// of differential testing generally.
+///
+/// The artifact also tables its concrete executions, and clones share the
+/// table: [`Elaborated::execute_bounded`] answers a configuration that
+/// agrees with a tabled run on every field that run consulted from the
+/// table. So the rows of a matrix whose configurations differ only in
+/// fields an execution never consulted cost that one execution
+/// ([`Elaborated::execution_stats`] counts them).
 #[derive(Debug, Clone)]
 pub struct Elaborated {
     core: Arc<CoreProgram>,
     impl_env: ImplEnv,
+    executions: Arc<Mutex<ExecutionTable>>,
+}
+
+/// The concrete executions of one artifact under one search bound and
+/// resource budget, with the counters of [`Elaborated::execution_stats`].
+#[derive(Debug, Default)]
+struct ExecutionTable {
+    /// The bound and budget of every tabled run.
+    key: Option<(ExecMode, ResourceLimits)>,
+    runs: Vec<TabledRun>,
+    hits: u64,
+    misses: u64,
+}
+
+/// One search under `config` that consulted only `consulted`.
+#[derive(Debug)]
+struct TabledRun {
+    config: ModelConfig,
+    consulted: FieldSet,
+    outcomes: Vec<ProgramOutcome>,
+}
+
+impl ExecutionTable {
+    /// The runs tabled under `mode` and `limits`; a different key empties
+    /// the table first.
+    fn runs_under(&mut self, mode: ExecMode, limits: &ResourceLimits) -> &mut Vec<TabledRun> {
+        let key = (mode, limits.clone());
+        if self.key.as_ref() != Some(&key) {
+            self.runs.clear();
+            self.key = Some(key);
+        }
+        &mut self.runs
+    }
+
+    /// The outcomes of a tabled run `model` agrees with, counting the lookup
+    /// as a hit or, since the caller then executes, a miss. A run is tabled
+    /// only for an engine that records its consulted fields, and
+    /// [`ModelConfig::agrees_on`] compares engines, so only such an engine
+    /// is ever answered here.
+    fn lookup(
+        &mut self,
+        model: &ModelConfig,
+        mode: ExecMode,
+        limits: &ResourceLimits,
+    ) -> Option<Vec<ProgramOutcome>> {
+        let hit = self
+            .runs_under(mode, limits)
+            .iter()
+            .find(|run| model.agrees_on(&run.config, run.consulted))
+            .map(|run| run.outcomes.clone());
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
 }
 
 impl Elaborated {
@@ -578,6 +642,16 @@ impl Elaborated {
     /// Execute under `model` with an explicit search bound and full resource
     /// budget (steps, wall-clock watchdog, allocation bounds, call depth).
     ///
+    /// The outcomes are those of `self.driver(model).with_limits(limits)
+    /// .run(mode)`, but a concrete run is shared. The artifact tables each
+    /// concrete search with the configuration fields it consulted
+    /// ([`Driver::run_logged`]), and a later call under the same `mode` and
+    /// `limits` whose `model` agrees with a tabled run on every one of those
+    /// fields returns that run's outcomes without executing: it would read
+    /// the same answers at every step, so it is the same run. A run the
+    /// wall-clock watchdog stopped is never tabled, and the table keeps the
+    /// runs of one `mode` and `limits` only.
+    ///
     /// The execution runs on the caller's thread, which needs about 2 MiB of
     /// free stack, what a default Rust thread has. That run caps the call
     /// depth at 8, so the interpreter's stack guard holds it to 1 MiB. An
@@ -586,13 +660,58 @@ impl Elaborated {
     /// [`ResourceLimits::host_stack_bytes`] of stack. Executions are
     /// deterministic, so the rerun gives the outcome a single run would, but
     /// the wall-clock watchdog can fire in each of the two runs. An engine
-    /// panic unwinds to the caller with its original payload.
+    /// panic unwinds to the caller with its original payload, and its row
+    /// is not tabled.
     pub fn execute_bounded(
         &self,
         model: &ModelConfig,
         mode: ExecMode,
         limits: &ResourceLimits,
     ) -> RunOutcome {
+        if let Some(outcomes) = self.table().lookup(model, mode, limits) {
+            return RunOutcome { outcomes };
+        }
+        let (outcomes, consulted) = self.execute_logged(model, mode, limits);
+        if let Some(consulted) = consulted {
+            self.table().runs_under(mode, limits).push(TabledRun {
+                config: model.clone(),
+                consulted,
+                outcomes: outcomes.clone(),
+            });
+        }
+        RunOutcome { outcomes }
+    }
+
+    /// How [`Elaborated::execute_bounded`] fared on this artifact and its
+    /// clones, in the one [`CacheStats`] shape: `hits` counts rows answered
+    /// from a tabled run, `misses` rows executed, and `entries` the runs
+    /// tabled under the latest search bound and budget.
+    pub fn execution_stats(&self) -> CacheStats {
+        let table = self.table();
+        CacheStats {
+            hits: table.hits,
+            misses: table.misses,
+            entries: table.runs.len(),
+        }
+    }
+
+    fn table(&self) -> MutexGuard<'_, ExecutionTable> {
+        // No execution runs under the lock, and every update leaves the
+        // table whole, so a poisoned lock still guards a usable table.
+        self.executions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The unshared search behind [`Elaborated::execute_bounded`], with the
+    /// fields it consulted: those of the rerun on a larger stack, if any,
+    /// joined to those of the run on the caller's thread.
+    fn execute_logged(
+        &self,
+        model: &ModelConfig,
+        mode: ExecMode,
+        limits: &ResourceLimits,
+    ) -> (Vec<ProgramOutcome>, Option<FieldSet>) {
         /// The call depth an execution gets on the caller's thread: its
         /// `host_stack_bytes()` is 1.5 MiB, of which the stack guard allows
         /// 1 MiB, half of a default Rust thread's stack.
@@ -600,12 +719,12 @@ impl Elaborated {
         let shallow = limits
             .clone()
             .with_call_depth(limits.call_depth.min(INLINE_CALL_DEPTH));
-        let outcomes = self.driver(model).with_limits(shallow).run(mode);
+        let (outcomes, consulted) = self.driver(model).with_limits(shallow).run_logged(mode);
         let too_deep = outcomes.iter().any(|outcome| {
             outcome.result == ExecResult::ResourceExhausted(ResourceKind::CallDepth)
         });
         if !too_deep || limits.call_depth <= INLINE_CALL_DEPTH {
-            return RunOutcome { outcomes };
+            return (outcomes, consulted);
         }
         // Rerun on a thread sized for the whole budget. An engine panic
         // unwinds the worker; rethrow it here so fault-isolating callers
@@ -616,13 +735,15 @@ impl Elaborated {
                 .name(format!("cerberus-exec-{}", model.name))
                 .stack_size(limits.host_stack_bytes())
                 .spawn_scoped(scope, || {
-                    self.driver(model).with_limits(limits.clone()).run(mode)
+                    self.driver(model)
+                        .with_limits(limits.clone())
+                        .run_logged(mode)
                 })
                 .expect("spawning an execution worker thread")
                 .join()
         });
         match result {
-            Ok(outcomes) => RunOutcome { outcomes },
+            Ok((outcomes, deep)) => (outcomes, consulted.zip(deep).map(|(a, b)| a | b)),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }

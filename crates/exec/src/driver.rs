@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use cerberus_ast::ub::UbKind;
 use cerberus_core::program::CoreProgram;
+use cerberus_memory::config::FieldSet;
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
 use cerberus_memory::model::MemoryModel;
 
@@ -188,7 +189,8 @@ impl<M: MemoryModel> Driver<M> {
         self
     }
 
-    fn execute(&self, oracle: &mut ReplayOracle) -> ProgramOutcome {
+    /// One execution: its outcome and the fields its engine consulted.
+    fn execute(&self, oracle: &mut ReplayOracle) -> (ProgramOutcome, Option<FieldSet>) {
         let mem = self.model.fresh();
         let mut interp = Interp::new(&self.program, mem, oracle, self.limits.clone());
         let result = (|| -> Result<i128, Stop> {
@@ -208,7 +210,7 @@ impl<M: MemoryModel> Driver<M> {
             Err(Stop::Limit(kind)) => ExecResult::Timeout(kind),
             Err(Stop::Resource(kind)) => ExecResult::ResourceExhausted(kind),
         };
-        ProgramOutcome { result, stdout }
+        (ProgramOutcome { result, stdout }, interp.mem.consulted())
     }
 
     /// Search the allowed executions breadth-first, up to `mode`'s bound,
@@ -222,14 +224,30 @@ impl<M: MemoryModel> Driver<M> {
     /// bound would never run, so none is built: the search holds at most
     /// `max_executions` prefixes, each no longer than the path it came from.
     pub fn run(&self, mode: ExecMode) -> Vec<ProgramOutcome> {
+        self.run_logged(mode).0
+    }
+
+    /// [`Driver::run`], also returning the union of the fields every
+    /// execution of the search consulted
+    /// ([`MemoryModel::consulted`]): the fields the outcomes depend on.
+    /// `None` when they may depend on more: the engine records no fields,
+    /// or the wall-clock watchdog, which is not part of the program, stopped
+    /// an execution.
+    pub fn run_logged(&self, mode: ExecMode) -> (Vec<ProgramOutcome>, Option<FieldSet>) {
         let bound = mode.max_executions.max(1);
         let mut outcomes: BTreeSet<ProgramOutcome> = BTreeSet::new();
+        let mut consulted = Some(FieldSet::EMPTY);
         let mut pending: VecDeque<Vec<usize>> = VecDeque::from([Vec::new()]);
         let mut queued = 1;
         while let Some(prefix) = pending.pop_front() {
             let forced = prefix.len();
             let mut oracle = ReplayOracle::new(prefix);
-            outcomes.insert(self.execute(&mut oracle));
+            let (outcome, fields) = self.execute(&mut oracle);
+            consulted = consulted
+                .zip(fields)
+                .map(|(before, this)| before | this)
+                .filter(|_| outcome.result != ExecResult::Timeout(TimeoutKind::WallClock));
+            outcomes.insert(outcome);
             let recorded = &oracle.recorded;
             'schedule: for (i, &(chosen, arity)) in recorded.iter().enumerate().skip(forced) {
                 for alternative in chosen + 1..arity {
@@ -243,7 +261,7 @@ impl<M: MemoryModel> Driver<M> {
                 }
             }
         }
-        outcomes.into_iter().collect()
+        (outcomes.into_iter().collect(), consulted)
     }
 }
 

@@ -22,7 +22,7 @@ use cerberus::exec::driver::ExecResult;
 use cerberus::memory::config::ModelConfig;
 use cerberus::memory::limits::ResourceLimits;
 use cerberus::pipeline::Session;
-use cerberus::DifferentialRunner;
+use cerberus::{DifferentialRunner, ModelRun, OutcomeMatrix};
 use cerberus_queue::{Job, JobOutcome, JobQueue};
 
 /// Binary operators of the generated fragment (all defined at `unsigned
@@ -452,13 +452,18 @@ pub fn reference_eval(p: &GenProgram) -> Reference {
 
 // ----- differential testing ----------------------------------------------------
 
-/// The outcome of differentially testing one program.
+/// The outcome of differentially testing one program. It agrees only when
+/// every row of its matrix does; otherwise the first row that disagrees,
+/// fails or faults decides, and failing that a row that ran out of a budget
+/// makes it a [`DiffOutcome::Timeout`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiffOutcome {
     /// The pipeline agrees with the reference evaluator.
     Agree,
     /// The pipeline produced a different result.
     Disagree {
+        /// The model whose row differs.
+        model: &'static str,
         /// What the reference computed.
         expected: String,
         /// What the pipeline produced.
@@ -504,18 +509,29 @@ pub fn diff_one(p: &GenProgram, step_limit: u64) -> DiffOutcome {
     let matrix = DifferentialRunner::new(vec![ModelConfig::concrete()])
         .with_limits(ResourceLimits::with_steps(step_limit))
         .run(&program);
-    classify(&reference_eval(p), &matrix.rows()[0].outcome)
+    classify(&reference_eval(p), &matrix)
 }
 
-/// Compare one observed [`RunOutcome`] against the reference result — the
-/// single [`DiffOutcome`] classifier shared by the single-program harness and
-/// the queued batch. Both run the program as a one-row differential-runner
-/// matrix, so a contained engine panic arrives here as an
+/// Compare every row of a matrix against the reference result — the single
+/// [`DiffOutcome`] classifier shared by the single-program harness and the
+/// queued batch. A contained engine panic arrives as an
 /// [`ExecResult::EngineFault`] row and tallies as [`DiffOutcome::Fault`]
 /// with its payload.
-fn classify(reference: &Reference, outcome: &cerberus::RunOutcome) -> DiffOutcome {
-    let Some(first) = outcome.outcomes.first() else {
-        return DiffOutcome::Failure("no outcome produced".into());
+fn classify(reference: &Reference, matrix: &OutcomeMatrix) -> DiffOutcome {
+    let mut verdict = DiffOutcome::Agree;
+    for row in matrix.rows() {
+        match classify_row(reference, row) {
+            DiffOutcome::Agree => {}
+            DiffOutcome::Timeout => verdict = DiffOutcome::Timeout,
+            bad => return bad,
+        }
+    }
+    verdict
+}
+
+fn classify_row(reference: &Reference, row: &ModelRun) -> DiffOutcome {
+    let Some(first) = row.outcome.outcomes.first() else {
+        return DiffOutcome::Failure(format!("{}: no outcome produced", row.model));
     };
     match &first.result {
         ExecResult::Return(v) => {
@@ -524,6 +540,7 @@ fn classify(reference: &Reference, outcome: &cerberus::RunOutcome) -> DiffOutcom
                 DiffOutcome::Agree
             } else {
                 DiffOutcome::Disagree {
+                    model: row.model,
                     expected: format!("exit {} stdout {expected_stdout:?}", reference.exit),
                     observed: format!("exit {v} stdout {:?}", first.stdout),
                 }
@@ -531,7 +548,7 @@ fn classify(reference: &Reference, outcome: &cerberus::RunOutcome) -> DiffOutcom
         }
         ExecResult::Timeout(_) | ExecResult::ResourceExhausted(_) => DiffOutcome::Timeout,
         ExecResult::EngineFault { payload, .. } => DiffOutcome::Fault(payload.clone()),
-        other => DiffOutcome::Failure(other.to_string()),
+        other => DiffOutcome::Failure(format!("{}: {other}", row.model)),
     }
 }
 
@@ -552,10 +569,11 @@ fn tally(summary: &mut DiffSummary, seed: u64, outcome: DiffOutcome) {
 /// Run the differential harness over `count` programs generated from
 /// consecutive seeds, as one batch on a [`JobQueue`]: the §6 fuzz harness.
 ///
-/// Each seed becomes one (program × concrete-model) job under `limits`.
-/// Engine panics arrive as contained [`ExecResult::EngineFault`] rows and
-/// tally as [`DiffSummary::faulted`]; front-end rejections (impossible for
-/// the generated fragment, possible for hand-fed programs) tally as
+/// Each seed becomes one job over `models` under `limits`, and agrees only
+/// when every row matches the reference ([`DiffOutcome`]). Engine panics
+/// arrive as contained [`ExecResult::EngineFault`] rows and tally as
+/// [`DiffSummary::faulted`]; front-end rejections (impossible for the
+/// generated fragment, possible for hand-fed programs) tally as
 /// [`DiffSummary::failed`]. Every seed that does not agree is listed in
 /// [`DiffSummary::not_agreed`].
 ///
@@ -566,12 +584,15 @@ pub fn run_differential(
     count: usize,
     config: GenConfig,
     limits: &ResourceLimits,
+    models: &[ModelConfig],
 ) -> DiffSummary {
     let programs: Vec<GenProgram> = (0..count as u64).map(|s| generate(s, config)).collect();
     let outcomes = queue
-        .run_batch(programs.iter().map(|p| {
-            Job::new(to_c_source(p), vec![ModelConfig::concrete()]).with_limits(limits.clone())
-        }))
+        .run_batch(
+            programs
+                .iter()
+                .map(|p| Job::new(to_c_source(p), models.to_vec()).with_limits(limits.clone())),
+        )
         .expect("the fuzz batch's job queue is running");
     let mut summary = DiffSummary {
         total: count,
@@ -580,10 +601,7 @@ pub fn run_differential(
     for (seed, (program, outcome)) in (0u64..).zip(programs.iter().zip(outcomes)) {
         let reference = reference_eval(program);
         let diff = match outcome {
-            JobOutcome::Matrix(matrix) => {
-                let row = matrix.rows().first().expect("one model per job");
-                classify(&reference, &row.outcome)
-            }
+            JobOutcome::Matrix(matrix) => classify(&reference, &matrix),
             JobOutcome::Rejected(e) => DiffOutcome::Failure(e.to_string()),
             JobOutcome::FrontendFault(payload) => DiffOutcome::Fault(payload),
         };
@@ -628,9 +646,26 @@ mod tests {
     }
 
     #[test]
+    fn a_seed_agrees_only_when_every_row_does() {
+        let p = generate(2, GenConfig::small());
+        let program = Session::default().elaborate(&to_c_source(&p)).unwrap();
+        let matrix = DifferentialRunner::all_named().run(&program);
+        let reference = reference_eval(&p);
+        assert_eq!(classify(&reference, &matrix), DiffOutcome::Agree);
+        let mut rows = matrix.rows().to_vec();
+        rows[3].outcome.outcomes[0].result = ExecResult::Return(reference.exit + 1);
+        match classify(&reference, &OutcomeMatrix::new(rows)) {
+            DiffOutcome::Disagree { model, .. } => assert_eq!(model, "gcc-like"),
+            other => panic!("expected a disagreement, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn differential_summary_counts_add_up() {
         let limits = ResourceLimits::with_steps(2_000_000);
-        let summary = run_differential(&JobQueue::start(2), 6, GenConfig::small(), &limits);
+        let models = [ModelConfig::concrete()];
+        let summary =
+            run_differential(&JobQueue::start(2), 6, GenConfig::small(), &limits, &models);
         assert_eq!(summary.total, 6);
         assert_eq!(
             summary.agree + summary.disagree + summary.timeout + summary.failed + summary.faulted,
@@ -655,7 +690,9 @@ mod tests {
     #[test]
     fn starved_batches_register_as_timeouts() {
         let limits = ResourceLimits::with_steps(50);
-        let summary = run_differential(&JobQueue::start(2), 4, GenConfig::large(), &limits);
+        let models = [ModelConfig::concrete()];
+        let summary =
+            run_differential(&JobQueue::start(2), 4, GenConfig::large(), &limits, &models);
         assert_eq!(summary.total, 4);
         assert_eq!(summary.timeout, summary.total, "{summary:?}");
         let starved: Vec<_> = (0..4).map(|seed| (seed, DiffOutcome::Timeout)).collect();

@@ -84,6 +84,92 @@ pub enum ToolProfile {
     Kcc,
 }
 
+/// A set of [`ModelConfig`]'s semantic fields, one bit each: the fields an
+/// execution consulted, recorded by the concrete engine (see
+/// [`crate::model::MemoryModel::consulted`] and [`ModelConfig::agrees_on`]).
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct FieldSet(u16);
+
+impl FieldSet {
+    /// No field.
+    pub const EMPTY: FieldSet = FieldSet(0);
+    /// [`ModelConfig::provenance_checking`].
+    pub const PROVENANCE_CHECKING: FieldSet = FieldSet(1 << 0);
+    /// [`ModelConfig::allow_oob_pointer_arith`].
+    pub const ALLOW_OOB_POINTER_ARITH: FieldSet = FieldSet(1 << 1);
+    /// [`ModelConfig::relational`].
+    pub const RELATIONAL: FieldSet = FieldSet(1 << 2);
+    /// [`ModelConfig::equality_uses_provenance`].
+    pub const EQUALITY_USES_PROVENANCE: FieldSet = FieldSet(1 << 3);
+    /// [`ModelConfig::uninit`].
+    pub const UNINIT: FieldSet = FieldSet(1 << 4);
+    /// [`ModelConfig::padding`].
+    pub const PADDING: FieldSet = FieldSet(1 << 5);
+    /// [`ModelConfig::effective_types`].
+    pub const EFFECTIVE_TYPES: FieldSet = FieldSet(1 << 6);
+    /// [`ModelConfig::int_to_ptr`].
+    pub const INT_TO_PTR: FieldSet = FieldSet(1 << 7);
+    /// [`ModelConfig::cheri`].
+    pub const CHERI: FieldSet = FieldSet(1 << 8);
+    /// [`ModelConfig::provenance_optimising_stores`].
+    pub const PROVENANCE_OPTIMISING_STORES: FieldSet = FieldSet(1 << 9);
+
+    /// Each field with its name, in declaration order.
+    const NAMED: [(FieldSet, &'static str); 10] = [
+        (FieldSet::PROVENANCE_CHECKING, "provenance_checking"),
+        (FieldSet::ALLOW_OOB_POINTER_ARITH, "allow_oob_pointer_arith"),
+        (FieldSet::RELATIONAL, "relational"),
+        (
+            FieldSet::EQUALITY_USES_PROVENANCE,
+            "equality_uses_provenance",
+        ),
+        (FieldSet::UNINIT, "uninit"),
+        (FieldSet::PADDING, "padding"),
+        (FieldSet::EFFECTIVE_TYPES, "effective_types"),
+        (FieldSet::INT_TO_PTR, "int_to_ptr"),
+        (FieldSet::CHERI, "cheri"),
+        (
+            FieldSet::PROVENANCE_OPTIMISING_STORES,
+            "provenance_optimising_stores",
+        ),
+    ];
+
+    /// Every semantic field.
+    pub const ALL: FieldSet = FieldSet((1 << FieldSet::NAMED.len()) - 1);
+
+    /// Whether every field of `fields` is in this set.
+    pub fn contains(self, fields: FieldSet) -> bool {
+        self.0 & fields.0 == fields.0
+    }
+
+    /// The fields of this set that are not in `fields`.
+    pub fn without(self, fields: FieldSet) -> FieldSet {
+        FieldSet(self.0 & !fields.0)
+    }
+}
+
+impl std::ops::BitOr for FieldSet {
+    type Output = FieldSet;
+
+    fn bitor(self, other: FieldSet) -> FieldSet {
+        FieldSet(self.0 | other.0)
+    }
+}
+
+/// Lists the field names, e.g. `{"uninit", "cheri"}`.
+impl std::fmt::Debug for FieldSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set()
+            .entries(
+                FieldSet::NAMED
+                    .iter()
+                    .filter(|(field, _)| self.contains(*field))
+                    .map(|(_, name)| name),
+            )
+            .finish()
+    }
+}
+
 /// A complete memory-model configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelConfig {
@@ -361,6 +447,55 @@ impl ModelConfig {
             .into_iter()
             .find(|m| m.name == name)
     }
+
+    /// Whether `self` and `other` select the same engine and agree on every
+    /// field in `fields`; the names may differ. An execution under `other`
+    /// that consulted only `fields` is therefore an execution under `self`
+    /// too: it reads the same answers at every step.
+    pub fn agrees_on(&self, other: &ModelConfig, fields: FieldSet) -> bool {
+        // No `..`: a new field cannot compile until it has a bit.
+        let ModelConfig {
+            name: _,
+            engine,
+            provenance_checking,
+            allow_oob_pointer_arith,
+            relational,
+            equality_uses_provenance,
+            uninit,
+            padding,
+            effective_types,
+            int_to_ptr,
+            cheri,
+            provenance_optimising_stores,
+        } = self;
+        let same = |field: FieldSet, equal: bool| equal || !fields.contains(field);
+        *engine == other.engine
+            && same(
+                FieldSet::PROVENANCE_CHECKING,
+                *provenance_checking == other.provenance_checking,
+            )
+            && same(
+                FieldSet::ALLOW_OOB_POINTER_ARITH,
+                *allow_oob_pointer_arith == other.allow_oob_pointer_arith,
+            )
+            && same(FieldSet::RELATIONAL, *relational == other.relational)
+            && same(
+                FieldSet::EQUALITY_USES_PROVENANCE,
+                *equality_uses_provenance == other.equality_uses_provenance,
+            )
+            && same(FieldSet::UNINIT, *uninit == other.uninit)
+            && same(FieldSet::PADDING, *padding == other.padding)
+            && same(
+                FieldSet::EFFECTIVE_TYPES,
+                *effective_types == other.effective_types,
+            )
+            && same(FieldSet::INT_TO_PTR, *int_to_ptr == other.int_to_ptr)
+            && same(FieldSet::CHERI, *cheri == other.cheri)
+            && same(
+                FieldSet::PROVENANCE_OPTIMISING_STORES,
+                *provenance_optimising_stores == other.provenance_optimising_stores,
+            )
+    }
 }
 
 impl Default for ModelConfig {
@@ -447,6 +582,60 @@ mod tests {
     #[test]
     fn default_is_the_candidate_model() {
         assert_eq!(ModelConfig::default().name, "de-facto");
+    }
+
+    #[test]
+    fn every_semantic_field_has_its_own_bit() {
+        let base = ModelConfig::de_facto();
+        type Flip = fn(&mut ModelConfig);
+        let flips: [(FieldSet, Flip); 10] = [
+            (FieldSet::PROVENANCE_CHECKING, |c| {
+                c.provenance_checking ^= true
+            }),
+            (FieldSet::ALLOW_OOB_POINTER_ARITH, |c| {
+                c.allow_oob_pointer_arith ^= true
+            }),
+            (FieldSet::RELATIONAL, |c| {
+                c.relational = RelationalSemantics::Undefined
+            }),
+            (FieldSet::EQUALITY_USES_PROVENANCE, |c| {
+                c.equality_uses_provenance ^= true
+            }),
+            (FieldSet::UNINIT, |c| c.uninit = UninitSemantics::Undefined),
+            (FieldSet::PADDING, |c| {
+                c.padding = PaddingSemantics::MemberStoreClobbers
+            }),
+            (FieldSet::EFFECTIVE_TYPES, |c| c.effective_types ^= true),
+            (FieldSet::INT_TO_PTR, |c| {
+                c.int_to_ptr = IntToPtrSemantics::Wildcard
+            }),
+            (FieldSet::CHERI, |c| c.cheri ^= true),
+            (FieldSet::PROVENANCE_OPTIMISING_STORES, |c| {
+                c.provenance_optimising_stores ^= true
+            }),
+        ];
+        for (field, flip) in flips {
+            let mut other = ModelConfig {
+                name: "other",
+                ..base.clone()
+            };
+            flip(&mut other);
+            assert!(!base.agrees_on(&other, field), "{field:?}");
+            assert!(!base.agrees_on(&other, FieldSet::ALL), "{field:?}");
+            assert!(
+                base.agrees_on(&other, FieldSet::ALL.without(field)),
+                "{field:?}"
+            );
+        }
+        let symbolic = ModelConfig {
+            engine: EngineKind::Symbolic,
+            ..base.clone()
+        };
+        assert!(!base.agrees_on(&symbolic, FieldSet::EMPTY));
+        assert_eq!(
+            format!("{:?}", FieldSet::UNINIT | FieldSet::CHERI),
+            r#"{"uninit", "cheri"}"#
+        );
     }
 
     /// The name of `$value`'s variant, and the names of all of `$enum`'s

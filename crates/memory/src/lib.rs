@@ -71,8 +71,8 @@ pub mod symbolic;
 pub mod value;
 
 pub use config::{
-    EngineKind, IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics, ToolProfile,
-    UninitSemantics,
+    EngineKind, FieldSet, IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics,
+    ToolProfile, UninitSemantics,
 };
 pub use limits::{ResourceKind, ResourceLimits, TimeoutKind};
 pub use model::{AnyEngine, ConcreteEngine, MemoryModel, ModelResult};

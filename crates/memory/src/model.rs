@@ -26,7 +26,7 @@ use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::TagRegistry;
 
-use crate::config::{EngineKind, ModelConfig};
+use crate::config::{EngineKind, FieldSet, ModelConfig};
 use crate::fault::FAULT_MESSAGE;
 use crate::state::{AllocKind, MemError, MemState};
 use crate::symbolic::SymbolicEngine;
@@ -65,6 +65,15 @@ pub trait MemoryModel {
     fn fresh(&self) -> Self
     where
         Self: Sized;
+
+    /// The semantic fields of the configuration this execution has consulted
+    /// so far: every field whose answer its result depends on. Another
+    /// configuration that agrees on them runs the same execution
+    /// ([`ModelConfig::agrees_on`]). `None`, the default, says the engine
+    /// does not record them, so its executions are never shared.
+    fn consulted(&self) -> Option<FieldSet> {
+        None
+    }
 
     // ----- layout --------------------------------------------------------
 
@@ -213,6 +222,13 @@ impl MemoryModel for AnyEngine {
             AnyEngine::Concrete(engine) => AnyEngine::Concrete(MemoryModel::fresh(engine)),
             AnyEngine::Symbolic(engine) => AnyEngine::Symbolic(engine.fresh()),
             AnyEngine::Panicking(_) => panic!("{FAULT_MESSAGE}"),
+        }
+    }
+
+    fn consulted(&self) -> Option<FieldSet> {
+        match self {
+            AnyEngine::Concrete(engine) => engine.consulted(),
+            AnyEngine::Symbolic(_) | AnyEngine::Panicking(_) => None,
         }
     }
 

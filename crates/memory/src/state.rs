@@ -10,6 +10,7 @@
 //! bytewise (Q13–Q16) remain usable; and padding, uninitialised-read,
 //! effective-type and out-of-bounds behaviour follow the configured semantics.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use cerberus_ast::ctype::{Ctype, IntegerType, TagId};
@@ -19,7 +20,8 @@ use cerberus_ast::layout::{self, TagRegistry};
 use cerberus_ast::ub::UbKind;
 
 use crate::config::{
-    IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics, UninitSemantics,
+    FieldSet, IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics,
+    UninitSemantics,
 };
 use crate::model::{MemoryModel, ModelResult};
 use crate::value::{AllocId, CapMeta, IntegerValue, MemValue, PointerValue, Provenance};
@@ -82,8 +84,8 @@ pub struct Allocation {
     /// The declared type, for objects with one (used by the effective-type
     /// rules).
     pub declared_ty: Option<Ctype>,
-    /// The effective type of a dynamic allocation (set by the first
-    /// non-character store, 6.5p6).
+    /// The effective type of an object with no declared type (set by the
+    /// first non-character store, 6.5p6, under every configuration).
     pub effective_ty: Option<Ctype>,
     /// The source name, if known (for diagnostics).
     pub name: Option<String>,
@@ -142,6 +144,9 @@ const FUNCTION_BASE: u64 = 0x1000;
 #[derive(Debug, Clone)]
 pub struct MemState {
     config: ModelConfig,
+    /// The semantic fields of `config` this execution has read (see
+    /// [`MemState::consult`]).
+    consulted: Cell<FieldSet>,
     env: ImplEnv,
     tags: TagRegistry,
     allocations: Vec<Allocation>,
@@ -158,6 +163,7 @@ impl MemState {
     pub fn new(config: ModelConfig, env: ImplEnv, tags: TagRegistry) -> Self {
         MemState {
             config,
+            consulted: Cell::new(FieldSet::EMPTY),
             env,
             tags,
             allocations: Vec::new(),
@@ -168,8 +174,12 @@ impl MemState {
         }
     }
 
-    /// The model configuration in force.
-    pub fn config(&self) -> &ModelConfig {
+    /// The configuration, recording `field` as consulted. Every read of a
+    /// semantic field goes through here, and only where its answer can
+    /// change the result, so [`MemoryModel::consulted`] names every field an
+    /// execution depends on and no field it does not.
+    fn consult(&self, field: FieldSet) -> &ModelConfig {
+        self.consulted.set(self.consulted.get() | field);
         &self.config
     }
 
@@ -215,7 +225,7 @@ impl MemState {
         };
         self.next_addr = base + size;
         self.allocations.push(alloc);
-        let cap = if self.config.cheri {
+        let cap = if self.consult(FieldSet::CHERI).cheri {
             Some(CapMeta {
                 base,
                 length: size,
@@ -262,7 +272,7 @@ impl MemState {
                 "access through a null pointer",
             ));
         }
-        if self.config.cheri {
+        if self.consult(FieldSet::CHERI).cheri {
             if let Some(cap) = &ptr.cap {
                 if !cap.tag {
                     return Err(MemError::new(
@@ -283,7 +293,20 @@ impl MemState {
                 ));
             }
         }
-        let id = if self.config.provenance_checking {
+        // An allocation the provenance names, live and holding the whole
+        // access, is the one both readings of `provenance_checking` pick:
+        // live allocations never overlap, since no address is reused.
+        let named = ptr
+            .prov
+            .alloc_id()
+            .and_then(|id| self.allocation(id))
+            .filter(|alloc| alloc.alive && alloc.contains_range(ptr.addr, len.max(1)));
+        let id = if let Some(alloc) = named {
+            alloc.id
+        } else if self
+            .consult(FieldSet::PROVENANCE_CHECKING)
+            .provenance_checking
+        {
             match ptr.prov {
                 Provenance::Alloc(id) => {
                     let alloc = self.allocation(id).ok_or_else(|| {
@@ -356,33 +379,27 @@ impl MemState {
         access_ty: &Ctype,
         is_store: bool,
     ) -> ModelResult<()> {
-        if !self.config.effective_types || access_ty.is_character() {
+        if access_ty.is_character() {
             return Ok(());
         }
-        let alloc = &mut self.allocations[id as usize];
-        let declared = alloc
-            .declared_ty
-            .clone()
-            .or_else(|| alloc.effective_ty.clone());
-        match declared {
+        let alloc = &self.allocations[id as usize];
+        match alloc.declared_ty.as_ref().or(alloc.effective_ty.as_ref()) {
             None => {
                 if is_store {
-                    alloc.effective_ty = Some(access_ty.clone());
+                    self.allocations[id as usize].effective_ty = Some(access_ty.clone());
                 }
                 Ok(())
             }
-            Some(decl) => {
-                if types_alias_compatible(&decl, access_ty) {
-                    Ok(())
-                } else {
-                    Err(MemError::new(
-                        UbKind::EffectiveTypeViolation,
-                        format!(
-                            "access at type {access_ty} to an object with effective type {decl}"
-                        ),
-                    ))
-                }
+            Some(decl)
+                if types_alias_compatible(decl, access_ty)
+                    || !self.consult(FieldSet::EFFECTIVE_TYPES).effective_types =>
+            {
+                Ok(())
             }
+            Some(decl) => Err(MemError::new(
+                UbKind::EffectiveTypeViolation,
+                format!("access at type {access_ty} to an object with effective type {decl}"),
+            )),
         }
     }
 
@@ -522,7 +539,7 @@ impl MemState {
                             },
                         ));
                     }
-                    let cap = if self.config.cheri {
+                    let cap = if self.consult(FieldSet::CHERI).cheri {
                         prov.alloc_id()
                             .and_then(|id| self.allocation(id))
                             .map(|a| CapMeta {
@@ -640,6 +657,10 @@ impl MemoryModel for MemState {
 
     fn fresh(&self) -> Self {
         MemState::new(self.config.clone(), self.env.clone(), self.tags.clone())
+    }
+
+    fn consulted(&self) -> Option<FieldSet> {
+        Some(self.consulted.get())
     }
 
     fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
@@ -761,7 +782,9 @@ impl MemoryModel for MemState {
             Ok(id) => id,
             Err(e)
                 if e.ub == UbKind::OutOfBoundsAccess
-                    && self.config.provenance_optimising_stores
+                    && self
+                        .consult(FieldSet::PROVENANCE_OPTIMISING_STORES)
+                        .provenance_optimising_stores
                     && self.is_one_past_store(ptr, len) =>
             {
                 // GCC-like provenance reasoning: the store is assumed not to
@@ -776,18 +799,17 @@ impl MemoryModel for MemState {
         self.check_effective_type(id, ty, true)?;
         let bytes = self.serialize(ty, value)?;
         let padding_offsets = self.padding_offsets(ty)?;
+        // Every padding offset lies within the stored bytes.
+        let clobbers = !padding_offsets.is_empty()
+            && self.consult(FieldSet::PADDING).padding == PaddingSemantics::MemberStoreClobbers;
         let alloc = &mut self.allocations[id as usize];
         let start = (ptr.addr - alloc.base) as usize;
         for (i, b) in bytes.into_iter().enumerate() {
-            let is_padding = padding_offsets.contains(&(i as u64));
             let dst = &mut alloc.bytes[start + i];
-            if is_padding {
-                match self.config.padding {
-                    PaddingSemantics::Preserved => {}
-                    PaddingSemantics::MemberStoreClobbers => *dst = AbsByte::unspec(),
-                }
-            } else {
+            if !padding_offsets.contains(&(i as u64)) {
                 *dst = b;
+            } else if clobbers {
+                *dst = AbsByte::unspec();
             }
         }
         Ok(())
@@ -796,10 +818,14 @@ impl MemoryModel for MemState {
     fn load(&mut self, ty: &Ctype, ptr: &PointerValue) -> ModelResult<MemValue> {
         let len = self.size_of(ty)?;
         // Shadowed GCC-like loads: a load through a provenance whose store was
-        // redirected reads the shadow.
-        if self.config.provenance_optimising_stores && self.is_one_past_store(ptr, len) {
-            if let Some(bytes) = self.shadow.get(&ptr.addr).cloned() {
-                return self.deserialize(ty, &bytes);
+        // redirected reads the shadow. Only such a store fills the shadow.
+        if let Some(bytes) = self.shadow.get(&ptr.addr) {
+            if self
+                .consult(FieldSet::PROVENANCE_OPTIMISING_STORES)
+                .provenance_optimising_stores
+                && self.is_one_past_store(ptr, len)
+            {
+                return self.deserialize(ty, bytes);
             }
         }
         let id = self.check_access(ptr, len, false)?;
@@ -811,7 +837,7 @@ impl MemoryModel for MemState {
         if value.is_unspecified()
             && ty.is_scalar()
             && !ty.is_character()
-            && self.config.uninit == UninitSemantics::Undefined
+            && self.consult(FieldSet::UNINIT).uninit == UninitSemantics::Undefined
         {
             return Err(MemError::new(
                 UbKind::IndeterminateValueUse,
@@ -825,15 +851,17 @@ impl MemoryModel for MemState {
         if a.function.is_some() || b.function.is_some() {
             return Ok(a.function == b.function);
         }
-        let addr_eq = a.addr == b.addr;
-        if (self.config.equality_uses_provenance || self.config.cheri) && addr_eq {
-            // GCC observably treats pointers with the same representation but
-            // different provenances as unequal when the information is
-            // statically available (Q2); CHERI's exact-equals compares the
-            // metadata too.
-            return Ok(a.prov == b.prov);
+        if a.addr != b.addr || a.prov == b.prov {
+            return Ok(a.addr == b.addr);
         }
-        Ok(addr_eq)
+        // GCC observably treats pointers with the same representation but
+        // different provenances as unequal when the information is
+        // statically available (Q2); CHERI's exact-equals compares the
+        // metadata too.
+        Ok(!(self
+            .consult(FieldSet::EQUALITY_USES_PROVENANCE)
+            .equality_uses_provenance
+            || self.consult(FieldSet::CHERI).cheri))
     }
 
     fn ptr_rel(&self, a: &PointerValue, b: &PointerValue) -> ModelResult<std::cmp::Ordering> {
@@ -841,7 +869,9 @@ impl MemoryModel for MemState {
             (Some(x), Some(y)) => x == y,
             _ => false,
         };
-        if !same_object && self.config.relational == RelationalSemantics::Undefined {
+        if !same_object
+            && self.consult(FieldSet::RELATIONAL).relational == RelationalSemantics::Undefined
+        {
             return Err(MemError::new(
                 UbKind::RelationalCompareDifferentObjects,
                 "relational comparison of pointers to different objects",
@@ -858,9 +888,13 @@ impl MemoryModel for MemState {
     ) -> ModelResult<IntegerValue> {
         let same_object = match (a.prov.alloc_id(), b.prov.alloc_id()) {
             (Some(x), Some(y)) => x == y,
-            _ => !self.config.provenance_checking,
+            _ => false,
         };
-        if !same_object && self.config.provenance_checking {
+        if !same_object
+            && self
+                .consult(FieldSet::PROVENANCE_CHECKING)
+                .provenance_checking
+        {
             return Err(MemError::new(
                 UbKind::PointerSubtractionDifferentObjects,
                 "subtraction of pointers into different objects",
@@ -889,12 +923,12 @@ impl MemoryModel for MemState {
                 function: Some(name.clone()),
             };
         }
-        let prov = match self.config.int_to_ptr {
+        let prov = match self.consult(FieldSet::INT_TO_PTR).int_to_ptr {
             IntToPtrSemantics::TrackedProvenance => iv.prov,
             IntToPtrSemantics::Wildcard => Provenance::Wildcard,
             IntToPtrSemantics::Forbidden => Provenance::Empty,
         };
-        let cap = if self.config.cheri {
+        let cap = if self.consult(FieldSet::CHERI).cheri {
             prov.alloc_id()
                 .and_then(|id| self.allocation(id))
                 .map(|a| CapMeta {
@@ -921,14 +955,16 @@ impl MemoryModel for MemState {
     ) -> ModelResult<PointerValue> {
         let esize = self.size_of(elem_ty)? as i128;
         let new_addr = (ptr.addr as i128 + index * esize) as u64;
-        if !self.config.allow_oob_pointer_arith {
-            if let Some(alloc) = ptr.prov.alloc_id().and_then(|id| self.allocation(id)) {
-                if new_addr < alloc.base || new_addr > alloc.end() {
-                    return Err(MemError::new(
-                        UbKind::OutOfBoundsPointerArithmetic,
-                        "pointer arithmetic leaves the object (and its one-past point)",
-                    ));
-                }
+        if let Some(alloc) = ptr.prov.alloc_id().and_then(|id| self.allocation(id)) {
+            if (new_addr < alloc.base || new_addr > alloc.end())
+                && !self
+                    .consult(FieldSet::ALLOW_OOB_POINTER_ARITH)
+                    .allow_oob_pointer_arith
+            {
+                return Err(MemError::new(
+                    UbKind::OutOfBoundsPointerArithmetic,
+                    "pointer arithmetic leaves the object (and its one-past point)",
+                ));
             }
         }
         Ok(ptr.with_addr(new_addr))
@@ -985,15 +1021,15 @@ impl MemoryModel for MemState {
         for i in 0..n as usize {
             let x = aa.bytes[astart + i].value;
             let y = ba.bytes[bstart + i].value;
-            let (x, y) = match (x, y, self.config.uninit) {
-                (Some(x), Some(y), _) => (x, y),
-                (_, _, UninitSemantics::Undefined) => {
+            let (x, y) = match (x, y) {
+                (Some(x), Some(y)) => (x, y),
+                _ if self.consult(FieldSet::UNINIT).uninit == UninitSemantics::Undefined => {
                     return Err(MemError::new(
                         UbKind::IndeterminateValueUse,
                         "memcmp over unspecified bytes",
                     ))
                 }
-                (x, y, _) => (x.unwrap_or(0), y.unwrap_or(0)),
+                (x, y) => (x.unwrap_or(0), y.unwrap_or(0)),
             };
             if x != y {
                 return Ok(if x < y { -1 } else { 1 });

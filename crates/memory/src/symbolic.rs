@@ -129,11 +129,6 @@ impl SymbolicEngine {
         }
     }
 
-    /// The model configuration in force.
-    pub fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
     /// The lazy resolutions (one-past comparisons, wildcard and intptr
     /// reconstructions) performed so far, newest last.
     pub fn resolutions(&self) -> Vec<String> {

@@ -11,13 +11,20 @@
 //! The walker's matches have no `_` arm, and each `visit!` arm also declares
 //! its constructor, so a variant added to Core cannot compile without joining
 //! the census, and cannot pass it unless some source reaches it.
+//!
+//! A second census covers the memory model configuration: the concrete
+//! engine must consult every semantic field of `ModelConfig` on some
+//! source, or rows that the field tells apart would share one execution.
 
 use std::collections::BTreeSet;
 
 use cerberus::pipeline::Session;
 use cerberus_core::program::CoreProgram;
 use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, Polarity, PtrOp};
+use cerberus_exec::driver::ExecMode;
 use cerberus_gen::{generate, to_c_source, GenConfig};
+use cerberus_memory::config::{EngineKind, FieldSet, ModelConfig};
+use cerberus_memory::limits::ResourceLimits;
 
 /// Constructors the census may leave unreached, each with the reason it is
 /// kept. Empty: every constructor is emitted by the elaborator.
@@ -290,4 +297,68 @@ fn the_elaborator_reaches_every_core_constructor() {
         .filter(|name| census.reached.contains(name) || !census.declared.contains(name))
         .collect();
     assert!(stale.is_empty(), "stale keep-list entries: {stale:?}");
+}
+
+/// The source that consults `padding`, which no fixture does: padding
+/// semantics act only on a whole-struct store. It returns 0 where a member
+/// store clobbers padding and 1 where padding is preserved.
+const PADDING_SOURCE: &str = "struct s { char c; int i; }; int main(void) { struct s a, b; \
+     unsigned char *p = (unsigned char *)&a; b.c = 1; b.i = 2; p[1] = 0xAA; a = b; \
+     return p[1] == 0xAA; }";
+
+/// Every semantic field of `ModelConfig` is consulted by the concrete rows
+/// of the fixtures or of `PADDING_SOURCE`, so a field the engine never reads
+/// through its recording accessor fails here.
+#[test]
+fn the_concrete_engine_consults_every_semantic_field() {
+    let concrete: Vec<ModelConfig> = ModelConfig::all_named()
+        .into_iter()
+        .filter(|model| model.engine == EngineKind::Concrete)
+        .collect();
+    let mut sources: Vec<String> = cerberus_litmus::catalogue()
+        .into_iter()
+        .map(|test| test.source)
+        .collect();
+    sources.push(PADDING_SOURCE.to_owned());
+    let session = Session::default();
+    // `Driver::run_logged` runs the whole call depth on its caller's thread.
+    let consulted = std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(ResourceLimits::default().host_stack_bytes())
+            .spawn_scoped(scope, || {
+                let mut consulted = FieldSet::EMPTY;
+                for source in &sources {
+                    let program = session.elaborate(source).unwrap();
+                    for model in &concrete {
+                        let (_, fields) = program.driver(model).run_logged(ExecMode::default());
+                        consulted = consulted | fields.expect("the concrete engine records");
+                    }
+                }
+                consulted
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    });
+    assert_eq!(
+        consulted,
+        FieldSet::ALL,
+        "never consulted: {:?}",
+        FieldSet::ALL.without(consulted)
+    );
+
+    let program = session.elaborate(PADDING_SOURCE).unwrap();
+    for (name, expected) in [
+        ("block", 0),
+        ("tis-interpreter", 0),
+        ("de-facto", 1),
+        ("kcc", 1),
+    ] {
+        let model = ModelConfig::by_name(name).unwrap();
+        assert_eq!(
+            program.run_under(&model).exit_value(),
+            Some(expected),
+            "{name}"
+        );
+    }
 }

@@ -1,15 +1,29 @@
 //! Integration test: the §6-style differential validation in miniature — the
 //! pipeline must agree with the independent reference evaluator on randomly
-//! generated well-defined programs.
+//! generated well-defined programs — and the contract of the rows an
+//! artifact shares: each equals the run it stands for.
 
-use cerberus_gen::{diff_one, generate, run_differential, DiffOutcome, GenConfig};
+use std::ops::Range;
+
+use cerberus::pipeline::Session;
+use cerberus::DifferentialRunner;
+use cerberus_exec::driver::{ExecMode, ProgramOutcome};
+use cerberus_gen::{diff_one, generate, run_differential, to_c_source, DiffOutcome, GenConfig};
+use cerberus_memory::config::ModelConfig;
 use cerberus_memory::limits::ResourceLimits;
 use cerberus_queue::JobQueue;
 
 #[test]
 fn small_generated_programs_agree_with_the_reference_oracle() {
     let limits = ResourceLimits::with_steps(2_000_000);
-    let summary = run_differential(&JobQueue::start(2), 20, GenConfig::small(), &limits);
+    let models = [ModelConfig::concrete()];
+    let summary = run_differential(
+        &JobQueue::start(2),
+        20,
+        GenConfig::small(),
+        &limits,
+        &models,
+    );
     assert_eq!(summary.total, 20);
     assert_eq!(summary.disagree, 0, "{summary:?}");
     assert_eq!(summary.failed, 0, "{summary:?}");
@@ -19,7 +33,8 @@ fn small_generated_programs_agree_with_the_reference_oracle() {
 #[test]
 fn larger_generated_programs_mostly_agree_with_a_timeout_tail() {
     let limits = ResourceLimits::with_steps(1_000_000);
-    let summary = run_differential(&JobQueue::start(2), 8, GenConfig::large(), &limits);
+    let models = [ModelConfig::concrete()];
+    let summary = run_differential(&JobQueue::start(2), 8, GenConfig::large(), &limits, &models);
     assert_eq!(summary.total, 8);
     assert_eq!(summary.disagree, 0, "{summary:?}");
     // Like the paper's larger Csmith runs, a (small) timeout tail is allowed.
@@ -31,4 +46,106 @@ fn larger_generated_programs_mostly_agree_with_a_timeout_tail() {
 fn step_budget_exhaustion_is_reported_as_a_timeout() {
     let program = generate(11, GenConfig::large());
     assert_eq!(diff_one(&program, 10), DiffOutcome::Timeout);
+}
+
+/// Seeds of each generator size in the sharing contract below; the
+/// debug-build test stays under about 30 s.
+const CONTRACT_SEEDS: Range<u64> = 0..20;
+
+/// The fixture corpus and `seeds` of both generator sizes, as
+/// `(name, source)`.
+fn corpus(seeds: Range<u64>) -> Vec<(String, String)> {
+    let mut corpus: Vec<(String, String)> = cerberus_litmus::catalogue()
+        .into_iter()
+        .map(|test| (test.name, test.source))
+        .collect();
+    for (label, config) in [("small", GenConfig::small()), ("large", GenConfig::large())] {
+        for seed in seeds.clone() {
+            let source = to_c_source(&generate(seed, config));
+            corpus.push((format!("{label} seed {seed}"), source));
+        }
+    }
+    corpus
+}
+
+/// Check every named row of every program under `limits` and `mode`, each
+/// program on a fresh artifact, against the unshared search, which runs the
+/// whole call depth on this thread. Returns the rows that exhausted a budget
+/// and the rows answered from a tabled run.
+fn check_rows_against_unshared_runs(
+    corpus: &[(String, String)],
+    limits: &ResourceLimits,
+    mode: ExecMode,
+) -> (usize, u64) {
+    let session = Session::default();
+    let (mut budget_rows, mut shared_rows) = (0, 0);
+    for (name, source) in corpus {
+        let program = session.elaborate_uncached(source).unwrap();
+        let models = ModelConfig::all_named();
+        let rows: Vec<Vec<ProgramOutcome>> = if mode == ExecMode::default() {
+            let runner = DifferentialRunner::new(models.clone()).with_limits(limits.clone());
+            let matrix = runner.run(&program);
+            matrix
+                .rows()
+                .iter()
+                .map(|row| row.outcome.outcomes.clone())
+                .collect()
+        } else {
+            let execute = |model| program.execute_bounded(model, mode, limits).outcomes;
+            models.iter().map(execute).collect()
+        };
+        for (model, outcomes) in models.iter().zip(rows) {
+            let unshared = program.driver(model).with_limits(limits.clone()).run(mode);
+            assert_eq!(outcomes, unshared, "{name} under {} ({mode:?})", model.name);
+            budget_rows += usize::from(outcomes.iter().any(|o| o.result.is_budget_exhaustion()));
+        }
+        shared_rows += program.execution_stats().hits;
+    }
+    (budget_rows, shared_rows)
+}
+
+/// Every row a matrix answers from the artifact's table of executions equals
+/// the unshared run of its model (`Elaborated::driver` plus `Driver::run`):
+/// on the fixtures and generated programs, at the default budget, at a
+/// 5,000-step budget and at bound 4.
+#[test]
+fn every_shared_row_equals_its_unshared_run() {
+    let corpus = corpus(CONTRACT_SEEDS);
+    let default = ResourceLimits::default();
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(default.host_stack_bytes())
+            .spawn_scoped(scope, || {
+                let (_, shared) =
+                    check_rows_against_unshared_runs(&corpus, &default, ExecMode::default());
+                assert!(shared > 0, "no row was shared");
+                let starved = ResourceLimits::with_steps(5_000);
+                let (budget_rows, _) =
+                    check_rows_against_unshared_runs(&corpus, &starved, ExecMode::default());
+                assert!(budget_rows > 0, "the 5,000-step budget stopped no row");
+                let bound_4 = ExecMode { max_executions: 4 };
+                check_rows_against_unshared_runs(&corpus, &default, bound_4);
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    });
+}
+
+/// Generated programs consult no field on which the eight non-CHERI
+/// concrete presets disagree, so their ten named rows cost at most three
+/// executions: those eight, `cheri` and `symbolic`.
+#[test]
+fn generated_programs_cost_at_most_three_executions_per_matrix() {
+    let session = Session::default();
+    for (label, config) in [("small", GenConfig::small()), ("large", GenConfig::large())] {
+        for seed in 0..40 {
+            let source = to_c_source(&generate(seed, config));
+            let program = session.elaborate_uncached(&source).unwrap();
+            DifferentialRunner::all_named().run(&program);
+            let stats = program.execution_stats();
+            assert_eq!(stats.lookups(), 10, "{label} seed {seed}");
+            assert!(stats.misses <= 3, "{label} seed {seed}: {stats:?}");
+        }
+    }
 }

@@ -14,16 +14,18 @@ use std::time::{Duration, Instant};
 
 use cerberus::pipeline::{Config, Session};
 use cerberus::DifferentialRunner;
+use cerberus_ast::ub::UbKind;
 use cerberus_exec::driver::{ExecMode, ExecResult};
 use cerberus_exec::eval::OUTPUT_BYTES;
-use cerberus_memory::config::ModelConfig;
+use cerberus_memory::config::{ModelConfig, ToolProfile};
 use cerberus_memory::fault::FAULT_MESSAGE;
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
 
 /// The full catalogue under every named model plus an injected
 /// always-panicking engine: the run completes, exactly the injected model's
 /// rows fault (with its payload), and every healthy row is identical to a
-/// run that never saw the faulty engine.
+/// run that never saw the faulty engine. Each run has an artifact of its
+/// own, so neither answers a row from the other's executions.
 #[test]
 fn an_injected_fault_is_invisible_to_every_healthy_row_of_the_catalogue() {
     let mut poisoned_models = ModelConfig::all_named();
@@ -33,11 +35,15 @@ fn an_injected_fault_is_invisible_to_every_healthy_row_of_the_catalogue() {
 
     let session = Session::default();
     for test in cerberus_litmus::catalogue() {
-        let program = session
-            .elaborate(&test.source)
-            .unwrap_or_else(|e| panic!("litmus test {} failed in the front end: {e}", test.name));
+        let elaborate = || {
+            session
+                .elaborate_uncached(&test.source)
+                .unwrap_or_else(|e| {
+                    panic!("litmus test {} failed in the front end: {e}", test.name)
+                })
+        };
 
-        let with_fault = poisoned.run(&program);
+        let with_fault = poisoned.run(&elaborate());
         assert_eq!(
             with_fault.faulted_models(),
             vec!["panicking"],
@@ -52,7 +58,7 @@ fn an_injected_fault_is_invisible_to_every_healthy_row_of_the_catalogue() {
             other => panic!("{}: expected an engine fault, got {other}", test.name),
         }
 
-        let without_fault = healthy.run(&program);
+        let without_fault = healthy.run(&elaborate());
         assert!(!without_fault.any_fault(), "{}", test.name);
         for row in without_fault.rows() {
             assert_eq!(
@@ -68,30 +74,81 @@ fn an_injected_fault_is_invisible_to_every_healthy_row_of_the_catalogue() {
 
 /// An unbounded loop is stopped by the wall-clock watchdog — with a step
 /// budget far too large to fire first — well within the configured budget.
+/// The clock is not part of the program, so such a run is never shared:
+/// `concrete` and `de-facto`, which this loop cannot tell apart, each run.
 #[test]
 fn the_wall_clock_watchdog_stops_an_unbounded_loop() {
     let program = Session::default()
         .elaborate("int main(void) { while (1); return 0; }")
         .unwrap();
     let limits = ResourceLimits::with_steps(u64::MAX).with_wall_clock_ms(200);
-    let started = Instant::now();
-    let outcome = program.execute_bounded(&ModelConfig::de_facto(), ExecMode::default(), &limits);
-    let elapsed = started.elapsed();
-    assert!(
-        matches!(
-            outcome.outcomes[0].result,
-            ExecResult::Timeout(TimeoutKind::WallClock)
-        ),
-        "expected a wall-clock timeout, got {:?}",
-        outcome.outcomes[0].result
+    for model in [ModelConfig::concrete(), ModelConfig::de_facto()] {
+        let started = Instant::now();
+        let outcome = program.execute_bounded(&model, ExecMode::default(), &limits);
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(
+                outcome.outcomes[0].result,
+                ExecResult::Timeout(TimeoutKind::WallClock)
+            ),
+            "expected a wall-clock timeout under {}, got {:?}",
+            model.name,
+            outcome.outcomes[0].result
+        );
+        // Generous slack over the 200ms budget: the deadline is polled every
+        // 4096 steps, so the overshoot is bounded by one polling interval.
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "watchdog took {elapsed:?} to fire on a 200ms budget"
+        );
+        assert!(outcome.any_budget_exhaustion());
+    }
+    let stats = program.execution_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 0));
+}
+
+/// A faulting row is neither answered from the table nor tabled, and the
+/// rows after it run and share as they would without it: `sanitizer`
+/// shares `concrete`'s execution, whose semantics it repeats, across the
+/// panic between them.
+#[test]
+fn a_faulting_row_is_never_shared() {
+    let dr260 = cerberus_litmus::catalogue()
+        .into_iter()
+        .find(|test| test.name == "provenance_basic_global_xy")
+        .expect("the DR260 fixture exists");
+    let session = Session::default();
+    let with_fault = session.elaborate_uncached(&dr260.source).unwrap();
+    let matrix = DifferentialRunner::new(vec![
+        ModelConfig::concrete(),
+        ModelConfig::panicking(),
+        ModelConfig::de_facto(),
+        ModelConfig::tool(ToolProfile::Sanitizer),
+    ])
+    .run(&with_fault);
+    assert_eq!(matrix.faulted_models(), vec!["panicking"]);
+    let stats = with_fault.execution_stats();
+    // `concrete`, `panicking` and `de-facto` executed; only the sanitizer
+    // row was shared, and the panicking row was never tabled.
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 2));
+
+    let healthy = DifferentialRunner::new(vec![
+        ModelConfig::concrete(),
+        ModelConfig::de_facto(),
+        ModelConfig::tool(ToolProfile::Sanitizer),
+    ])
+    .run(&session.elaborate_uncached(&dr260.source).unwrap());
+    for model in ["concrete", "de-facto", "sanitizer"] {
+        assert_eq!(
+            matrix.outcome_for(model),
+            healthy.outcome_for(model),
+            "{model}"
+        );
+    }
+    assert_eq!(
+        matrix.outcome_for("sanitizer"),
+        matrix.outcome_for("concrete")
     );
-    // Generous slack over the 200ms budget: the deadline is polled every
-    // 4096 steps, so the overshoot is bounded by one polling interval.
-    assert!(
-        elapsed < Duration::from_secs(10),
-        "watchdog took {elapsed:?} to fire on a 200ms budget"
-    );
-    assert!(outcome.any_budget_exhaustion());
 }
 
 /// Unbounded recursion exhausts the call-depth budget instead of blowing the
@@ -191,7 +248,9 @@ fn executions_fit_a_default_sized_thread() {
 }
 
 /// A legal recursion deeper than the caller's thread hosts completes under
-/// every named model, both on the test thread and on a default-sized one.
+/// every named model, both on the test thread and on a default-sized one,
+/// and its rows still share: each matrix executes the eight non-CHERI
+/// concrete presets once, with their rerun on a larger stack.
 #[test]
 fn a_legal_deep_recursion_completes_under_every_model() {
     let program = Session::default().elaborate(DEEP_RECURSION).unwrap();
@@ -210,6 +269,34 @@ fn a_legal_deep_recursion_completes_under_every_model() {
             );
         }
     }
+    // The first matrix executed three rows and shared seven; the second
+    // found all nine concrete rows tabled and executed `symbolic` again.
+    let stats = program.execution_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (16, 4, 2));
+}
+
+/// A rerun on a larger stack joins what it consulted to what the run on the
+/// caller's thread did. Here only the rerun reaches the uninitialised read,
+/// 20 frames down, so `strict-iso` must not share `concrete`'s run.
+#[test]
+fn a_field_only_the_rerun_consults_splits_the_rows() {
+    let program = Session::default()
+        .elaborate(
+            "int f(int n) { int x; if (n == 0) return x; return f(n - 1); } \
+             int main(void) { f(20); return 0; }",
+        )
+        .unwrap();
+    let matrix = DifferentialRunner::all_named().run(&program);
+    assert_eq!(
+        matrix.outcome_for("concrete").unwrap().outcomes[0].result,
+        ExecResult::Return(0)
+    );
+    assert_eq!(
+        matrix.outcome_for("strict-iso").unwrap().outcomes[0]
+            .result
+            .ub_kind(),
+        Some(UbKind::IndeterminateValueUse)
+    );
 }
 
 /// A call depth of 0 lets `main` run and stops its first call.
