@@ -17,7 +17,7 @@
 //!    values carry no provenance, and provenance in arithmetic is inherited
 //!    from the left-hand operand only.
 
-use crate::value::{CapMeta, PointerValue, Provenance};
+use crate::value::{PointerValue, Provenance};
 
 /// A CHERI capability for a C pointer or `uintptr_t` value: base, length,
 /// offset and tag. The represented address is `base + offset`.
@@ -47,19 +47,6 @@ impl Capability {
         }
     }
 
-    /// Construct a capability from a [`PointerValue`] carrying CHERI
-    /// metadata.
-    pub fn from_pointer(p: &PointerValue) -> Option<Self> {
-        let cap = p.cap?;
-        Some(Capability {
-            base: cap.base,
-            length: cap.length,
-            offset: p.addr - cap.base,
-            tag: cap.tag,
-            prov: p.prov,
-        })
-    }
-
     /// The full address represented by the capability.
     pub fn address(&self) -> u64 {
         self.base + self.offset
@@ -68,21 +55,14 @@ impl Capability {
     /// Whether an access of `len` bytes at the capability's address is within
     /// bounds.
     pub fn in_bounds(&self, len: u64) -> bool {
-        self.tag && self.offset + len <= self.length
+        self.tag && self.offset <= self.length && len <= self.length - self.offset
     }
 
-    /// Convert back to a [`PointerValue`].
+    /// The [`PointerValue`] at the capability's address, with its
+    /// provenance. The engine derives bounds from that provenance, so the
+    /// pointer carries no capability of its own.
     pub fn to_pointer(self) -> PointerValue {
-        PointerValue {
-            prov: self.prov,
-            addr: self.address(),
-            cap: Some(CapMeta {
-                base: self.base,
-                length: self.length,
-                tag: self.tag,
-            }),
-            function: None,
-        }
+        PointerValue::object(self.prov, self.address())
     }
 }
 
@@ -200,6 +180,7 @@ mod tests {
         let c = Capability::for_allocation(0x2_0000, 16, Provenance::Alloc(7));
         assert!(c.in_bounds(16));
         assert!(!c.in_bounds(17));
+        assert!(!c.in_bounds(u64::MAX));
         let mut untagged = c;
         untagged.tag = false;
         assert!(!untagged.in_bounds(1));
@@ -216,8 +197,8 @@ mod tests {
         };
         let p = c.to_pointer();
         assert_eq!(p.addr, 0x3_0008);
-        let back = Capability::from_pointer(&p).unwrap();
-        assert_eq!(back, c);
+        assert_eq!(p.prov, Provenance::Alloc(9));
+        assert!(p.function.is_none());
     }
 
     #[test]

@@ -201,8 +201,13 @@ pub struct ModelConfig {
     pub effective_types: bool,
     /// Semantics of integer-to-pointer casts.
     pub int_to_ptr: IntToPtrSemantics,
-    /// CHERI capability semantics: pointers carry bounds metadata, equality
-    /// compares metadata, and non-`intptr_t` integers do not carry provenance.
+    /// CHERI capability semantics: an access must lie within the bounds of
+    /// the allocation its pointer's provenance names (the capability), so an
+    /// access whose provenance names no allocation is rejected too; and
+    /// pointers at one address with two provenances compare unequal (exact
+    /// equality compares metadata). Integers keep the engine's provenance
+    /// rules; the left-biased arithmetic of the §4 findings is modelled only
+    /// by [`crate::cheri::arithmetic_provenance`].
     pub cheri: bool,
     /// Emulate the GCC-style provenance-based alias reasoning on the DR260
     /// example: a store through a pointer whose provenance footprint does not
@@ -309,8 +314,8 @@ impl ModelConfig {
         }
     }
 
-    /// The CHERI C model of §4: dynamically enforced spatial safety with
-    /// capability metadata on pointers.
+    /// The CHERI C model of §4: dynamically enforced spatial safety, each
+    /// pointer's capability being the bounds of its provenance's allocation.
     pub fn cheri() -> Self {
         ModelConfig {
             name: "cheri",

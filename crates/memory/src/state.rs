@@ -24,7 +24,7 @@ use crate::config::{
     UninitSemantics,
 };
 use crate::model::{MemoryModel, ModelResult};
-use crate::value::{AllocId, CapMeta, IntegerValue, MemValue, PointerValue, Provenance};
+use crate::value::{AllocId, IntegerValue, MemValue, PointerValue, Provenance};
 
 /// The storage duration / origin of an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,9 +100,10 @@ impl Allocation {
         self.base + self.size
     }
 
-    /// Whether `[addr, addr+len)` lies within the allocation.
+    /// Whether `[addr, addr+len)` lies within the allocation. A range whose
+    /// end would pass 2^64 lies within none.
     pub fn contains_range(&self, addr: u64, len: u64) -> bool {
-        addr >= self.base && addr + len <= self.end()
+        addr >= self.base && addr <= self.end() && len <= self.end() - addr
     }
 }
 
@@ -225,21 +226,7 @@ impl MemState {
         };
         self.next_addr = base + size;
         self.allocations.push(alloc);
-        let cap = if self.consult(FieldSet::CHERI).cheri {
-            Some(CapMeta {
-                base,
-                length: size,
-                tag: true,
-            })
-        } else {
-            None
-        };
-        PointerValue {
-            prov: Provenance::Alloc(id),
-            addr: base,
-            cap,
-            function: None,
-        }
+        PointerValue::object(Provenance::Alloc(id), base)
     }
 
     fn resolve_allocation(&self, ptr: &PointerValue) -> ModelResult<AllocId> {
@@ -272,35 +259,32 @@ impl MemState {
                 "access through a null pointer",
             ));
         }
-        if self.consult(FieldSet::CHERI).cheri {
-            if let Some(cap) = &ptr.cap {
-                if !cap.tag {
-                    return Err(MemError::new(
-                        UbKind::OutOfBoundsAccess,
-                        "access through a capability with a cleared tag",
-                    ));
-                }
-                if ptr.addr < cap.base || ptr.addr + len > cap.base + cap.length {
-                    return Err(MemError::new(
-                        UbKind::OutOfBoundsAccess,
-                        "capability bounds violation",
-                    ));
-                }
-            } else {
+        // A CHERI capability is the bounds of the allocation the provenance
+        // names: no allocation moves or resizes, and nothing clears a tag.
+        // So an access inside those bounds passes under either reading of
+        // `cheri`, and only a rejecting check consults it.
+        let prov_alloc = ptr.prov.alloc_id().and_then(|id| self.allocation(id));
+        match prov_alloc {
+            Some(alloc) if alloc.contains_range(ptr.addr, len) => {}
+            _ if !self.consult(FieldSet::CHERI).cheri => {}
+            Some(_) => {
+                return Err(MemError::new(
+                    UbKind::OutOfBoundsAccess,
+                    "capability bounds violation",
+                ))
+            }
+            None => {
                 return Err(MemError::new(
                     UbKind::AccessWithoutProvenance,
                     "access through an untagged CHERI pointer",
-                ));
+                ))
             }
         }
         // An allocation the provenance names, live and holding the whole
         // access, is the one both readings of `provenance_checking` pick:
         // live allocations never overlap, since no address is reused.
-        let named = ptr
-            .prov
-            .alloc_id()
-            .and_then(|id| self.allocation(id))
-            .filter(|alloc| alloc.alive && alloc.contains_range(ptr.addr, len.max(1)));
+        let named =
+            prov_alloc.filter(|alloc| alloc.alive && alloc.contains_range(ptr.addr, len.max(1)));
         let id = if let Some(alloc) = named {
             alloc.id
         } else if self
@@ -534,30 +518,13 @@ impl MemState {
                             PointerValue {
                                 prov: Provenance::Empty,
                                 addr,
-                                cap: None,
                                 function: Some(name.clone()),
                             },
                         ));
                     }
-                    let cap = if self.consult(FieldSet::CHERI).cheri {
-                        prov.alloc_id()
-                            .and_then(|id| self.allocation(id))
-                            .map(|a| CapMeta {
-                                base: a.base,
-                                length: a.size,
-                                tag: true,
-                            })
-                    } else {
-                        None
-                    };
                     Ok(MemValue::Pointer(
                         (**pointee).clone(),
-                        PointerValue {
-                            prov,
-                            addr,
-                            cap,
-                            function: None,
-                        },
+                        PointerValue::object(prov, addr),
                     ))
                 }
                 None => Ok(MemValue::Unspecified(ty.clone())),
@@ -736,7 +703,6 @@ impl MemoryModel for MemState {
         PointerValue {
             prov: Provenance::Empty,
             addr,
-            cap: None,
             function: Some(name.clone()),
         }
     }
@@ -919,7 +885,6 @@ impl MemoryModel for MemState {
             return PointerValue {
                 prov: Provenance::Empty,
                 addr,
-                cap: None,
                 function: Some(name.clone()),
             };
         }
@@ -928,23 +893,7 @@ impl MemoryModel for MemState {
             IntToPtrSemantics::Wildcard => Provenance::Wildcard,
             IntToPtrSemantics::Forbidden => Provenance::Empty,
         };
-        let cap = if self.consult(FieldSet::CHERI).cheri {
-            prov.alloc_id()
-                .and_then(|id| self.allocation(id))
-                .map(|a| CapMeta {
-                    base: a.base,
-                    length: a.size,
-                    tag: true,
-                })
-        } else {
-            None
-        };
-        PointerValue {
-            prov,
-            addr,
-            cap,
-            function: None,
-        }
+        PointerValue::object(prov, addr)
     }
 
     fn array_shift(
@@ -1422,10 +1371,91 @@ mod tests {
         let mut mem = new_state(ModelConfig::cheri());
         let arr = Ctype::array(int_ty(), 2);
         let p = mem.create(&arr, AllocKind::Automatic, None).unwrap();
-        assert!(p.cap.is_some());
+        let last = mem.array_shift(&p, &int_ty(), 1).unwrap();
+        mem.store(&int_ty(), &last, &MemValue::int(IntegerType::Int, 4))
+            .unwrap();
+        assert_eq!(mem.load(&int_ty(), &last).unwrap().as_int(), Some(4));
         let oob = mem.array_shift(&p, &int_ty(), 5).unwrap();
         assert_eq!(
             mem.load(&int_ty(), &oob).unwrap_err().ub,
+            UbKind::OutOfBoundsAccess
+        );
+    }
+
+    fn concrete_presets() -> impl Iterator<Item = ModelConfig> {
+        ModelConfig::all_named()
+            .into_iter()
+            .filter(|c| c.engine == crate::config::EngineKind::Concrete)
+    }
+
+    #[test]
+    fn accesses_within_the_provenance_bounds_never_consult_cheri() {
+        let arr = Ctype::array(int_ty(), 2);
+        let pty = Ctype::pointer(int_ty());
+        for config in concrete_presets() {
+            let name = config.name;
+            let mut mem = new_state(config);
+            let p = mem.create(&arr, AllocKind::Automatic, Some("a")).unwrap();
+            let last = mem.array_shift(&p, &int_ty(), 1).unwrap();
+            let one_past = mem.array_shift(&p, &int_ty(), 2).unwrap();
+            assert_eq!(mem.array_shift(&one_past, &int_ty(), -2).unwrap(), p);
+            mem.store(&int_ty(), &last, &MemValue::int(IntegerType::Int, 3))
+                .unwrap();
+            assert_eq!(mem.load(&int_ty(), &last).unwrap().as_int(), Some(3));
+            let slot = mem.create(&pty, AllocKind::Automatic, Some("q")).unwrap();
+            mem.store(&pty, &slot, &MemValue::Pointer(int_ty(), last.clone()))
+                .unwrap();
+            let loaded = mem.load(&pty, &slot).unwrap();
+            assert_eq!(loaded.as_pointer(), Some(&last));
+            let round_trip = mem.ptr_from_int(&mem.int_from_ptr(&last));
+            assert_eq!(round_trip.addr, last.addr);
+            let consulted = mem.consulted().unwrap();
+            assert!(
+                !consulted.contains(FieldSet::CHERI),
+                "{name}: {consulted:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_load_past_the_end_consults_cheri_under_every_preset() {
+        let arr = Ctype::array(int_ty(), 2);
+        for config in concrete_presets() {
+            let name = config.name;
+            let mut mem = new_state(config);
+            let p = mem.create(&arr, AllocKind::Automatic, None).unwrap();
+            let one_past = mem.array_shift(&p, &int_ty(), 2).unwrap();
+            assert!(mem.load(&int_ty(), &one_past).is_err(), "{name}");
+            let consulted = mem.consulted().unwrap();
+            assert!(consulted.contains(FieldSet::CHERI), "{name}: {consulted:?}");
+        }
+    }
+
+    #[test]
+    fn cheri_rejects_an_access_without_provenance() {
+        let mut mem = new_state(ModelConfig::cheri());
+        let p = mem.create(&int_ty(), AllocKind::Automatic, None).unwrap();
+        mem.store(&int_ty(), &p, &MemValue::int(IntegerType::Int, 1))
+            .unwrap();
+        let bare = PointerValue::object(Provenance::Empty, p.addr);
+        assert_eq!(
+            mem.load(&int_ty(), &bare).unwrap_err().ub,
+            UbKind::AccessWithoutProvenance
+        );
+        assert!(mem.consulted().unwrap().contains(FieldSet::CHERI));
+    }
+
+    #[test]
+    fn a_range_that_wraps_the_address_space_is_out_of_bounds() {
+        let mut mem = new_state(ModelConfig::de_facto());
+        let arr = Ctype::array(Ctype::integer(IntegerType::Char), 4);
+        let p = mem.create(&arr, AllocKind::Automatic, None).unwrap();
+        let alloc = mem.allocation(0).unwrap();
+        assert!(alloc.contains_range(p.addr, 4));
+        assert!(!alloc.contains_range(p.addr, u64::MAX));
+        assert!(!alloc.contains_range(u64::MAX - 3, 8));
+        assert_eq!(
+            mem.set_bytes(&p, 0, u64::MAX).unwrap_err().ub,
             UbKind::OutOfBoundsAccess
         );
     }

@@ -606,7 +606,6 @@ impl MemoryModel for SymbolicEngine {
         PointerValue {
             prov: Provenance::Empty,
             addr,
-            cap: None,
             function: Some(name.clone()),
         }
     }

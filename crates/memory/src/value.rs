@@ -62,18 +62,6 @@ impl fmt::Display for Provenance {
     }
 }
 
-/// Capability metadata attached to pointer values under the CHERI model (§4):
-/// the bounds of the original allocation and the validity tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CapMeta {
-    /// Base address of the capability's bounds.
-    pub base: u64,
-    /// Length of the capability's bounds in bytes.
-    pub length: u64,
-    /// Whether the capability tag is set (cleared by invalid manipulations).
-    pub tag: bool,
-}
-
 /// An integer value: a mathematical value plus provenance ("our formal model
 /// associates provenances with all integer values", Q5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,9 +96,14 @@ impl fmt::Display for IntegerValue {
     }
 }
 
-/// A pointer value: provenance, concrete address, and (under CHERI) the
-/// capability metadata. "Abstract pointer values must also … contain concrete
-/// addresses" because real C exposes them (§2.1).
+/// A pointer value: provenance and concrete address. "Abstract pointer values
+/// must also … contain concrete addresses" because real C exposes them
+/// (§2.1).
+///
+/// A pointer stores no CHERI capability (§4). Every capability the engine
+/// would build is the bounds of the allocation the provenance names, and no
+/// engine operation clears a tag, so the access check derives the capability
+/// from the provenance when it looks that allocation up.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PointerValue {
     /// The provenance (empty for null).
@@ -118,8 +111,6 @@ pub struct PointerValue {
     /// The concrete address; 0 is the null pointer representation (the common
     /// de facto assumption, Q37).
     pub addr: u64,
-    /// Capability metadata (CHERI model only).
-    pub cap: Option<CapMeta>,
     /// If this pointer designates a C function rather than an object, its
     /// name (function pointers have no meaningful address arithmetic).
     pub function: Option<Ident>,
@@ -131,7 +122,6 @@ impl PointerValue {
         PointerValue {
             prov: Provenance::Empty,
             addr: 0,
-            cap: None,
             function: None,
         }
     }
@@ -141,7 +131,6 @@ impl PointerValue {
         PointerValue {
             prov,
             addr,
-            cap: None,
             function: None,
         }
     }
@@ -151,7 +140,6 @@ impl PointerValue {
         PointerValue {
             prov: Provenance::Empty,
             addr: 0,
-            cap: None,
             function: Some(name),
         }
     }
@@ -161,8 +149,8 @@ impl PointerValue {
         self.addr == 0 && self.function.is_none()
     }
 
-    /// A copy with a different address and the same provenance/metadata
-    /// (pointer arithmetic).
+    /// A copy with a different address and the same provenance (pointer
+    /// arithmetic).
     pub fn with_addr(&self, addr: u64) -> Self {
         PointerValue {
             addr,

@@ -132,11 +132,12 @@ fn every_shared_row_equals_its_unshared_run() {
     });
 }
 
-/// Generated programs consult no field on which the eight non-CHERI
-/// concrete presets disagree, so their ten named rows cost at most three
-/// executions: those eight, `cheri` and `symbolic`.
+/// Generated programs consult no field on which the nine concrete presets
+/// disagree, so their ten named rows cost at most two executions: those
+/// nine, then `symbolic`. Their accesses stay within the bounds of the
+/// allocations their provenances name, so no row reads `cheri`.
 #[test]
-fn generated_programs_cost_at_most_three_executions_per_matrix() {
+fn generated_programs_cost_at_most_two_executions_per_matrix() {
     let session = Session::default();
     for (label, config) in [("small", GenConfig::small()), ("large", GenConfig::large())] {
         for seed in 0..40 {
@@ -145,7 +146,33 @@ fn generated_programs_cost_at_most_three_executions_per_matrix() {
             DifferentialRunner::all_named().run(&program);
             let stats = program.execution_stats();
             assert_eq!(stats.lookups(), 10, "{label} seed {seed}");
-            assert!(stats.misses <= 3, "{label} seed {seed}: {stats:?}");
+            assert!(stats.misses <= 2, "{label} seed {seed}: {stats:?}");
         }
     }
+}
+
+/// `cheri` executes apart from `de-facto` only where its answer matters: on
+/// a fresh artifact per fixture, `de-facto` runs first, and wherever the
+/// `cheri` row then executes too, its outcome differs from `de-facto`'s. A
+/// consult of `cheri` whose answer changes nothing would split a fixture
+/// here with equal outcomes.
+#[test]
+fn cheri_executes_apart_from_de_facto_only_where_its_outcome_differs() {
+    let session = Session::default();
+    let runner = DifferentialRunner::new(vec![ModelConfig::de_facto(), ModelConfig::cheri()]);
+    let mut apart = 0;
+    for test in cerberus_litmus::catalogue() {
+        let program = session.elaborate_uncached(&test.source).unwrap();
+        let matrix = runner.run(&program);
+        if program.execution_stats().misses == 2 {
+            assert_ne!(
+                matrix.outcome_for("cheri"),
+                matrix.outcome_for("de-facto"),
+                "{}: `cheri` executed apart with the same outcome",
+                test.name
+            );
+            apart += 1;
+        }
+    }
+    assert!(apart > 0, "`cheri` never executed apart");
 }

@@ -249,8 +249,8 @@ fn executions_fit_a_default_sized_thread() {
 
 /// A legal recursion deeper than the caller's thread hosts completes under
 /// every named model, both on the test thread and on a default-sized one,
-/// and its rows still share: each matrix executes the eight non-CHERI
-/// concrete presets once, with their rerun on a larger stack.
+/// and its rows still share: the nine concrete presets execute once, with
+/// their rerun on a larger stack.
 #[test]
 fn a_legal_deep_recursion_completes_under_every_model() {
     let program = Session::default().elaborate(DEEP_RECURSION).unwrap();
@@ -269,10 +269,47 @@ fn a_legal_deep_recursion_completes_under_every_model() {
             );
         }
     }
-    // The first matrix executed three rows and shared seven; the second
-    // found all nine concrete rows tabled and executed `symbolic` again.
+    // The first matrix executed two rows, `concrete` and `symbolic`, and
+    // shared eight: every access stays within its provenance's bounds, so
+    // no row reads `cheri`. The second found all nine concrete rows tabled
+    // and executed `symbolic` again.
     let stats = program.execution_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (16, 4, 2));
+    assert_eq!((stats.hits, stats.misses, stats.entries), (17, 3, 1));
+}
+
+/// An access whose end would pass 2^64 is out of bounds under every model,
+/// not an engine panic: a load at the top of the address space, a `memcpy`
+/// and a `memset` of `(unsigned long)-1` bytes. `block` forgets the
+/// provenance of the integer the first pointer is cast from.
+#[test]
+fn an_access_that_wraps_the_address_space_is_undefined_under_every_model() {
+    let cases = [
+        "int main(void) { long x = 5; unsigned long a = (unsigned long)&x; \
+         long *p = (long *)(a + (0UL - a - 4UL)); return (int)*p; }",
+        "#include <string.h>\n\
+         int main(void) { char a[4] = {1, 2, 3, 4}; char b[4]; \
+         memcpy(b, a, (unsigned long)-1); return 0; }",
+        "#include <string.h>\n\
+         int main(void) { char b[4]; memset(b + 2, 0, (unsigned long)-1); return 0; }",
+    ];
+    let session = Session::default();
+    for (case, source) in cases.iter().enumerate() {
+        let matrix = DifferentialRunner::all_named().run(&session.elaborate(source).unwrap());
+        for row in matrix.rows() {
+            let expected = if case == 0 && row.model == "block" {
+                UbKind::AccessWithoutProvenance
+            } else {
+                UbKind::OutOfBoundsAccess
+            };
+            let result = &row.outcome.outcomes[0].result;
+            assert_eq!(
+                result.ub_kind(),
+                Some(expected),
+                "{} under {source}: {result}",
+                row.model
+            );
+        }
+    }
 }
 
 /// A rerun on a larger stack joins what it consulted to what the run on the
