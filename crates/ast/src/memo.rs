@@ -1,6 +1,5 @@
 //! A bounded, thread-safe memo table: the one cache type behind the session's
-//! elaboration and analysis memos, the job queue's result cache and the
-//! constraint solver's memo.
+//! elaboration and analysis memos and the constraint solver's memo.
 //!
 //! A [`Memo`] keeps two generations of at most `capacity / 2` entries each.
 //! Inserts go to the young generation; an insert into a full young generation

@@ -11,7 +11,7 @@
 //!   lookup instead of re-running parse/desugar/elaborate.
 //! * `seed_batch_sequential` runs a batch of csmith-lite seeds on a fresh
 //!   one-worker job queue, so the batch runs on one thread and no iteration
-//!   reuses another's cached results.
+//!   reuses another's memoised artifacts or their tabled runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -75,12 +75,7 @@ fn reproduce_json_reports_every_experiment_and_the_queue_counters() {
         assert!(worker.get("stolen").is_none(), "{worker:?}");
     }
     // Every cache reports in the one shape.
-    for cache in [
-        "result_cache",
-        "elaboration_cache",
-        "analysis_cache",
-        "solver_memo",
-    ] {
+    for cache in ["elaboration_cache", "analysis_cache", "solver_memo"] {
         let Some(Json::Obj(members)) = queue.get(cache) else {
             panic!("{cache} is not an object in {queue:?}");
         };

@@ -10,10 +10,9 @@
 //!
 //! Every row is the outcome a pristine engine gives against the same
 //! `Arc`-shared Core program, but a row need not execute:
-//! [`Elaborated::execute_bounded`] gives a concrete configuration the
-//! outcomes of an earlier execution when the two configurations agree on
-//! every field that execution consulted, since those are the outcomes it
-//! would compute. [`DifferentialRunner::run`] takes the rows in runner
+//! [`Elaborated::execute_bounded`] gives a configuration the outcomes of an
+//! earlier execution when the two configurations agree on every field that
+//! execution consulted, since those are the outcomes it would compute. [`DifferentialRunner::run`] takes the rows in runner
 //! order on the calling thread; running many programs at once is the job
 //! queue's work (`cerberus-queue`), not the runner's. With the symbolic
 //! engine registered in [`ModelConfig::all_named`], the default matrix

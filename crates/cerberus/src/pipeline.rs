@@ -43,7 +43,7 @@ use cerberus_core::program::CoreProgram;
 use cerberus_elab::elaborate_program;
 use cerberus_exec::driver::{Driver, ExecMode, ExecResult, ProgramOutcome};
 use cerberus_memory::config::{FieldSet, ModelConfig};
-use cerberus_memory::limits::{ResourceKind, ResourceLimits};
+use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
 use cerberus_memory::model::AnyEngine;
 use cerberus_parser::cabs::TranslationUnit;
 use cerberus_parser::parse_translation_unit;
@@ -535,11 +535,11 @@ impl Desugared {
 /// different memory models — the shape of the paper's §3 tool comparison and
 /// of differential testing generally.
 ///
-/// The artifact also tables its concrete executions, and clones share the
-/// table: [`Elaborated::execute_bounded`] answers a configuration that
-/// agrees with a tabled run on every field that run consulted from the
-/// table. So the rows of a matrix whose configurations differ only in
-/// fields an execution never consulted cost that one execution
+/// The artifact also tables its executions, and clones share the table:
+/// [`Elaborated::execute_bounded`] answers a configuration that agrees with
+/// a tabled run on every field that run consulted from the table. So the
+/// rows of a matrix whose configurations differ only in fields an execution
+/// never consulted cost that one execution, and a repeated row costs none
 /// ([`Elaborated::execution_stats`] counts them).
 #[derive(Debug, Clone)]
 pub struct Elaborated {
@@ -548,8 +548,8 @@ pub struct Elaborated {
     executions: Arc<Mutex<ExecutionTable>>,
 }
 
-/// The concrete executions of one artifact under one search bound and
-/// resource budget, with the counters of [`Elaborated::execution_stats`].
+/// The executions of one artifact under one search bound and resource
+/// budget, with the counters of [`Elaborated::execution_stats`].
 #[derive(Debug, Default)]
 struct ExecutionTable {
     /// The bound and budget of every tabled run.
@@ -580,10 +580,9 @@ impl ExecutionTable {
     }
 
     /// The outcomes of a tabled run `model` agrees with, counting the lookup
-    /// as a hit or, since the caller then executes, a miss. A run is tabled
-    /// only for an engine that records its consulted fields, and
-    /// [`ModelConfig::agrees_on`] compares engines, so only such an engine
-    /// is ever answered here.
+    /// as a hit or, since the caller then executes, a miss.
+    /// [`ModelConfig::agrees_on`] compares engines, so a run answers only
+    /// configurations of its own engine.
     fn lookup(
         &mut self,
         model: &ModelConfig,
@@ -643,14 +642,15 @@ impl Elaborated {
     /// budget (steps, wall-clock watchdog, allocation bounds, call depth).
     ///
     /// The outcomes are those of `self.driver(model).with_limits(limits)
-    /// .run(mode)`, but a concrete run is shared. The artifact tables each
-    /// concrete search with the configuration fields it consulted
-    /// ([`Driver::run_logged`]), and a later call under the same `mode` and
-    /// `limits` whose `model` agrees with a tabled run on every one of those
-    /// fields returns that run's outcomes without executing: it would read
-    /// the same answers at every step, so it is the same run. A run the
-    /// wall-clock watchdog stopped is never tabled, and the table keeps the
-    /// runs of one `mode` and `limits` only.
+    /// .run(mode)`, but a run is shared. The artifact tables each search
+    /// with the configuration fields it consulted ([`Driver::run_logged`]),
+    /// and a later call under the same `mode` and `limits` whose `model`
+    /// agrees with a tabled run on every one of those fields returns that
+    /// run's outcomes without executing: it would read the same answers at
+    /// every step, so it is the same run. A run with an outcome the
+    /// wall-clock watchdog stopped is never tabled, since the watchdog is
+    /// not part of the program, and the table keeps the runs of one `mode`
+    /// and `limits` only.
     ///
     /// The execution runs on the caller's thread, which needs about 2 MiB of
     /// free stack, what a default Rust thread has. That run caps the call
@@ -672,7 +672,10 @@ impl Elaborated {
             return RunOutcome { outcomes };
         }
         let (outcomes, consulted) = self.execute_logged(model, mode, limits);
-        if let Some(consulted) = consulted {
+        let stopped = outcomes
+            .iter()
+            .any(|outcome| outcome.result == ExecResult::Timeout(TimeoutKind::WallClock));
+        if !stopped {
             self.table().runs_under(mode, limits).push(TabledRun {
                 config: model.clone(),
                 consulted,
@@ -711,7 +714,7 @@ impl Elaborated {
         model: &ModelConfig,
         mode: ExecMode,
         limits: &ResourceLimits,
-    ) -> (Vec<ProgramOutcome>, Option<FieldSet>) {
+    ) -> (Vec<ProgramOutcome>, FieldSet) {
         /// The call depth an execution gets on the caller's thread: its
         /// `host_stack_bytes()` is 1.5 MiB, of which the stack guard allows
         /// 1 MiB, half of a default Rust thread's stack.
@@ -743,7 +746,7 @@ impl Elaborated {
                 .join()
         });
         match result {
-            Ok((outcomes, deep)) => (outcomes, consulted.zip(deep).map(|(a, b)| a | b)),
+            Ok((outcomes, deep)) => (outcomes, consulted | deep),
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }

@@ -190,7 +190,7 @@ impl<M: MemoryModel> Driver<M> {
     }
 
     /// One execution: its outcome and the fields its engine consulted.
-    fn execute(&self, oracle: &mut ReplayOracle) -> (ProgramOutcome, Option<FieldSet>) {
+    fn execute(&self, oracle: &mut ReplayOracle) -> (ProgramOutcome, FieldSet) {
         let mem = self.model.fresh();
         let mut interp = Interp::new(&self.program, mem, oracle, self.limits.clone());
         let result = (|| -> Result<i128, Stop> {
@@ -230,23 +230,17 @@ impl<M: MemoryModel> Driver<M> {
     /// [`Driver::run`], also returning the union of the fields every
     /// execution of the search consulted
     /// ([`MemoryModel::consulted`]): the fields the outcomes depend on.
-    /// `None` when they may depend on more: the engine records no fields,
-    /// or the wall-clock watchdog, which is not part of the program, stopped
-    /// an execution.
-    pub fn run_logged(&self, mode: ExecMode) -> (Vec<ProgramOutcome>, Option<FieldSet>) {
+    pub fn run_logged(&self, mode: ExecMode) -> (Vec<ProgramOutcome>, FieldSet) {
         let bound = mode.max_executions.max(1);
         let mut outcomes: BTreeSet<ProgramOutcome> = BTreeSet::new();
-        let mut consulted = Some(FieldSet::EMPTY);
+        let mut consulted = FieldSet::EMPTY;
         let mut pending: VecDeque<Vec<usize>> = VecDeque::from([Vec::new()]);
         let mut queued = 1;
         while let Some(prefix) = pending.pop_front() {
             let forced = prefix.len();
             let mut oracle = ReplayOracle::new(prefix);
             let (outcome, fields) = self.execute(&mut oracle);
-            consulted = consulted
-                .zip(fields)
-                .map(|(before, this)| before | this)
-                .filter(|_| outcome.result != ExecResult::Timeout(TimeoutKind::WallClock));
+            consulted = consulted | fields;
             outcomes.insert(outcome);
             let recorded = &oracle.recorded;
             'schedule: for (i, &(chosen, arity)) in recorded.iter().enumerate().skip(forced) {

@@ -85,7 +85,7 @@ pub enum ToolProfile {
 }
 
 /// A set of [`ModelConfig`]'s semantic fields, one bit each: the fields an
-/// execution consulted, recorded by the concrete engine (see
+/// execution consulted, as its engine reports them (see
 /// [`crate::model::MemoryModel::consulted`] and [`ModelConfig::agrees_on`]).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct FieldSet(u16);
@@ -396,7 +396,8 @@ impl ModelConfig {
     /// typed cells rather than representation bytes, and footprint/lifetime
     /// constraints are checked lazily at use. The flags below record the
     /// semantics the engine realises; only `uninit`, `int_to_ptr` and
-    /// `allow_oob_pointer_arith` are consulted at runtime.
+    /// `allow_oob_pointer_arith` are read at runtime. The engine logs no
+    /// reads, so a run of it is shared only with an identical configuration.
     pub fn symbolic() -> Self {
         ModelConfig {
             name: "symbolic",

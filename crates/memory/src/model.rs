@@ -24,7 +24,8 @@
 use cerberus_ast::ctype::{Ctype, TagId};
 use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
-use cerberus_ast::layout::TagRegistry;
+use cerberus_ast::layout::{self, TagKind, TagRegistry};
+use cerberus_ast::ub::UbKind;
 
 use crate::config::{EngineKind, FieldSet, ModelConfig};
 use crate::fault::FAULT_MESSAGE;
@@ -69,19 +70,27 @@ pub trait MemoryModel {
     /// The semantic fields of the configuration this execution has consulted
     /// so far: every field whose answer its result depends on. Another
     /// configuration that agrees on them runs the same execution
-    /// ([`ModelConfig::agrees_on`]). `None`, the default, says the engine
-    /// does not record them, so its executions are never shared.
-    fn consulted(&self) -> Option<FieldSet> {
-        None
+    /// ([`ModelConfig::agrees_on`]). The default, [`FieldSet::ALL`], is the
+    /// answer of an engine that does not log its reads: its result may
+    /// depend on every field, so its run is shared only with a configuration
+    /// of the same engine that agrees on all of them.
+    fn consulted(&self) -> FieldSet {
+        FieldSet::ALL
     }
 
     // ----- layout --------------------------------------------------------
 
     /// `sizeof(ty)` under this model's environment.
-    fn size_of(&self, ty: &Ctype) -> ModelResult<u64>;
+    fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
+        layout::size_of(ty, self.env(), self.tags())
+            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
+    }
 
     /// `_Alignof(ty)` under this model's environment.
-    fn align_of(&self, ty: &Ctype) -> ModelResult<u64>;
+    fn align_of(&self, ty: &Ctype) -> ModelResult<u64> {
+        layout::align_of(ty, self.env(), self.tags())
+            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
+    }
 
     // ----- object lifecycle ----------------------------------------------
 
@@ -149,13 +158,26 @@ pub trait MemoryModel {
         index: i128,
     ) -> ModelResult<PointerValue>;
 
-    /// Pointer to a struct/union member (`member_shift`).
+    /// Pointer to a struct/union member (`member_shift`). The address wraps
+    /// like `array_shift`'s, so a pointer near the top of the address space
+    /// gives a member pointer, not an overflow.
     fn member_shift(
         &self,
         ptr: &PointerValue,
         tag: TagId,
         member: &Ident,
-    ) -> ModelResult<PointerValue>;
+    ) -> ModelResult<PointerValue> {
+        let def = self
+            .tags()
+            .get(tag)
+            .ok_or_else(|| MemError::new(UbKind::InvalidLvalue, "incomplete struct/union"))?;
+        let offset = match def.kind {
+            TagKind::Union => 0,
+            TagKind::Struct => layout::offset_of(tag, member.as_str(), self.env(), self.tags())
+                .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))?,
+        };
+        Ok(ptr.with_addr(ptr.addr.wrapping_add(offset)))
+    }
 
     // ----- byte-level library helpers ------------------------------------
 
@@ -225,19 +247,8 @@ impl MemoryModel for AnyEngine {
         }
     }
 
-    fn consulted(&self) -> Option<FieldSet> {
-        match self {
-            AnyEngine::Concrete(engine) => engine.consulted(),
-            AnyEngine::Symbolic(_) | AnyEngine::Panicking(_) => None,
-        }
-    }
-
-    fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        delegate!(self.size_of(ty))
-    }
-
-    fn align_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        delegate!(self.align_of(ty))
+    fn consulted(&self) -> FieldSet {
+        delegate!(self.consulted())
     }
 
     fn create(
@@ -309,15 +320,6 @@ impl MemoryModel for AnyEngine {
         index: i128,
     ) -> ModelResult<PointerValue> {
         delegate!(self.array_shift(ptr, elem_ty, index))
-    }
-
-    fn member_shift(
-        &self,
-        ptr: &PointerValue,
-        tag: TagId,
-        member: &Ident,
-    ) -> ModelResult<PointerValue> {
-        delegate!(self.member_shift(ptr, tag, member))
     }
 
     fn copy_bytes(&mut self, dst: &PointerValue, src: &PointerValue, n: u64) -> ModelResult<()> {

@@ -13,7 +13,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use cerberus_ast::ctype::{Ctype, IntegerType, TagId};
+use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::{self, TagRegistry};
@@ -626,18 +626,8 @@ impl MemoryModel for MemState {
         MemState::new(self.config.clone(), self.env.clone(), self.tags.clone())
     }
 
-    fn consulted(&self) -> Option<FieldSet> {
-        Some(self.consulted.get())
-    }
-
-    fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        layout::size_of(ty, &self.env, &self.tags)
-            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
-    }
-
-    fn align_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        layout::align_of(ty, &self.env, &self.tags)
-            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
+    fn consulted(&self) -> FieldSet {
+        self.consulted.get()
     }
 
     fn create(
@@ -917,26 +907,6 @@ impl MemoryModel for MemState {
             }
         }
         Ok(ptr.with_addr(new_addr))
-    }
-
-    fn member_shift(
-        &self,
-        ptr: &PointerValue,
-        tag: TagId,
-        member: &Ident,
-    ) -> ModelResult<PointerValue> {
-        let def = self
-            .tags
-            .get(tag)
-            .ok_or_else(|| MemError::new(UbKind::InvalidLvalue, "incomplete struct/union"))?;
-        let offset = match def.kind {
-            layout::TagKind::Union => 0,
-            layout::TagKind::Struct => {
-                layout::offset_of(tag, member.as_str(), &self.env, &self.tags)
-                    .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))?
-            }
-        };
-        Ok(ptr.with_addr(ptr.addr + offset))
     }
 
     fn copy_bytes(&mut self, dst: &PointerValue, src: &PointerValue, n: u64) -> ModelResult<()> {
@@ -1409,7 +1379,7 @@ mod tests {
             assert_eq!(loaded.as_pointer(), Some(&last));
             let round_trip = mem.ptr_from_int(&mem.int_from_ptr(&last));
             assert_eq!(round_trip.addr, last.addr);
-            let consulted = mem.consulted().unwrap();
+            let consulted = mem.consulted();
             assert!(
                 !consulted.contains(FieldSet::CHERI),
                 "{name}: {consulted:?}"
@@ -1426,7 +1396,7 @@ mod tests {
             let p = mem.create(&arr, AllocKind::Automatic, None).unwrap();
             let one_past = mem.array_shift(&p, &int_ty(), 2).unwrap();
             assert!(mem.load(&int_ty(), &one_past).is_err(), "{name}");
-            let consulted = mem.consulted().unwrap();
+            let consulted = mem.consulted();
             assert!(consulted.contains(FieldSet::CHERI), "{name}: {consulted:?}");
         }
     }
@@ -1442,7 +1412,7 @@ mod tests {
             mem.load(&int_ty(), &bare).unwrap_err().ub,
             UbKind::AccessWithoutProvenance
         );
-        assert!(mem.consulted().unwrap().contains(FieldSet::CHERI));
+        assert!(mem.consulted().contains(FieldSet::CHERI));
     }
 
     #[test]

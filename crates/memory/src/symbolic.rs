@@ -41,7 +41,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
-use cerberus_ast::ctype::{Ctype, IntegerType, TagId};
+use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_ast::env::ImplEnv;
 use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::{self, TagRegistry};
@@ -549,16 +549,6 @@ impl MemoryModel for SymbolicEngine {
         SymbolicEngine::new(self.config.clone(), self.env.clone(), self.tags.clone())
     }
 
-    fn size_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        layout::size_of(ty, &self.env, &self.tags)
-            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
-    }
-
-    fn align_of(&self, ty: &Ctype) -> ModelResult<u64> {
-        layout::align_of(ty, &self.env, &self.tags)
-            .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))
-    }
-
     fn create(
         &mut self,
         ty: &Ctype,
@@ -795,26 +785,6 @@ impl MemoryModel for SymbolicEngine {
             }
         }
         Ok(ptr.with_addr(new_addr))
-    }
-
-    fn member_shift(
-        &self,
-        ptr: &PointerValue,
-        tag: TagId,
-        member: &Ident,
-    ) -> ModelResult<PointerValue> {
-        let def = self
-            .tags
-            .get(tag)
-            .ok_or_else(|| MemError::new(UbKind::InvalidLvalue, "incomplete struct/union"))?;
-        let offset = match def.kind {
-            layout::TagKind::Union => 0,
-            layout::TagKind::Struct => {
-                layout::offset_of(tag, member.as_str(), &self.env, &self.tags)
-                    .map_err(|e| MemError::new(UbKind::InvalidLvalue, e.to_string()))?
-            }
-        };
-        Ok(ptr.with_addr(ptr.addr + offset))
     }
 
     fn copy_bytes(&mut self, dst: &PointerValue, src: &PointerValue, n: u64) -> ModelResult<()> {

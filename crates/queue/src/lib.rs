@@ -10,10 +10,8 @@
 //!
 //! * **one elaboration per source** — workers share one memoising
 //!   [`Session`], so every model row (and every re-submission) of a source
-//!   reuses the same `Arc`-shared `Elaborated` artifact;
-//! * **a bounded result cache** — completed jobs are memoised by
-//!   (source × models × budget), so identical submissions are a
-//!   lookup, not a run ([`JobQueue::stats`] reports the hit/miss counters);
+//!   reuses the same `Arc`-shared `Elaborated` artifact, whose table of
+//!   runs answers a repeated row without executing it;
 //! * **fault containment and resource budgets per job** — every row executes
 //!   under the job's [`ResourceLimits`] with engine panics contained to
 //!   [`ExecResult::EngineFault`](cerberus_exec::driver::ExecResult) rows and
@@ -95,22 +93,6 @@ impl Job {
         self.limits = limits;
         self
     }
-
-    /// The result-cache key: the exact run parameters, so two jobs share a
-    /// cached result only when nothing about them could make the outcomes
-    /// differ. The source string is the same key the [`Session`] elaboration
-    /// memo uses; models contribute their full configuration (not just the
-    /// name), the budget its exact values.
-    pub(crate) fn cache_key(&self) -> String {
-        use std::fmt::Write as _;
-        let mut key = String::with_capacity(self.source.len() + 64);
-        key.push_str(&self.source);
-        for model in &self.models {
-            let _ = write!(key, "\u{0}{model:?}");
-        }
-        let _ = write!(key, "\u{0}{:?}", self.limits);
-        key
-    }
 }
 
 /// Where a job is in its lifecycle.
@@ -191,7 +173,7 @@ impl JobOutcome {
 /// Activity counters of one pool worker.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Jobs this worker finished (cache hits included).
+    /// Jobs this worker finished.
     pub executed: u64,
 }
 
@@ -217,9 +199,6 @@ pub struct QueueStats {
     pub submitted: u64,
     /// Jobs ever finished (completed or failed).
     pub completed: u64,
-    /// The bounded (job → result) cache: identical submissions resolved
-    /// without a run.
-    pub result_cache: CacheStats,
     /// The shared session's (source → artifact) elaboration memo.
     pub elaboration_cache: CacheStats,
     /// The shared session's (source → report) analysis memo, which answers
@@ -264,18 +243,6 @@ mod tests {
         let job = Job::new(return_n(0), vec![ModelConfig::concrete()]);
         assert_eq!(job.limits, Config::default().limits);
         assert_eq!(Job::differential(return_n(0)).models.len(), 10);
-    }
-
-    #[test]
-    fn cache_keys_separate_every_run_parameter() {
-        let base = Job::new(return_n(1), vec![ModelConfig::concrete()]);
-        assert_eq!(base.cache_key(), base.clone().cache_key());
-        let other_source = Job::new(return_n(2), vec![ModelConfig::concrete()]);
-        let other_models = Job::new(return_n(1), vec![ModelConfig::symbolic()]);
-        let other_limits = base.clone().with_limits(ResourceLimits::with_steps(7));
-        for different in [&other_source, &other_models, &other_limits] {
-            assert_ne!(base.cache_key(), different.cache_key());
-        }
     }
 
     #[test]

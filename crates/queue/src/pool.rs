@@ -10,13 +10,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use cerberus::ast::memo::Memo;
 use cerberus::pipeline::Session;
 
 use crate::{Job, JobId, JobOutcome, JobStatus, QueueClosed, QueueStats, WorkerStats};
-
-/// The most job outcomes the result cache memoises.
-const RESULT_CAPACITY: usize = 256;
 
 /// Where a submitted job is. Its [`JobStatus`] is derived from the slot, so
 /// a status can never disagree with a stored outcome.
@@ -64,28 +60,12 @@ struct Inner {
     work: Condvar,
     /// Broadcast when a job finishes.
     finished: Condvar,
-    /// Outcomes by [`Job::cache_key`], so an identical submission is a
-    /// lookup, not a run.
-    results: Memo<String, JobOutcome>,
     session: Session,
 }
 
 impl Inner {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("job queue state")
-    }
-
-    /// Answer from the result cache when the exact (source × models ×
-    /// budget) has been run before, otherwise run the job and memoise its
-    /// outcome.
-    fn execute(&self, job: &Job) -> JobOutcome {
-        let key = job.cache_key();
-        if let Some(hit) = self.results.get(&key) {
-            return hit;
-        }
-        let outcome = crate::run_job(&self.session, job);
-        self.results.insert(key, outcome.clone());
-        outcome
     }
 
     /// The worker loop: take the oldest job and run it outside the lock;
@@ -97,7 +77,7 @@ impl Inner {
             if let Some((id, job)) = state.fifo.pop_front() {
                 state.slots.insert(id, Slot::Running);
                 drop(state);
-                let outcome = self.execute(&job);
+                let outcome = crate::run_job(&self.session, &job);
                 state = self.lock();
                 state.slots.insert(id, Slot::Finished(outcome));
                 state.completed += 1;
@@ -138,7 +118,6 @@ impl JobQueue {
             }),
             work: Condvar::new(),
             finished: Condvar::new(),
-            results: Memo::new(RESULT_CAPACITY),
             session: Session::default(),
         });
         let handles = (0..workers)
@@ -243,7 +222,6 @@ impl JobQueue {
             depth,
             submitted,
             completed,
-            result_cache: self.inner.results.stats(),
             elaboration_cache: session.elaboration,
             analysis_cache: session.analysis,
             solver_memo: session.solver,
@@ -375,22 +353,34 @@ mod tests {
     }
 
     #[test]
-    fn identical_resubmission_is_a_result_cache_hit() {
+    fn an_identical_resubmission_executes_nothing() {
         let queue = JobQueue::start(2);
-        let job = || Job::new(return_n(42), vec![ModelConfig::concrete()]);
+        let source = return_n(42);
+        let job = || {
+            Job::new(
+                source.clone(),
+                vec![ModelConfig::concrete(), ModelConfig::symbolic()],
+            )
+        };
+        let executions = || {
+            let stats = queue
+                .session()
+                .elaborate(&source)
+                .unwrap()
+                .execution_stats();
+            (stats.hits, stats.misses)
+        };
         let first = queue.wait(queue.submit(job()).unwrap());
-        assert_eq!(queue.stats().result_cache.hits, 0);
+        assert_eq!(executions(), (0, 2));
+        // Both rows, `symbolic` included, are answered from the artifact's
+        // table of runs.
         let second = queue.wait(queue.submit(job()).unwrap());
         assert_eq!(first, second);
-        let stats = queue.stats();
-        assert_eq!(stats.result_cache.hits, 1);
-        assert_eq!(stats.result_cache.misses, 1);
-        assert_eq!(stats.result_cache.entries, 1);
-        // A different budget is a different job: no false sharing.
+        assert_eq!(executions(), (2, 2));
+        // A different budget is a different run: no false sharing.
         let other = job().with_limits(ResourceLimits::with_steps(77));
         queue.wait(queue.submit(other).unwrap());
-        assert_eq!(queue.stats().result_cache.hits, 1);
-        assert_eq!(queue.stats().result_cache.misses, 2);
+        assert_eq!(executions(), (2, 4));
         queue.shutdown();
     }
 
@@ -399,7 +389,7 @@ mod tests {
         let queue = JobQueue::start(2);
         let source = return_n(5);
         // Same source under two model sets: the second job's elaboration is a
-        // session-memo hit even though its result-cache key differs.
+        // session-memo hit.
         let concrete = Job::new(source.clone(), vec![ModelConfig::concrete()]);
         queue.wait(queue.submit(concrete).unwrap());
         let symbolic = Job::new(source.clone(), vec![ModelConfig::symbolic()]);

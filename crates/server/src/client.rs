@@ -98,9 +98,10 @@ pub fn wait_for_server(addr: &str, deadline: Duration) -> std::io::Result<()> {
 /// The end-to-end smoke drill run by CI against a live server:
 /// models are listed, a submission completes with an agreeing matrix, an
 /// identical resubmission is acknowledged from the analysis cache and
-/// answered from the result cache, a `malloc` of 2⁴⁰ bytes ends in
-/// resource-exhausted rows, a `main` of 20,000 statements returns under both
-/// models, and the server keeps answering after each.
+/// finishes with the same document without a second elaboration, a
+/// `malloc` of 2⁴⁰ bytes ends in resource-exhausted rows, a `main` of
+/// 20,000 statements returns under both models, and the server keeps
+/// answering after each.
 ///
 /// Returns a human-readable transcript on success; errors describe the first
 /// failed step.
@@ -136,26 +137,38 @@ pub fn smoke(addr: &str, deadline: Duration) -> std::io::Result<String> {
     }
     transcript.push_str(&format!("job {id}: completed, all models agree\n"));
 
+    let (status, before) = http_request(addr, "GET", "/api/v0/stats", None)?;
+    if status != 200 {
+        return Err(fail("GET /api/v0/stats before resubmission", &before));
+    }
     let (_, body) = http_request(addr, "POST", "/api/v0/submit", Some(submission))?;
     let Some(second) = body.get("job").and_then(Json::as_int) else {
         return Err(fail("resubmission", &body));
     };
-    poll_job(addr, second, deadline)?;
-    let (status, stats) = http_request(addr, "GET", "/api/v0/stats", None)?;
-    let hits = |cache: &str| {
+    let repeated = poll_job(addr, second, deadline)?;
+    if without_id(&repeated) != without_id(&finished) {
+        return Err(fail("resubmission", &repeated));
+    }
+    let (status, after) = http_request(addr, "GET", "/api/v0/stats", None)?;
+    let counter = |stats: &Json, cache: &str, member: &str| {
         stats
             .get(cache)
-            .and_then(|c| c.get("hits"))
+            .and_then(|c| c.get(member))
             .and_then(Json::as_int)
             .unwrap_or_default()
     };
-    let (result_hits, analysis_hits) = (hits("result_cache"), hits("analysis_cache"));
-    if status != 200 || result_hits < 1 || analysis_hits < 1 {
-        return Err(fail("GET /api/v0/stats after resubmission", &stats));
+    let elaborations = counter(&after, "elaboration_cache", "misses");
+    let analysis_hits = counter(&after, "analysis_cache", "hits");
+    if status != 200
+        || elaborations > counter(&before, "elaboration_cache", "misses")
+        || analysis_hits <= counter(&before, "analysis_cache", "hits")
+    {
+        return Err(fail("GET /api/v0/stats after resubmission", &after));
     }
     transcript.push_str(&format!(
-        "job {second}: resubmission served from the result cache ({result_hits} hits), \
-         acknowledged from the analysis cache ({analysis_hits} hits)\n"
+        "job {second}: resubmission finished with the same document without a new \
+         elaboration ({elaborations} misses), acknowledged from the analysis cache \
+         ({analysis_hits} hits)\n"
     ));
 
     let huge = r##"{"source": "#include <stdlib.h>\nint main(void) { char *p = malloc(1UL << 40); return p != 0; }", "models": ["concrete", "symbolic"]}"##;
@@ -214,6 +227,16 @@ pub fn smoke(addr: &str, deadline: Duration) -> std::io::Result<String> {
     Ok(transcript)
 }
 
+/// A job document without its `"job"` id: what two runs of one submission
+/// share.
+fn without_id(job: &Json) -> Json {
+    let mut job = job.clone();
+    if let Json::Obj(members) = &mut job {
+        members.remove("job");
+    }
+    job
+}
+
 /// Every outcome of every row of a finished job's matrix.
 fn outcomes(job: &Json) -> impl Iterator<Item = &Json> {
     job.get("result")
@@ -258,7 +281,7 @@ mod tests {
         let addr = server.local_addr().to_string();
         let transcript = smoke(&addr, Duration::from_secs(60)).expect("smoke drill");
         assert!(transcript.contains("all models agree"), "{transcript}");
-        assert!(transcript.contains("result cache"), "{transcript}");
+        assert!(transcript.contains("same document"), "{transcript}");
         assert!(transcript.contains("analysis cache"), "{transcript}");
         assert!(transcript.contains("heap budget"), "{transcript}");
         assert!(transcript.contains("20,000-statement"), "{transcript}");

@@ -131,7 +131,6 @@ pub fn queue_stats_to_json(stats: &QueueStats) -> Json {
         ("depth", Json::Int(stats.depth as i128)),
         ("submitted", Json::Int(i128::from(stats.submitted))),
         ("completed", Json::Int(i128::from(stats.completed))),
-        ("result_cache", cache_stats_to_json(&stats.result_cache)),
         (
             "elaboration_cache",
             cache_stats_to_json(&stats.elaboration_cache),
@@ -211,12 +210,7 @@ mod tests {
         let json = queue_stats_to_json(&queue.stats());
         assert_eq!(json.get("submitted").and_then(Json::as_int), Some(1));
         assert_eq!(json.get("completed").and_then(Json::as_int), Some(1));
-        for cache in [
-            "result_cache",
-            "elaboration_cache",
-            "analysis_cache",
-            "solver_memo",
-        ] {
+        for cache in ["elaboration_cache", "analysis_cache", "solver_memo"] {
             let Some(Json::Obj(members)) = json.get(cache) else {
                 panic!("{cache} is not an object in {json:?}");
             };
@@ -224,7 +218,7 @@ mod tests {
             assert_eq!(names, ["entries", "hits", "misses"], "{cache}");
         }
         assert_eq!(
-            json.get("result_cache")
+            json.get("elaboration_cache")
                 .and_then(|c| c.get("misses"))
                 .and_then(Json::as_int),
             Some(1)

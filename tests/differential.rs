@@ -132,6 +132,25 @@ fn every_shared_row_equals_its_unshared_run() {
     });
 }
 
+/// A repeated matrix executes nothing: on one artifact per program, the
+/// second run of every named row, `symbolic` included, is answered from the
+/// artifact's table, and it equals the first.
+#[test]
+fn a_repeated_matrix_executes_nothing() {
+    let session = Session::default();
+    let runner = DifferentialRunner::all_named();
+    for (name, source) in corpus(CONTRACT_SEEDS) {
+        let program = session.elaborate_uncached(&source).unwrap();
+        let first = runner.run(&program);
+        let before = program.execution_stats();
+        let second = runner.run(&program);
+        let after = program.execution_stats();
+        assert_eq!(after.hits - before.hits, 10, "{name}: {after:?}");
+        assert_eq!(after.misses, before.misses, "{name}: {after:?}");
+        assert_eq!(first, second, "{name}");
+    }
+}
+
 /// Generated programs consult no field on which the nine concrete presets
 /// disagree, so their ten named rows cost at most two executions: those
 /// nine, then `symbolic`. Their accesses stay within the bounds of the

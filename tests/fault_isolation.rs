@@ -249,8 +249,8 @@ fn executions_fit_a_default_sized_thread() {
 
 /// A legal recursion deeper than the caller's thread hosts completes under
 /// every named model, both on the test thread and on a default-sized one,
-/// and its rows still share: the nine concrete presets execute once, with
-/// their rerun on a larger stack.
+/// and its rows still share: the nine concrete presets execute once, and
+/// `symbolic` once, each with its rerun on a larger stack.
 #[test]
 fn a_legal_deep_recursion_completes_under_every_model() {
     let program = Session::default().elaborate(DEEP_RECURSION).unwrap();
@@ -271,10 +271,9 @@ fn a_legal_deep_recursion_completes_under_every_model() {
     }
     // The first matrix executed two rows, `concrete` and `symbolic`, and
     // shared eight: every access stays within its provenance's bounds, so
-    // no row reads `cheri`. The second found all nine concrete rows tabled
-    // and executed `symbolic` again.
+    // no row reads `cheri`. The second found all ten rows tabled.
     let stats = program.execution_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (17, 3, 1));
+    assert_eq!((stats.hits, stats.misses, stats.entries), (18, 2, 2));
 }
 
 /// An access whose end would pass 2^64 is out of bounds under every model,
@@ -309,6 +308,30 @@ fn an_access_that_wraps_the_address_space_is_undefined_under_every_model() {
                 row.model
             );
         }
+    }
+}
+
+/// A member pointer computed from an address near the top of the address
+/// space wraps, as pointer arithmetic does, under every model: the layout
+/// code the engines share neither overflows nor faults.
+#[test]
+fn a_member_address_past_the_top_of_the_address_space_wraps_under_every_model() {
+    let program = Session::default()
+        .elaborate(
+            "struct S { int a; int b; }; \
+             int main(void) { struct S *p = (struct S *)(0UL - 2UL); int *q = &p->b; \
+             return q != 0; }",
+        )
+        .unwrap();
+    let matrix = DifferentialRunner::all_named().run(&program);
+    assert_eq!(matrix.rows().len(), ModelConfig::all_named().len());
+    for row in matrix.rows() {
+        assert_eq!(
+            row.outcome.outcomes[0].result,
+            ExecResult::Return(1),
+            "{}",
+            row.model
+        );
     }
 }
 

@@ -1,9 +1,9 @@
 //! End-to-end drill of the UB-oracle service: boot a real server on an
 //! ephemeral loopback port, then drive it purely through the wire protocol —
-//! submit, poll to completion, verify the memoisation cache, confirm that
-//! faulting and over-budget submissions come back as structured rows rather
-//! than taking the service down, and check that the front door refuses the
-//! connections it cannot hold and recovers.
+//! submit, poll to completion, check that a resubmission reuses the memoised
+//! artifact, confirm that faulting and over-budget submissions come back as
+//! structured rows rather than taking the service down, and check that the
+//! front door refuses the connections it cannot hold and recovers.
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -92,20 +92,28 @@ fn the_service_answers_submissions_memoises_and_contains_faults() {
     );
     assert!(row_kinds(&document).iter().all(|kind| *kind == "return"));
 
-    // 2. An identical resubmission is served from the result cache.
-    let _ = submit_and_wait(&addr, body);
-    let (status, stats) = http_request(&addr, "GET", "/api/v0/stats", None).expect("stats");
-    assert_eq!(status, 200);
-    let hits = stats
-        .get("result_cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(Json::as_int)
-        .expect("stats carry result-cache hits");
-    assert!(
-        hits >= 1,
-        "identical resubmission should hit the cache: {}",
-        stats.encode()
-    );
+    // 2. An identical resubmission finishes with the same document, from the
+    //    memoised artifact, and is acknowledged from the analysis cache.
+    let counter = |cache: &str, member: &str| {
+        let (status, stats) = http_request(&addr, "GET", "/api/v0/stats", None).expect("stats");
+        assert_eq!(status, 200);
+        stats
+            .get(cache)
+            .and_then(|c| c.get(member))
+            .and_then(Json::as_int)
+            .unwrap_or_else(|| panic!("stats carry {cache}.{member}: {}", stats.encode()))
+    };
+    let elaborations = counter("elaboration_cache", "misses");
+    let analysis_hits = counter("analysis_cache", "hits");
+    let repeated = submit_and_wait(&addr, body);
+    let (Json::Obj(mut first), Json::Obj(mut second)) = (document, repeated) else {
+        panic!("job documents are objects");
+    };
+    first.remove("job");
+    second.remove("job");
+    assert_eq!(first, second, "a resubmission should finish identically");
+    assert_eq!(counter("elaboration_cache", "misses"), elaborations);
+    assert!(counter("analysis_cache", "hits") > analysis_hits);
 
     // 3. A panicking engine is contained as a structured engine-fault row.
     let fault = submit_and_wait(
