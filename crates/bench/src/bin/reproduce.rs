@@ -8,8 +8,8 @@
 //!
 //! `--models` restricts the per-model experiments (E11/E17) to the named
 //! configurations of `ModelConfig::all_named()` — e.g.
-//! `--models concrete,symbolic` is the CI smoke run pitting the concrete
-//! byte engine against the symbolic provenance engine.
+//! `--models concrete,symbolic` pits packed placement against the region
+//! placement of the symbolic provenance model.
 //!
 //! `--fuzz N` skips the experiments and instead runs N generated seeds
 //! through the full pipeline under a wall-clock-bounded resource budget (the

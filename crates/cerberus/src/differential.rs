@@ -43,8 +43,8 @@ use crate::pipeline::{Config, Elaborated, RunOutcome};
 ///     .elaborate("int x = 1, y = 2;\nint main(void) { int *p = &x + 1; int *q = &y; return p == q; }")
 ///     .unwrap();
 /// let matrix = DifferentialRunner::all_named().run(&program);
-/// // Concrete layout makes one-past-x alias &y; the symbolic engine keeps
-/// // every allocation in its own address region, so the models disagree.
+/// // Packed placement makes one-past-x alias &y; `symbolic` places every
+/// // allocation in its own address region, so the models disagree.
 /// assert_eq!(matrix.outcome_for("concrete").unwrap().exit_value(), Some(1));
 /// assert_eq!(matrix.outcome_for("symbolic").unwrap().exit_value(), Some(0));
 /// assert!(!matrix.all_agree());
@@ -386,7 +386,7 @@ mod tests {
         let program = Session::default().elaborate(DR260).unwrap();
         let matrix = DifferentialRunner::all_named().run(&program);
         // The DR260 example splits concrete, de facto, GCC-like *and*
-        // symbolic: under the symbolic engine the memcmp guard fails (the
+        // symbolic: under region placement the memcmp guard fails (the
         // one-past pointer is byte-distinguishable from &y), so nothing is
         // printed.
         assert_eq!(

@@ -16,9 +16,9 @@
 //! executed any number of times under different models, and
 //! [`differential::DifferentialRunner`] runs one artifact across a whole
 //! model list, in runner order on the calling thread, returning the §3-style
-//! outcome matrix. The named model list mixes both in-tree engines — the
-//! concrete byte-representation engine and the symbolic provenance engine
-//! (`cerberus_memory::symbolic`).
+//! outcome matrix. Every named model is a configuration of the one in-tree
+//! engine (`cerberus_memory::MemState`); `symbolic` differs from the others
+//! in placing each allocation in its own address region.
 //!
 //! # Quick start
 //!

@@ -44,7 +44,7 @@ use cerberus_elab::elaborate_program;
 use cerberus_exec::driver::{Driver, ExecMode, ExecResult, ProgramOutcome};
 use cerberus_memory::config::{FieldSet, ModelConfig};
 use cerberus_memory::limits::{ResourceKind, ResourceLimits, TimeoutKind};
-use cerberus_memory::model::AnyEngine;
+use cerberus_memory::model::ConcreteEngine;
 use cerberus_parser::cabs::TranslationUnit;
 use cerberus_parser::parse_translation_unit;
 use cerberus_parser::parser::ParseError;
@@ -629,11 +629,10 @@ impl Elaborated {
         cerberus_analysis::validate::validate(self.core())
     }
 
-    /// A driver executing this program under the engine `model` selects
-    /// (concrete or symbolic, per [`cerberus_memory::config::EngineKind`]).
+    /// A driver executing this program on the engine configured by `model`.
     /// A model built outside this workspace runs through
     /// `Driver::new(program.share(), model)`.
-    pub fn driver(&self, model: &ModelConfig) -> Driver<AnyEngine> {
+    pub fn driver(&self, model: &ModelConfig) -> Driver<ConcreteEngine> {
         let engine = model.instantiate(self.impl_env.clone(), self.core.tags.clone());
         Driver::new(self.share(), engine)
     }
@@ -754,8 +753,8 @@ impl Elaborated {
     /// Execute under `model` with the default bound (one execution) and
     /// resource budget.
     ///
-    /// One elaboration serves any number of executions — including under the
-    /// symbolic engine, whose configuration is named like any other:
+    /// One elaboration serves any number of executions — including under
+    /// `symbolic`, whose configuration is named like any other:
     ///
     /// ```
     /// use cerberus::memory::config::ModelConfig;

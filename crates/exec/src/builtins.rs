@@ -206,7 +206,10 @@ fn printf<M: MemoryModel>(interp: &mut Interp<'_, M>, args: &[Value]) -> Result<
             b'p' => {
                 let v = next_arg(args);
                 match v.as_pointer() {
-                    Some(p) => out.extend_from_slice(format!("0x{:x}", p.addr).as_bytes()),
+                    Some(p) => {
+                        let addr = interp.mem.int_from_ptr(&p).value as u64;
+                        out.extend_from_slice(format!("0x{addr:x}").as_bytes())
+                    }
                     None => {
                         out.extend_from_slice(format!("0x{:x}", v.as_int().unwrap_or(0)).as_bytes())
                     }

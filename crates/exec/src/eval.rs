@@ -297,7 +297,7 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
     /// lifetime (`free(NULL)` ends none).
     pub(crate) fn kill(&mut self, ptr: &PointerValue, dynamic: bool) -> Result<(), MemError> {
         self.mem.kill(ptr, dynamic)?;
-        if !(dynamic && ptr.is_null()) {
+        if !(dynamic && self.mem.is_null(ptr)) {
             self.live_allocations = self.live_allocations.saturating_sub(1);
         }
         Ok(())
@@ -376,24 +376,33 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
 
     fn eval_binop(&self, op: Binop, a: Value, b: Value) -> Result<Value, Stop> {
         use Binop::*;
-        // Pointer comparisons against integers (null tests generated by the
-        // elaboration of scalar conditions) compare addresses.
-        let as_num = |v: &Value| -> Option<i128> {
-            match v {
-                Value::Integer(iv) => Some(iv.value),
-                Value::Pointer(p) => Some(p.addr as i128),
-                Value::Bool(b) => Some(i128::from(*b)),
-                Value::Specified(inner) => match &**inner {
-                    Value::Integer(iv) => Some(iv.value),
-                    Value::Pointer(p) => Some(p.addr as i128),
-                    _ => None,
-                },
-                _ => None,
-            }
-        };
         match op {
             Eq | Ne | Lt | Le | Gt | Ge => {
-                let (Some(x), Some(y)) = (as_num(&a), as_num(&b)) else {
+                fn scalar(v: &Value) -> &Value {
+                    match v {
+                        Value::Specified(inner) if !matches!(**inner, Value::Bool(_)) => inner,
+                        v => v,
+                    }
+                }
+                fn number(v: &Value) -> Option<i128> {
+                    match v {
+                        Value::Integer(iv) => Some(iv.value),
+                        Value::Bool(b) => Some(i128::from(*b)),
+                        _ => None,
+                    }
+                }
+                // A pointer compares by its address, read through the engine.
+                // Against 0, the null test elaboration emits for a scalar
+                // condition, only whether it is null matters.
+                let operand = |v: &Value, other: &Value| match v {
+                    Value::Pointer(p) if number(other) == Some(0) => {
+                        Some(i128::from(!self.mem.is_null(p)))
+                    }
+                    Value::Pointer(p) => Some(self.mem.int_from_ptr(p).value),
+                    v => number(v),
+                };
+                let (sa, sb) = (scalar(&a), scalar(&b));
+                let (Some(x), Some(y)) = (operand(sa, sb), operand(sb, sa)) else {
                     return Err(Stop::Error(format!(
                         "comparison on non-scalar operands {a} and {b}"
                     )));
@@ -838,7 +847,8 @@ impl<'a, M: MemoryModel> Interp<'a, M> {
                     let name = match fv.as_pointer() {
                         Some(p) => p
                             .function
-                            .or_else(|| self.mem.function_at(p.addr).cloned())
+                            .clone()
+                            .or_else(|| self.mem.function_at(&p).cloned())
                             .ok_or_else(|| Stop::Undef {
                                 ub: UbKind::IncompatibleFunctionCall,
                                 detail: "call through a pointer that is not a function".into(),

@@ -413,7 +413,7 @@ mod tests {
             symbolic.flagged,
             concrete.flagged
         );
-        // Every expectation recorded for the symbolic engine holds.
+        // Every expectation recorded for `symbolic` holds.
         assert_eq!(symbolic.as_expected, symbolic.with_expectation);
     }
 

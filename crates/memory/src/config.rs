@@ -51,21 +51,25 @@ pub enum RelationalSemantics {
     Undefined,
 }
 
-/// Which engine implementation a [`ModelConfig`] instantiates (the two
-/// [`crate::model::MemoryModel`] implementations shipped in-tree).
+/// Where the engine places allocations, the one choice that is not a §2
+/// question: both placements run on [`crate::state::MemState`], which reads
+/// this field only where an execution observes an absolute address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// The concrete byte-representation engine ([`crate::state::MemState`]):
-    /// one flat address space, eager access checks over representation bytes.
+    /// Packed placement: one flat address space, each allocation at the
+    /// next suitably aligned address after the previous one, so a one-past
+    /// pointer can have the representation of its neighbour's address.
     #[default]
     Concrete,
-    /// The symbolic provenance engine
-    /// ([`crate::symbolic::SymbolicEngine`]): per-allocation address regions,
-    /// typed cells, lazy constraint checking.
+    /// Region placement: each allocation in its own 2³²-byte region, at the
+    /// first multiple of 2³² past the previous allocation's end, so no two
+    /// allocations abut and a one-past pointer never aliases a neighbour
+    /// (the twin-allocation reading of DR260).
     Symbolic,
-    /// The fault-injection drill ([`crate::model::AnyEngine::Panicking`]):
-    /// every execution panics. Used to drill the harness's panic
-    /// containment; never part of [`ModelConfig::all_named`].
+    /// The fault-injection drill: packed placement, but
+    /// [`crate::model::MemoryModel::fresh`] panics, so every execution
+    /// faults. Used to drill the harness's panic containment; never part
+    /// of [`ModelConfig::all_named`].
     Panicking,
 }
 
@@ -113,9 +117,12 @@ impl FieldSet {
     pub const CHERI: FieldSet = FieldSet(1 << 8);
     /// [`ModelConfig::provenance_optimising_stores`].
     pub const PROVENANCE_OPTIMISING_STORES: FieldSet = FieldSet(1 << 9);
+    /// [`ModelConfig::engine`]: the placement, read wherever an execution
+    /// observes an absolute address.
+    pub const ENGINE: FieldSet = FieldSet(1 << 10);
 
     /// Each field with its name, in declaration order.
-    const NAMED: [(FieldSet, &'static str); 10] = [
+    const NAMED: [(FieldSet, &'static str); 11] = [
         (FieldSet::PROVENANCE_CHECKING, "provenance_checking"),
         (FieldSet::ALLOW_OOB_POINTER_ARITH, "allow_oob_pointer_arith"),
         (FieldSet::RELATIONAL, "relational"),
@@ -132,6 +139,7 @@ impl FieldSet {
             FieldSet::PROVENANCE_OPTIMISING_STORES,
             "provenance_optimising_stores",
         ),
+        (FieldSet::ENGINE, "engine"),
     ];
 
     /// Every semantic field.
@@ -175,8 +183,7 @@ impl std::fmt::Debug for FieldSet {
 pub struct ModelConfig {
     /// Human-readable name used in reports and benchmarks.
     pub name: &'static str,
-    /// Which engine implementation realises this configuration (see
-    /// [`ModelConfig::instantiate`]).
+    /// Where allocations are placed (see [`EngineKind`]).
     pub engine: EngineKind,
     /// Check every access against the footprint of the allocation identified
     /// by the pointer's provenance (DR260); disabling this gives the fully
@@ -389,15 +396,12 @@ impl ModelConfig {
         }
     }
 
-    /// The symbolic provenance model: realised by
-    /// [`crate::symbolic::SymbolicEngine`] rather than by a configuration of
-    /// the concrete engine. Allocations live in disjoint symbolic address
-    /// regions (so one-past pointers never alias a neighbour), storage is
-    /// typed cells rather than representation bytes, and footprint/lifetime
-    /// constraints are checked lazily at use. The flags below record the
-    /// semantics the engine realises; only `uninit`, `int_to_ptr` and
-    /// `allow_oob_pointer_arith` are read at runtime. The engine logs no
-    /// reads, so a run of it is shared only with an identical configuration.
+    /// The symbolic provenance model: `cheri`'s fields with `relational:
+    /// Undefined` and `cheri: false`, under region placement. Allocations
+    /// live in disjoint 2³²-byte regions, so a one-past pointer never
+    /// aliases a neighbour, relational comparison and subtraction across
+    /// objects are undefined, and pointers into different allocations never
+    /// compare equal.
     pub fn symbolic() -> Self {
         ModelConfig {
             name: "symbolic",
@@ -415,8 +419,8 @@ impl ModelConfig {
         }
     }
 
-    /// The always-panicking fault-injection model
-    /// ([`crate::model::AnyEngine::Panicking`], with de-facto semantics):
+    /// The always-panicking fault-injection model ([`EngineKind::Panicking`],
+    /// with de-facto semantics):
     /// every execution under it panics, exercising the differential
     /// harness's panic containment. Deliberately *not* part of
     /// [`ModelConfig::all_named`] — it only enters a matrix when injected
@@ -454,11 +458,19 @@ impl ModelConfig {
             .find(|m| m.name == name)
     }
 
-    /// Whether `self` and `other` select the same engine and agree on every
-    /// field in `fields`; the names may differ. An execution under `other`
-    /// that consulted only `fields` is therefore an execution under `self`
-    /// too: it reads the same answers at every step.
+    /// Whether `self` and `other` agree on every field in `fields`; the
+    /// names may differ. An execution under `other` that consulted only
+    /// `fields` is therefore an execution under `self` too: it reads the
+    /// same answers at every step. The fault drill is compared by
+    /// [`ModelConfig::engine`] whatever was consulted: no panicking run is
+    /// tabled, and a lookup under the drill must never find another run.
     pub fn agrees_on(&self, other: &ModelConfig, fields: FieldSet) -> bool {
+        let drill = [self.engine, other.engine].contains(&EngineKind::Panicking);
+        let fields = if drill {
+            fields | FieldSet::ENGINE
+        } else {
+            fields
+        };
         // No `..`: a new field cannot compile until it has a bit.
         let ModelConfig {
             name: _,
@@ -475,7 +487,7 @@ impl ModelConfig {
             provenance_optimising_stores,
         } = self;
         let same = |field: FieldSet, equal: bool| equal || !fields.contains(field);
-        *engine == other.engine
+        same(FieldSet::ENGINE, *engine == other.engine)
             && same(
                 FieldSet::PROVENANCE_CHECKING,
                 *provenance_checking == other.provenance_checking,
@@ -594,7 +606,7 @@ mod tests {
     fn every_semantic_field_has_its_own_bit() {
         let base = ModelConfig::de_facto();
         type Flip = fn(&mut ModelConfig);
-        let flips: [(FieldSet, Flip); 10] = [
+        let flips: [(FieldSet, Flip); 11] = [
             (FieldSet::PROVENANCE_CHECKING, |c| {
                 c.provenance_checking ^= true
             }),
@@ -619,6 +631,7 @@ mod tests {
             (FieldSet::PROVENANCE_OPTIMISING_STORES, |c| {
                 c.provenance_optimising_stores ^= true
             }),
+            (FieldSet::ENGINE, |c| c.engine = EngineKind::Symbolic),
         ];
         for (field, flip) in flips {
             let mut other = ModelConfig {
@@ -633,11 +646,14 @@ mod tests {
                 "{field:?}"
             );
         }
-        let symbolic = ModelConfig {
-            engine: EngineKind::Symbolic,
+        // The drill is told apart by its engine even where nothing else is.
+        let drill = ModelConfig {
+            engine: EngineKind::Panicking,
             ..base.clone()
         };
-        assert!(!base.agrees_on(&symbolic, FieldSet::EMPTY));
+        assert!(!base.agrees_on(&drill, FieldSet::EMPTY));
+        assert!(!drill.agrees_on(&base, FieldSet::EMPTY));
+        assert!(drill.agrees_on(&drill, FieldSet::EMPTY));
         assert_eq!(
             format!("{:?}", FieldSet::UNINIT | FieldSet::CHERI),
             r#"{"uninit", "cheri"}"#

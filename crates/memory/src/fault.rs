@@ -4,13 +4,11 @@
 //! row of the outcome matrix has to surface as a structured
 //! `ExecResult::EngineFault` row, never abort the suite (the robustness
 //! obligation of `docs/MEMORY_MODELS.md`, "Resource and fault obligations").
-//! [`AnyEngine::Panicking`](crate::model::AnyEngine::Panicking) is the drill
-//! for that machinery: a concrete engine built from
-//! [`ModelConfig::panicking`](crate::config::ModelConfig::panicking)
-//! (de-facto semantics) that is configured, named in a matrix and dispatched
-//! like any other, but whose per-execution
-//! [`MemoryModel::fresh`](crate::model::MemoryModel::fresh) always panics
-//! with [`FAULT_MESSAGE`]. `Driver::run_with` in `cerberus-exec` calls
+//! [`ModelConfig::panicking`](crate::config::ModelConfig::panicking) is the
+//! drill for that machinery: an engine with de-facto semantics that is
+//! configured, named in a matrix and instantiated like any other, but whose
+//! per-execution [`MemoryModel::fresh`](crate::model::MemoryModel::fresh)
+//! always panics with [`FAULT_MESSAGE`]. `Driver::run_with` in `cerberus-exec` calls
 //! `fresh` before anything else, so the fault fires exactly when an
 //! execution starts.
 //!

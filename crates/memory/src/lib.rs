@@ -14,30 +14,26 @@
 //!   `cerberus-exec` is generic over;
 //! * the value representations ([`value`]): integer and pointer values
 //!   carrying provenance, and structured memory values;
-//! * a configurable memory engine ([`state::MemState`], exported as
-//!   [`model::ConcreteEngine`] — the first `MemoryModel` implementation)
+//! * the memory engine ([`state::MemState`], exported as
+//!   [`model::ConcreteEngine`] — the in-tree `MemoryModel` implementation)
 //!   implementing object creation/kill, typed loads and stores over
 //!   representation bytes, padding semantics, effective types, and the
-//!   pointer operations (`ptrop`s);
-//! * a second, genuinely different implementation: the **symbolic provenance
-//!   engine** ([`symbolic::SymbolicEngine`]), which places each allocation in
-//!   its own symbolic address region, stores typed cells instead of
-//!   representation bytes, and checks footprint/lifetime constraints lazily
-//!   at use (twin-allocation-style resolution of one-past pointers and
-//!   intptr round trips);
-//! * closed-world dispatch between the two ([`model::AnyEngine`], what
-//!   [`config::ModelConfig::instantiate`] returns);
+//!   pointer operations (`ptrop`s). It places allocations packed or each in
+//!   its own 2³²-byte region ([`config::EngineKind`]), and records every
+//!   configuration field an execution reads, the placement included where
+//!   an absolute address is observed;
 //! * a family of model configurations ([`config::ModelConfig`]): the concrete
 //!   (provenance-erasing) model, the candidate de facto provenance model, a
 //!   strict-ISO model, a GCC-like provenance-optimising model, a CompCert-style
 //!   block model, a CHERI capability model, tool-emulation profiles for
 //!   the §3 comparison (sanitisers, tis-interpreter, KCC), and the symbolic
-//!   model;
+//!   model, which is `cheri` without capabilities or cross-object relational
+//!   comparison, under region placement;
 //! * CHERI capability semantics ([`cheri`]) reproducing the §4 findings;
 //! * resource budgets ([`limits::ResourceLimits`]), which the interpreter in
-//!   `cerberus-exec` enforces (the engines carry none), and a fault-injection
-//!   arm ([`model::AnyEngine::Panicking`], see [`fault`]) for drilling the
-//!   differential harness's panic containment.
+//!   `cerberus-exec` enforces (the engine carries none), and a fault-injection
+//!   configuration ([`config::ModelConfig::panicking`], see [`fault`]) for
+//!   drilling the differential harness's panic containment.
 //!
 //! How to implement and register a further model is documented in
 //! `docs/MEMORY_MODELS.md`.
@@ -67,7 +63,6 @@ pub mod fault;
 pub mod limits;
 pub mod model;
 pub mod state;
-pub mod symbolic;
 pub mod value;
 
 pub use config::{
@@ -75,7 +70,6 @@ pub use config::{
     ToolProfile, UninitSemantics,
 };
 pub use limits::{ResourceKind, ResourceLimits, TimeoutKind};
-pub use model::{AnyEngine, ConcreteEngine, MemoryModel, ModelResult};
+pub use model::{ConcreteEngine, MemoryModel, ModelResult};
 pub use state::{AllocKind, Allocation, MemError, MemState};
-pub use symbolic::SymbolicEngine;
 pub use value::{AllocId, IntegerValue, MemValue, PointerValue, Provenance};

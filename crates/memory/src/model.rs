@@ -10,16 +10,15 @@
 //! byte-level library helpers, and undefined-behaviour reporting via
 //! [`MemError`].
 //!
-//! Two implementations ship in-tree: [`ConcreteEngine`] (the configurable
-//! byte-representation engine of [`crate::state`], parameterised by a
-//! [`ModelConfig`]) and the symbolic provenance engine
-//! ([`crate::symbolic::SymbolicEngine`], selected by
-//! [`crate::config::EngineKind::Symbolic`]). [`AnyEngine`] is the closed
-//! enum dispatching between them, which [`ModelConfig::instantiate`] returns;
-//! further models — an abstract block model, the operational concurrency
-//! model — can be linked against the executor without touching it, because
-//! `cerberus_exec::Interp` and `cerberus_exec::Driver` are generic over
-//! `M: MemoryModel`. See `docs/MEMORY_MODELS.md` for the authoring guide.
+//! One implementation ships in-tree: [`ConcreteEngine`], the configurable
+//! byte-representation engine of [`crate::state`], which
+//! [`ModelConfig::instantiate`] builds for every named model, `symbolic`
+//! included, since the models differ only in the [`ModelConfig`] fields it
+//! reads. Further models — an abstract block model, the operational
+//! concurrency model — can be linked against the executor without touching
+//! it, because `cerberus_exec::Interp` and `cerberus_exec::Driver` are
+//! generic over `M: MemoryModel`. See `docs/MEMORY_MODELS.md` for the
+//! authoring guide.
 
 use cerberus_ast::ctype::{Ctype, TagId};
 use cerberus_ast::env::ImplEnv;
@@ -27,14 +26,12 @@ use cerberus_ast::ident::Ident;
 use cerberus_ast::layout::{self, TagKind, TagRegistry};
 use cerberus_ast::ub::UbKind;
 
-use crate::config::{EngineKind, FieldSet, ModelConfig};
-use crate::fault::FAULT_MESSAGE;
+use crate::config::{FieldSet, ModelConfig};
 use crate::state::{AllocKind, MemError, MemState};
-use crate::symbolic::SymbolicEngine;
 use crate::value::{IntegerValue, MemValue, PointerValue};
 
-/// The first implementation of [`MemoryModel`]: the concrete,
-/// representation-byte engine parameterised by a [`ModelConfig`].
+/// The in-tree implementation of [`MemoryModel`]: the representation-byte
+/// engine parameterised by a [`ModelConfig`].
 pub type ConcreteEngine = MemState;
 
 /// Result alias for model operations: `Err` reports detected undefined
@@ -111,8 +108,15 @@ pub trait MemoryModel {
     /// Register a C function, giving it a synthetic address.
     fn register_function(&mut self, name: &Ident) -> PointerValue;
 
-    /// The function registered at a synthetic function address, if any.
-    fn function_at(&self, addr: u64) -> Option<&Ident>;
+    /// The function registered at `ptr`'s address, if any.
+    fn function_at(&self, ptr: &PointerValue) -> Option<&Ident>;
+
+    /// Whether `ptr` is the null pointer (the test elaboration emits for a
+    /// scalar condition). An engine that decides where objects live can
+    /// record that the answer observed an address.
+    fn is_null(&self, ptr: &PointerValue) -> bool {
+        ptr.is_null()
+    }
 
     /// End the lifetime of the pointed-to object (the Core `kill` action);
     /// `dynamic` selects `free` semantics.
@@ -194,164 +198,12 @@ pub trait MemoryModel {
     fn read_c_string(&self, ptr: &PointerValue) -> ModelResult<Vec<u8>>;
 }
 
-/// An engine instance of either in-tree implementation, selected by
-/// [`ModelConfig::engine`] ([`EngineKind`]).
-///
-/// [`MemoryModel::fresh`] returns `Self`, so the trait is not object-safe;
-/// this enum is the closed-world dispatch that lets one `Driver<AnyEngine>`
-/// run a program under *any* named configuration — which is what
-/// `cerberus::differential::DifferentialRunner` relies on to mix concrete and
-/// symbolic rows in one outcome matrix.
-#[derive(Debug, Clone)]
-pub enum AnyEngine {
-    /// A concrete byte-representation engine.
-    Concrete(ConcreteEngine),
-    /// A symbolic provenance engine.
-    Symbolic(SymbolicEngine),
-    /// The fault-injection drill (tests and fault drills only — see
-    /// [`crate::fault`]): a concrete engine whose [`MemoryModel::fresh`]
-    /// panics with [`FAULT_MESSAGE`], so every execution under it faults.
-    Panicking(ConcreteEngine),
-}
-
-/// Delegate one `MemoryModel` method to whichever engine is inside.
-macro_rules! delegate {
-    ($self:ident . $method:ident ( $($arg:expr),* )) => {
-        match $self {
-            AnyEngine::Concrete(engine) | AnyEngine::Panicking(engine) => {
-                engine.$method($($arg),*)
-            }
-            AnyEngine::Symbolic(engine) => engine.$method($($arg),*),
-        }
-    };
-}
-
-impl MemoryModel for AnyEngine {
-    fn model_name(&self) -> &'static str {
-        delegate!(self.model_name())
-    }
-
-    fn env(&self) -> &ImplEnv {
-        delegate!(self.env())
-    }
-
-    fn tags(&self) -> &TagRegistry {
-        delegate!(self.tags())
-    }
-
-    fn fresh(&self) -> Self {
-        match self {
-            AnyEngine::Concrete(engine) => AnyEngine::Concrete(MemoryModel::fresh(engine)),
-            AnyEngine::Symbolic(engine) => AnyEngine::Symbolic(engine.fresh()),
-            AnyEngine::Panicking(_) => panic!("{FAULT_MESSAGE}"),
-        }
-    }
-
-    fn consulted(&self) -> FieldSet {
-        delegate!(self.consulted())
-    }
-
-    fn create(
-        &mut self,
-        ty: &Ctype,
-        kind: AllocKind,
-        name: Option<&str>,
-    ) -> ModelResult<PointerValue> {
-        delegate!(self.create(ty, kind, name))
-    }
-
-    fn alloc(&mut self, size: u64, align: u64) -> ModelResult<PointerValue> {
-        delegate!(self.alloc(size, align))
-    }
-
-    fn create_string_literal(&mut self, bytes: &[u8]) -> ModelResult<PointerValue> {
-        delegate!(self.create_string_literal(bytes))
-    }
-
-    fn register_function(&mut self, name: &Ident) -> PointerValue {
-        delegate!(self.register_function(name))
-    }
-
-    fn function_at(&self, addr: u64) -> Option<&Ident> {
-        delegate!(self.function_at(addr))
-    }
-
-    fn kill(&mut self, ptr: &PointerValue, dynamic: bool) -> ModelResult<()> {
-        delegate!(self.kill(ptr, dynamic))
-    }
-
-    fn store(&mut self, ty: &Ctype, ptr: &PointerValue, value: &MemValue) -> ModelResult<()> {
-        delegate!(self.store(ty, ptr, value))
-    }
-
-    fn load(&mut self, ty: &Ctype, ptr: &PointerValue) -> ModelResult<MemValue> {
-        delegate!(self.load(ty, ptr))
-    }
-
-    fn ptr_eq(&self, a: &PointerValue, b: &PointerValue) -> ModelResult<bool> {
-        delegate!(self.ptr_eq(a, b))
-    }
-
-    fn ptr_rel(&self, a: &PointerValue, b: &PointerValue) -> ModelResult<std::cmp::Ordering> {
-        delegate!(self.ptr_rel(a, b))
-    }
-
-    fn ptr_diff(
-        &self,
-        a: &PointerValue,
-        b: &PointerValue,
-        elem_size: u64,
-    ) -> ModelResult<IntegerValue> {
-        delegate!(self.ptr_diff(a, b, elem_size))
-    }
-
-    fn int_from_ptr(&self, p: &PointerValue) -> IntegerValue {
-        delegate!(self.int_from_ptr(p))
-    }
-
-    fn ptr_from_int(&self, iv: &IntegerValue) -> PointerValue {
-        delegate!(self.ptr_from_int(iv))
-    }
-
-    fn array_shift(
-        &self,
-        ptr: &PointerValue,
-        elem_ty: &Ctype,
-        index: i128,
-    ) -> ModelResult<PointerValue> {
-        delegate!(self.array_shift(ptr, elem_ty, index))
-    }
-
-    fn copy_bytes(&mut self, dst: &PointerValue, src: &PointerValue, n: u64) -> ModelResult<()> {
-        delegate!(self.copy_bytes(dst, src, n))
-    }
-
-    fn compare_bytes(&self, a: &PointerValue, b: &PointerValue, n: u64) -> ModelResult<i32> {
-        delegate!(self.compare_bytes(a, b, n))
-    }
-
-    fn set_bytes(&mut self, dst: &PointerValue, byte: u8, n: u64) -> ModelResult<()> {
-        delegate!(self.set_bytes(dst, byte, n))
-    }
-
-    fn read_c_string(&self, ptr: &PointerValue) -> ModelResult<Vec<u8>> {
-        delegate!(self.read_c_string(ptr))
-    }
-}
-
 impl ModelConfig {
     /// Instantiate this configuration as an engine prototype for programs
     /// using `tags` under `env` (the state is pristine; the driver calls
-    /// [`MemoryModel::fresh`] per execution). Which implementation is built
-    /// follows [`ModelConfig::engine`].
-    pub fn instantiate(&self, env: ImplEnv, tags: TagRegistry) -> AnyEngine {
-        match self.engine {
-            EngineKind::Concrete => AnyEngine::Concrete(MemState::new(self.clone(), env, tags)),
-            EngineKind::Symbolic => {
-                AnyEngine::Symbolic(SymbolicEngine::new(self.clone(), env, tags))
-            }
-            EngineKind::Panicking => AnyEngine::Panicking(MemState::new(self.clone(), env, tags)),
-        }
+    /// [`MemoryModel::fresh`] per execution).
+    pub fn instantiate(&self, env: ImplEnv, tags: TagRegistry) -> ConcreteEngine {
+        MemState::new(self.clone(), env, tags)
     }
 }
 
@@ -394,27 +246,29 @@ mod tests {
     #[test]
     fn every_named_config_instantiates() {
         for config in ModelConfig::all_named() {
-            let engine = config.instantiate(ImplEnv::lp64(), TagRegistry::new());
+            let mut engine = config.instantiate(ImplEnv::lp64(), TagRegistry::new());
             assert_eq!(engine.model_name(), config.name);
-            match (config.engine, &engine) {
-                (EngineKind::Concrete, AnyEngine::Concrete(_)) => {}
-                (EngineKind::Symbolic, AnyEngine::Symbolic(_)) => {}
-                (kind, other) => panic!("{kind:?} instantiated as {other:?}"),
-            }
+            assert_eq!(roundtrip(&mut engine), 42, "{}", config.name);
+            let mut fresh = MemoryModel::fresh(&engine);
+            assert_eq!(roundtrip(&mut fresh), 42, "{}", config.name);
         }
     }
 
+    /// `instantiate` dispatches each `EngineKind` to its implementation on
+    /// `MemState`: packed placement, region placement, or the fault drill,
+    /// and `fresh` keeps the choice.
     #[test]
     fn any_engine_dispatches_to_both_implementations() {
-        let mut concrete = ModelConfig::de_facto().instantiate(ImplEnv::lp64(), TagRegistry::new());
-        assert_eq!(roundtrip(&mut concrete), 42);
-        let mut symbolic = ModelConfig::symbolic().instantiate(ImplEnv::lp64(), TagRegistry::new());
-        assert_eq!(roundtrip(&mut symbolic), 42);
-        assert_eq!(symbolic.model_name(), "symbolic");
-        // `fresh` preserves the implementation choice.
-        assert!(matches!(
-            MemoryModel::fresh(&symbolic),
-            AnyEngine::Symbolic(_)
-        ));
+        let first_address = |config: ModelConfig| {
+            let engine = config.instantiate(ImplEnv::lp64(), TagRegistry::new());
+            let mut fresh = MemoryModel::fresh(&engine);
+            let ty = Ctype::integer(IntegerType::Int);
+            fresh.create(&ty, AllocKind::Automatic, None).unwrap().addr
+        };
+        assert_eq!(first_address(ModelConfig::de_facto()), 0x1_0000);
+        assert_eq!(first_address(ModelConfig::symbolic()), 1 << 32);
+        let drill = ModelConfig::panicking().instantiate(ImplEnv::lp64(), TagRegistry::new());
+        let fresh = std::panic::AssertUnwindSafe(|| MemoryModel::fresh(&drill));
+        assert!(std::panic::catch_unwind(fresh).is_err());
     }
 }

@@ -9,6 +9,14 @@
 //! *provenance*; representation bytes carry provenance so that pointers copied
 //! bytewise (Q13–Q16) remain usable; and padding, uninitialised-read,
 //! effective-type and out-of-bounds behaviour follow the configured semantics.
+//!
+//! [`ModelConfig::engine`] places the allocations: packed one after another,
+//! or each in its own 2³²-byte region. Allocations are disjoint and never
+//! reused under either placement, and an access, a bounds test or a `free`
+//! through a pointer with an allocation provenance depends only on its
+//! offset from the allocation's base. So two placements differ only where an
+//! execution observes an absolute address, and every such place reads the
+//! field through `MemState::consult`.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -20,9 +28,10 @@ use cerberus_ast::layout::{self, TagRegistry};
 use cerberus_ast::ub::UbKind;
 
 use crate::config::{
-    FieldSet, IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics,
+    EngineKind, FieldSet, IntToPtrSemantics, ModelConfig, PaddingSemantics, RelationalSemantics,
     UninitSemantics,
 };
+use crate::fault::FAULT_MESSAGE;
 use crate::model::{MemoryModel, ModelResult};
 use crate::value::{AllocId, IntegerValue, MemValue, PointerValue, Provenance};
 
@@ -48,21 +57,29 @@ pub struct AbsByte {
     pub prov: Provenance,
     /// The concrete byte, or `None` for an unspecified byte.
     pub value: Option<u8>,
+    /// Which byte, least significant first, of the integer or pointer it was
+    /// stored from this is; 0 for any other byte. Bytes that carry an
+    /// address but are not one whole representation in order were pieced
+    /// together, and the number they make depends on where the allocation
+    /// is.
+    pub index: u8,
 }
 
 impl AbsByte {
-    fn unspec() -> Self {
+    fn constant(value: Option<u8>) -> Self {
         AbsByte {
             prov: Provenance::Empty,
-            value: None,
+            value,
+            index: 0,
         }
     }
 
+    fn unspec() -> Self {
+        AbsByte::constant(None)
+    }
+
     fn zero() -> Self {
-        AbsByte {
-            prov: Provenance::Empty,
-            value: Some(0),
-        }
+        AbsByte::constant(Some(0))
     }
 }
 
@@ -137,6 +154,8 @@ impl std::error::Error for MemError {}
 
 /// Base address of the object address space.
 const OBJECT_BASE: u64 = 0x1_0000;
+/// The size of one region under [`EngineKind::Symbolic`] placement.
+const REGION: u64 = 1 << 32;
 /// Base of the synthetic function "address" space.
 const FUNCTION_BASE: u64 = 0x1000;
 
@@ -184,6 +203,37 @@ impl MemState {
         &self.config
     }
 
+    /// Record that the execution observed an absolute address, which the
+    /// placement decides.
+    fn observe_address(&self) {
+        self.consult(FieldSet::ENGINE);
+    }
+
+    /// Whether `ptr` has an allocation provenance and has left `[base, end]`
+    /// of that allocation. Its offset from the base is the same under either
+    /// placement, and so is this answer. Such a pointer's address can wrap
+    /// under one placement and not the other, so even a null test of it
+    /// observes the address.
+    fn escapes(&self, ptr: &PointerValue) -> bool {
+        ptr.prov.alloc_id().is_some_and(|id| {
+            self.allocation(id)
+                .is_none_or(|alloc| ptr.addr.wrapping_sub(alloc.base) > alloc.size)
+        })
+    }
+
+    /// Whether comparing `a` with `b` by address observes where the
+    /// allocations are: they have different provenances and one of them
+    /// names an allocation, unless the other is null and the first has not
+    /// left its allocation; or one of them has left its allocation.
+    fn comparison_observes_placement(&self, a: &PointerValue, b: &PointerValue) -> bool {
+        match (a.prov.alloc_id(), b.prov.alloc_id()) {
+            (Some(x), Some(y)) => x != y || self.escapes(a) || self.escapes(b),
+            (Some(_), None) => !b.is_null() || self.escapes(a),
+            (None, Some(_)) => !a.is_null() || self.escapes(b),
+            (None, None) => false,
+        }
+    }
+
     /// All allocations made so far (for inspection and tests).
     pub fn allocations(&self) -> &[Allocation] {
         &self.allocations
@@ -206,7 +256,14 @@ impl MemState {
         readonly: bool,
     ) -> PointerValue {
         let id = self.allocations.len() as AllocId;
-        let base = layout::align_up(self.next_addr, align.max(1));
+        // Placing an allocation observes nothing; observing its address does.
+        // Regions wrap after 2^32 - 1 allocations, as many steps as no
+        // budgeted execution takes.
+        let start = match self.config.engine {
+            EngineKind::Symbolic => (self.next_addr / REGION + 1).wrapping_mul(REGION),
+            EngineKind::Concrete | EngineKind::Panicking => self.next_addr,
+        };
+        let base = layout::align_up(start, align.max(1));
         let init_byte = match kind {
             AllocKind::Static | AllocKind::StringLiteral => AbsByte::zero(),
             _ => AbsByte::unspec(),
@@ -239,6 +296,7 @@ impl MemState {
     }
 
     fn find_alloc_by_addr(&self, addr: u64) -> Option<&Allocation> {
+        self.observe_address();
         self.allocations
             .iter()
             .find(|a| a.alive && addr >= a.base && addr < a.end())
@@ -253,32 +311,27 @@ impl MemState {
                 "object access through a function pointer",
             ));
         }
-        if ptr.is_null() {
+        // An access inside the allocation its provenance names is not
+        // through null. A CHERI capability is the bounds of that allocation:
+        // no allocation moves or resizes, and nothing clears a tag. So such
+        // an access passes under either reading of `cheri`, and only a
+        // rejecting check consults it.
+        let prov_alloc = ptr.prov.alloc_id().and_then(|id| self.allocation(id));
+        let within = prov_alloc.is_some_and(|alloc| alloc.contains_range(ptr.addr, len));
+        if !within && self.is_null(ptr) {
             return Err(MemError::new(
                 UbKind::NullPointerDeref,
                 "access through a null pointer",
             ));
         }
-        // A CHERI capability is the bounds of the allocation the provenance
-        // names: no allocation moves or resizes, and nothing clears a tag.
-        // So an access inside those bounds passes under either reading of
-        // `cheri`, and only a rejecting check consults it.
-        let prov_alloc = ptr.prov.alloc_id().and_then(|id| self.allocation(id));
-        match prov_alloc {
-            Some(alloc) if alloc.contains_range(ptr.addr, len) => {}
-            _ if !self.consult(FieldSet::CHERI).cheri => {}
-            Some(_) => {
-                return Err(MemError::new(
-                    UbKind::OutOfBoundsAccess,
-                    "capability bounds violation",
-                ))
-            }
-            None => {
-                return Err(MemError::new(
+        if !within && self.consult(FieldSet::CHERI).cheri {
+            return Err(match prov_alloc {
+                Some(_) => MemError::new(UbKind::OutOfBoundsAccess, "capability bounds violation"),
+                None => MemError::new(
                     UbKind::AccessWithoutProvenance,
                     "access through an untagged CHERI pointer",
-                ))
-            }
+                ),
+            });
         }
         // An allocation the provenance names, live and holding the whole
         // access, is the one both readings of `provenance_checking` pick:
@@ -303,6 +356,7 @@ impl MemState {
                         ));
                     }
                     if !alloc.contains_range(ptr.addr, len) {
+                        self.observe_address();
                         return Err(MemError::new(
                             UbKind::OutOfBoundsAccess,
                             format!(
@@ -396,6 +450,7 @@ impl MemState {
             out.push(AbsByte {
                 prov,
                 value: Some(((uval >> (8 * i)) & 0xff) as u8),
+                index: i as u8,
             });
         }
         out
@@ -418,6 +473,17 @@ impl MemState {
             }
         }
         Some((signed_value, prov))
+    }
+
+    /// [`MemState::bytes_to_int`] for a read at an arithmetic type, which
+    /// observes an address if some byte carries an allocation provenance:
+    /// it reads a pointer's representation as a number.
+    fn bytes_to_number(&self, bytes: &[AbsByte], signed: bool) -> Option<(i128, Provenance)> {
+        let number = self.bytes_to_int(bytes, signed)?;
+        if carries_address(bytes) {
+            self.observe_address();
+        }
+        Some(number)
     }
 
     /// Serialise a memory value at a C type into representation bytes.
@@ -504,28 +570,31 @@ impl MemState {
         match ty {
             Ctype::Integer(it) => {
                 let signed = self.env.is_signed(*it);
-                match self.bytes_to_int(bytes, signed) {
+                match self.bytes_to_number(bytes, signed) {
                     Some((v, prov)) => Ok(MemValue::Integer(*it, IntegerValue::with_prov(v, prov))),
                     None => Ok(MemValue::Unspecified(ty.clone())),
                 }
             }
             Ctype::Pointer(_, pointee) => match self.bytes_to_int(bytes, false) {
                 Some((v, prov)) => {
-                    let addr = v as u64;
-                    if let Some(name) = self.functions_by_addr.get(&addr) {
+                    // The bytes of one pointer give back its address; bytes
+                    // pieced together from an address and anything else
+                    // give a number that depends on where it points.
+                    if carries_address(bytes) && !one_representation(bytes) {
+                        self.observe_address();
+                    }
+                    let ptr = PointerValue::object(prov, v as u64);
+                    if let Some(name) = self.function_at(&ptr) {
                         return Ok(MemValue::Pointer(
                             (**pointee).clone(),
                             PointerValue {
                                 prov: Provenance::Empty,
-                                addr,
+                                addr: ptr.addr,
                                 function: Some(name.clone()),
                             },
                         ));
                     }
-                    Ok(MemValue::Pointer(
-                        (**pointee).clone(),
-                        PointerValue::object(prov, addr),
-                    ))
+                    Ok(MemValue::Pointer((**pointee).clone(), ptr))
                 }
                 None => Ok(MemValue::Unspecified(ty.clone())),
             },
@@ -566,7 +635,7 @@ impl MemState {
                 let inner = self.deserialize(&first.ty, &bytes[..fsize])?;
                 Ok(MemValue::Union(*tag, first.name.clone(), Box::new(inner)))
             }
-            Ctype::Floating => match self.bytes_to_int(bytes, true) {
+            Ctype::Floating => match self.bytes_to_number(bytes, true) {
                 Some((v, prov)) => Ok(MemValue::Integer(
                     IntegerType::LongLong,
                     IntegerValue::with_prov(v, prov),
@@ -622,7 +691,13 @@ impl MemoryModel for MemState {
         &self.tags
     }
 
+    /// A pristine state; under [`EngineKind::Panicking`] it panics with
+    /// [`FAULT_MESSAGE`], which is how the fault drill faults every
+    /// execution as it starts.
     fn fresh(&self) -> Self {
+        if self.config.engine == EngineKind::Panicking {
+            panic!("{FAULT_MESSAGE}");
+        }
         MemState::new(self.config.clone(), self.env.clone(), self.tags.clone())
     }
 
@@ -672,10 +747,7 @@ impl MemoryModel for MemState {
             .expect("fresh string allocation has a provenance");
         let alloc = &mut self.allocations[id as usize];
         for (i, b) in contents.iter().enumerate() {
-            alloc.bytes[i] = AbsByte {
-                prov: Provenance::Empty,
-                value: Some(*b),
-            };
+            alloc.bytes[i] = AbsByte::constant(Some(*b));
         }
         Ok(ptr)
     }
@@ -697,12 +769,27 @@ impl MemoryModel for MemState {
         }
     }
 
-    fn function_at(&self, addr: u64) -> Option<&Ident> {
-        self.functions_by_addr.get(&addr)
+    /// No pointer into or one past its allocation designates a function.
+    fn function_at(&self, ptr: &PointerValue) -> Option<&Ident> {
+        if ptr.prov.alloc_id().is_some() {
+            if !self.escapes(ptr) {
+                return None;
+            }
+            self.observe_address();
+        }
+        self.functions_by_addr.get(&ptr.addr)
+    }
+
+    /// A pointer into or one past its allocation is never null.
+    fn is_null(&self, ptr: &PointerValue) -> bool {
+        if self.escapes(ptr) {
+            self.observe_address();
+        }
+        ptr.is_null()
     }
 
     fn kill(&mut self, ptr: &PointerValue, dynamic: bool) -> ModelResult<()> {
-        if dynamic && ptr.is_null() {
+        if dynamic && self.is_null(ptr) {
             // free(NULL) is a no-op (7.22.3.3p2).
             return Ok(());
         }
@@ -807,6 +894,9 @@ impl MemoryModel for MemState {
         if a.function.is_some() || b.function.is_some() {
             return Ok(a.function == b.function);
         }
+        if self.comparison_observes_placement(a, b) {
+            self.observe_address();
+        }
         if a.addr != b.addr || a.prov == b.prov {
             return Ok(a.addr == b.addr);
         }
@@ -833,6 +923,9 @@ impl MemoryModel for MemState {
                 "relational comparison of pointers to different objects",
             ));
         }
+        if self.comparison_observes_placement(a, b) {
+            self.observe_address();
+        }
         Ok(a.addr.cmp(&b.addr))
     }
 
@@ -856,6 +949,15 @@ impl MemoryModel for MemState {
                 "subtraction of pointers into different objects",
             ));
         }
+        // A difference is an address unless both lie in one allocation.
+        let observes = match (a.prov.alloc_id(), b.prov.alloc_id()) {
+            (None, None) => false,
+            (Some(x), Some(y)) if x == y => self.escapes(a) || self.escapes(b),
+            _ => true,
+        };
+        if observes {
+            self.observe_address();
+        }
         let diff = (a.addr as i128 - b.addr as i128) / elem_size.max(1) as i128;
         // "Subtraction of two values produces a pure integer (to use as an
         // offset)" (§5.9).
@@ -863,6 +965,9 @@ impl MemoryModel for MemState {
     }
 
     fn int_from_ptr(&self, p: &PointerValue) -> IntegerValue {
+        if p.prov.alloc_id().is_some() {
+            self.observe_address();
+        }
         IntegerValue::with_prov(p.addr as i128, p.prov)
     }
 
@@ -893,7 +998,8 @@ impl MemoryModel for MemState {
         index: i128,
     ) -> ModelResult<PointerValue> {
         let esize = self.size_of(elem_ty)? as i128;
-        let new_addr = (ptr.addr as i128 + index * esize) as u64;
+        // The address wraps mod 2^64 however large the step.
+        let new_addr = (ptr.addr as i128).wrapping_add(index.wrapping_mul(esize)) as u64;
         if let Some(alloc) = ptr.prov.alloc_id().and_then(|id| self.allocation(id)) {
             if (new_addr < alloc.base || new_addr > alloc.end())
                 && !self
@@ -917,9 +1023,22 @@ impl MemoryModel for MemState {
         let dst_id = self.check_access(dst, n, true)?;
         let src_alloc = &self.allocations[src_id as usize];
         let start = (src.addr - src_alloc.base) as usize;
+        let dstart = (dst.addr - self.allocations[dst_id as usize].base) as usize;
+        // A copy that starts or ends inside the representation of an
+        // address, in its source or over its destination, pieces an address
+        // together from parts.
+        let cuts = |bytes: &[AbsByte], start: usize| {
+            [start, start + n as usize].iter().any(|&at| {
+                bytes
+                    .get(at)
+                    .is_some_and(|b| b.prov.alloc_id().is_some() && b.index != 0)
+            })
+        };
+        if cuts(&src_alloc.bytes, start) || cuts(&self.allocations[dst_id as usize].bytes, dstart) {
+            self.observe_address();
+        }
         let bytes: Vec<AbsByte> = src_alloc.bytes[start..start + n as usize].to_vec();
         let dst_alloc = &mut self.allocations[dst_id as usize];
-        let dstart = (dst.addr - dst_alloc.base) as usize;
         dst_alloc.bytes[dstart..dstart + n as usize].copy_from_slice(&bytes);
         Ok(())
     }
@@ -938,9 +1057,11 @@ impl MemoryModel for MemState {
         let astart = (a.addr - aa.base) as usize;
         let bstart = (b.addr - ba.base) as usize;
         for i in 0..n as usize {
-            let x = aa.bytes[astart + i].value;
-            let y = ba.bytes[bstart + i].value;
-            let (x, y) = match (x, y) {
+            let (x, y) = (aa.bytes[astart + i], ba.bytes[bstart + i]);
+            if carries_address(&[x, y]) {
+                self.observe_address();
+            }
+            let (x, y) = match (x.value, y.value) {
                 (Some(x), Some(y)) => (x, y),
                 _ if self.consult(FieldSet::UNINIT).uninit == UninitSemantics::Undefined => {
                     return Err(MemError::new(
@@ -964,12 +1085,7 @@ impl MemoryModel for MemState {
         let id = self.check_access(dst, n, true)?;
         let alloc = &mut self.allocations[id as usize];
         let start = (dst.addr - alloc.base) as usize;
-        for b in &mut alloc.bytes[start..start + n as usize] {
-            *b = AbsByte {
-                prov: Provenance::Empty,
-                value: Some(byte),
-            };
-        }
+        alloc.bytes[start..start + n as usize].fill(AbsByte::constant(Some(byte)));
         Ok(())
     }
 
@@ -980,11 +1096,13 @@ impl MemoryModel for MemState {
             let p = ptr.with_addr(addr);
             let id = self.check_access(&p, 1, false)?;
             let alloc = &self.allocations[id as usize];
-            let b = alloc.bytes[(addr - alloc.base) as usize]
-                .value
-                .ok_or_else(|| {
-                    MemError::new(UbKind::IndeterminateValueUse, "unspecified byte in string")
-                })?;
+            let byte = alloc.bytes[(addr - alloc.base) as usize];
+            if carries_address(&[byte]) {
+                self.observe_address();
+            }
+            let b = byte.value.ok_or_else(|| {
+                MemError::new(UbKind::IndeterminateValueUse, "unspecified byte in string")
+            })?;
             if b == 0 {
                 return Ok(out);
             }
@@ -998,6 +1116,21 @@ impl MemoryModel for MemState {
             }
         }
     }
+}
+
+/// Whether some byte carries an allocation provenance: it is part of the
+/// representation of an address.
+fn carries_address(bytes: &[AbsByte]) -> bool {
+    bytes.iter().any(|b| b.prov.alloc_id().is_some())
+}
+
+/// Whether `bytes` are one whole representation, in order, as the store of
+/// one integer or pointer leaves them.
+fn one_representation(bytes: &[AbsByte]) -> bool {
+    bytes
+        .iter()
+        .enumerate()
+        .all(|(i, b)| b.prov == bytes[0].prov && usize::from(b.index) == i)
 }
 
 fn describe(alloc: &Allocation) -> String {
@@ -1060,6 +1193,12 @@ mod tests {
             .unwrap();
         let err = strict.load(&int_ty(), &q).unwrap_err();
         assert_eq!(err.ub, UbKind::IndeterminateValueUse);
+
+        // Copying indeterminate bytes over a zero-initialised object leaves
+        // them indeterminate.
+        let s = liberal.create(&int_ty(), AllocKind::Static, None).unwrap();
+        liberal.copy_bytes(&s, &p, 4).unwrap();
+        assert!(liberal.load(&int_ty(), &s).unwrap().is_unspecified());
     }
 
     #[test]
@@ -1352,17 +1491,11 @@ mod tests {
         );
     }
 
-    fn concrete_presets() -> impl Iterator<Item = ModelConfig> {
-        ModelConfig::all_named()
-            .into_iter()
-            .filter(|c| c.engine == crate::config::EngineKind::Concrete)
-    }
-
     #[test]
     fn accesses_within_the_provenance_bounds_never_consult_cheri() {
         let arr = Ctype::array(int_ty(), 2);
         let pty = Ctype::pointer(int_ty());
-        for config in concrete_presets() {
+        for config in ModelConfig::all_named() {
             let name = config.name;
             let mut mem = new_state(config);
             let p = mem.create(&arr, AllocKind::Automatic, Some("a")).unwrap();
@@ -1390,7 +1523,7 @@ mod tests {
     #[test]
     fn a_load_past_the_end_consults_cheri_under_every_preset() {
         let arr = Ctype::array(int_ty(), 2);
-        for config in concrete_presets() {
+        for config in ModelConfig::all_named() {
             let name = config.name;
             let mut mem = new_state(config);
             let p = mem.create(&arr, AllocKind::Automatic, None).unwrap();
@@ -1428,6 +1561,91 @@ mod tests {
             mem.set_bytes(&p, 0, u64::MAX).unwrap_err().ub,
             UbKind::OutOfBoundsAccess
         );
+    }
+
+    #[test]
+    fn regions_are_disjoint_and_aligned() {
+        let mut mem = new_state(ModelConfig::symbolic());
+        let bases = [
+            mem.create(&int_ty(), AllocKind::Static, Some("x")).unwrap(),
+            mem.create(&Ctype::array(int_ty(), 3), AllocKind::Automatic, None)
+                .unwrap(),
+            mem.alloc(100, 16).unwrap(),
+            mem.create_string_literal(b"hi").unwrap(),
+        ]
+        .map(|p| p.addr);
+        assert_eq!(bases, [1, 2, 3, 4].map(|k| k * REGION));
+        // Placing an allocation observes nothing.
+        assert_eq!(mem.consulted(), FieldSet::EMPTY);
+    }
+
+    #[test]
+    fn a_one_past_pointer_never_equals_a_neighbour_under_regions() {
+        let mut mem = new_state(ModelConfig::symbolic());
+        let x = mem.create(&int_ty(), AllocKind::Static, Some("x")).unwrap();
+        let y = mem.create(&int_ty(), AllocKind::Static, Some("y")).unwrap();
+        let one_past = mem.array_shift(&x, &int_ty(), 1).unwrap();
+        assert_ne!(one_past.addr, y.addr);
+        assert!(!mem.ptr_eq(&one_past, &y).unwrap());
+        assert!(mem.consulted().contains(FieldSet::ENGINE));
+        let err = mem
+            .store(&int_ty(), &one_past, &MemValue::int(IntegerType::Int, 11))
+            .unwrap_err();
+        assert_eq!(err.ub, UbKind::OutOfBoundsAccess);
+    }
+
+    #[test]
+    fn memcmp_tells_apart_pointers_into_distinct_allocations_under_regions() {
+        // The DR260 shape: the bytes of `&x + 1` and `&y` are equal when `y`
+        // follows `x`, and differ when each allocation has its own region.
+        for (config, equal) in [
+            (ModelConfig::de_facto(), true),
+            (ModelConfig::symbolic(), false),
+        ] {
+            let mut mem = new_state(config);
+            let x = mem.create(&int_ty(), AllocKind::Static, Some("x")).unwrap();
+            let y = mem.create(&int_ty(), AllocKind::Static, Some("y")).unwrap();
+            let one_past = mem.array_shift(&x, &int_ty(), 1).unwrap();
+            let pty = Ctype::pointer(int_ty());
+            let p = mem.create(&pty, AllocKind::Automatic, Some("p")).unwrap();
+            let q = mem.create(&pty, AllocKind::Automatic, Some("q")).unwrap();
+            mem.store(&pty, &p, &MemValue::Pointer(int_ty(), one_past))
+                .unwrap();
+            mem.store(&pty, &q, &MemValue::Pointer(int_ty(), y))
+                .unwrap();
+            assert_eq!(mem.compare_bytes(&p, &q, 8).unwrap() == 0, equal);
+            assert!(mem.consulted().contains(FieldSet::ENGINE));
+        }
+    }
+
+    #[test]
+    fn a_partially_overwritten_pointer_keeps_its_surviving_bytes() {
+        let pty = Ctype::pointer(int_ty());
+        let char_ty = Ctype::integer(IntegerType::UChar);
+        for config in [ModelConfig::de_facto(), ModelConfig::symbolic()] {
+            let mut mem = new_state(config);
+            let x = mem.create(&int_ty(), AllocKind::Static, Some("x")).unwrap();
+            let p = mem.create(&pty, AllocKind::Static, Some("p")).unwrap();
+            mem.store(&pty, &p, &MemValue::Pointer(int_ty(), x.clone()))
+                .unwrap();
+            mem.store(&char_ty, &p, &MemValue::int(IntegerType::UChar, 0xAB))
+                .unwrap();
+            assert_eq!(mem.consulted(), FieldSet::EMPTY);
+            // Little-endian: the low byte is replaced, and the others keep
+            // their value and provenance. The address pieced together
+            // depends on where `x` is.
+            let loaded = mem.load(&pty, &p).unwrap();
+            let ptr = loaded.as_pointer().expect("a pointer");
+            assert_eq!(ptr.addr, (x.addr & !0xff) | 0xAB);
+            assert_eq!(ptr.prov, x.prov);
+            assert!(mem.consulted().contains(FieldSet::ENGINE));
+            // An indeterminate pointer stays indeterminate.
+            mem.store(&pty, &p, &MemValue::Unspecified(pty.clone()))
+                .unwrap();
+            mem.store(&char_ty, &p, &MemValue::int(IntegerType::UChar, 1))
+                .unwrap();
+            assert!(mem.load(&pty, &p).unwrap().is_unspecified());
+        }
     }
 
     #[test]

@@ -44,8 +44,9 @@ int main(void) { return &a < &b || &a > &b; }
 
 fn show(title: &str, source: &str) {
     println!("== {title} ==");
-    // One front-end pass; six executions off the shared artifact (the last
-    // row runs the symbolic provenance engine, not the concrete one).
+    // One front-end pass; six rows off the shared artifact (the last row
+    // places each allocation in its own region; it runs apart only where
+    // the program observes an address).
     let program = Session::default()
         .elaborate(source)
         .expect("well-formed program");

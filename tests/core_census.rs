@@ -23,7 +23,7 @@ use cerberus_core::program::CoreProgram;
 use cerberus_core::syntax::{Binop, BuiltinFn, Expr, MemAction, PExpr, Pattern, Polarity, PtrOp};
 use cerberus_exec::driver::ExecMode;
 use cerberus_gen::{generate, to_c_source, GenConfig};
-use cerberus_memory::config::{EngineKind, FieldSet, ModelConfig};
+use cerberus_memory::config::{FieldSet, ModelConfig};
 use cerberus_memory::limits::ResourceLimits;
 
 /// Constructors the census may leave unreached, each with the reason it is
@@ -306,15 +306,12 @@ const PADDING_SOURCE: &str = "struct s { char c; int i; }; int main(void) { stru
      unsigned char *p = (unsigned char *)&a; b.c = 1; b.i = 2; p[1] = 0xAA; a = b; \
      return p[1] == 0xAA; }";
 
-/// Every semantic field of `ModelConfig` is consulted by the concrete rows
-/// of the fixtures or of `PADDING_SOURCE`, so a field the engine never reads
-/// through its recording accessor fails here.
+/// Every semantic field of `ModelConfig`, the placement included, is
+/// consulted by the named rows of the fixtures or of `PADDING_SOURCE`, so a
+/// field the engine never reads through its recording accessor fails here.
 #[test]
 fn the_concrete_engine_consults_every_semantic_field() {
-    let concrete: Vec<ModelConfig> = ModelConfig::all_named()
-        .into_iter()
-        .filter(|model| model.engine == EngineKind::Concrete)
-        .collect();
+    let models = ModelConfig::all_named();
     let mut sources: Vec<String> = cerberus_litmus::catalogue()
         .into_iter()
         .map(|test| test.source)
@@ -329,7 +326,7 @@ fn the_concrete_engine_consults_every_semantic_field() {
                 let mut consulted = FieldSet::EMPTY;
                 for source in &sources {
                     let program = session.elaborate(source).unwrap();
-                    for model in &concrete {
+                    for model in &models {
                         let (_, fields) = program.driver(model).run_logged(ExecMode::default());
                         consulted = consulted | fields;
                     }

@@ -205,7 +205,7 @@ fn on_a_default_sized_thread<T: Send>(work: impl FnOnce() -> T + Send) -> T {
 }
 
 /// Runaway recursion at the default budget stops with the call-depth
-/// budget under both engines, even when its frames are larger than the
+/// budget under both placements, even when its frames are larger than the
 /// budget's per-frame estimate and even in an unoptimised build, instead of
 /// overflowing the host stack and aborting the process.
 #[test]
@@ -249,8 +249,8 @@ fn executions_fit_a_default_sized_thread() {
 
 /// A legal recursion deeper than the caller's thread hosts completes under
 /// every named model, both on the test thread and on a default-sized one,
-/// and its rows still share: the nine concrete presets execute once, and
-/// `symbolic` once, each with its rerun on a larger stack.
+/// and its rows still share: the ten models execute once, with its rerun on
+/// a larger stack.
 #[test]
 fn a_legal_deep_recursion_completes_under_every_model() {
     let program = Session::default().elaborate(DEEP_RECURSION).unwrap();
@@ -269,11 +269,12 @@ fn a_legal_deep_recursion_completes_under_every_model() {
             );
         }
     }
-    // The first matrix executed two rows, `concrete` and `symbolic`, and
-    // shared eight: every access stays within its provenance's bounds, so
-    // no row reads `cheri`. The second found all ten rows tabled.
+    // The first matrix executed one row, `concrete`, and shared nine: every
+    // access stays within its provenance's bounds, so no row reads `cheri`,
+    // and no address is observed, so none reads the placement. The second
+    // found all ten rows tabled.
     let stats = program.execution_stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries), (18, 2, 2));
+    assert_eq!((stats.hits, stats.misses, stats.entries), (19, 1, 1));
 }
 
 /// An access whose end would pass 2^64 is out of bounds under every model,
@@ -311,18 +312,9 @@ fn an_access_that_wraps_the_address_space_is_undefined_under_every_model() {
     }
 }
 
-/// A member pointer computed from an address near the top of the address
-/// space wraps, as pointer arithmetic does, under every model: the layout
-/// code the engines share neither overflows nor faults.
-#[test]
-fn a_member_address_past_the_top_of_the_address_space_wraps_under_every_model() {
-    let program = Session::default()
-        .elaborate(
-            "struct S { int a; int b; }; \
-             int main(void) { struct S *p = (struct S *)(0UL - 2UL); int *q = &p->b; \
-             return q != 0; }",
-        )
-        .unwrap();
+/// Runs `source` under every named model and checks that each row returns 1.
+fn returns_one_under_every_model(source: &str) {
+    let program = Session::default().elaborate(source).unwrap();
     let matrix = DifferentialRunner::all_named().run(&program);
     assert_eq!(matrix.rows().len(), ModelConfig::all_named().len());
     for row in matrix.rows() {
@@ -333,6 +325,29 @@ fn a_member_address_past_the_top_of_the_address_space_wraps_under_every_model() 
             row.model
         );
     }
+}
+
+/// A member pointer computed from an address near the top of the address
+/// space wraps, as pointer arithmetic does, under every model: the layout
+/// code the models share neither overflows nor faults.
+#[test]
+fn a_member_address_past_the_top_of_the_address_space_wraps_under_every_model() {
+    returns_one_under_every_model(
+        "struct S { int a; int b; }; \
+         int main(void) { struct S *p = (struct S *)(0UL - 2UL); int *q = &p->b; \
+         return q != 0; }",
+    );
+}
+
+/// An element pointer stepped past the top of the address space wraps too:
+/// a step of 2^64 - 1 elements of 2^64 - 1 bytes neither overflows nor
+/// faults under any model.
+#[test]
+fn an_element_address_past_the_top_of_the_address_space_wraps_under_every_model() {
+    returns_one_under_every_model(
+        "int main(void) { char (*p)[0xffffffffffffffffUL] = 0; \
+         p = p + 0xffffffffffffffffUL; return p != 0; }",
+    );
 }
 
 /// A rerun on a larger stack joins what it consulted to what the run on the
@@ -433,7 +448,7 @@ fn allocation_and_output_budgets_stop_every_model() {
 
 /// Program length costs no host stack. On a thread the size of a service
 /// handler's, a `main` of 20,000 statements and one of 20,000 declarations
-/// are elaborated, analyzed, run under both engines and freed. A function
+/// are elaborated, analyzed, run under both placements and freed. A function
 /// of 200 statements recursing 100 deep stays within the default budget.
 #[test]
 fn long_programs_run_on_a_default_sized_thread() {

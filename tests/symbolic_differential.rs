@@ -1,6 +1,7 @@
-//! Integration tests: the symbolic provenance engine as a genuinely
-//! different second `MemoryModel`, exercised through the full pipeline and
-//! the differential runner.
+//! Integration tests: the symbolic provenance model, exercised through the
+//! full pipeline and the differential runner. It runs on the same engine as
+//! `concrete`, with each allocation in its own 2³²-byte region; "the
+//! symbolic engine" below means that configuration.
 //!
 //! These assert the known concrete-vs-symbolic disagreement classes (cross-
 //! object pointer comparison, intptr round trips resolved through provenance
