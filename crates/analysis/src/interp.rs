@@ -35,15 +35,24 @@
 //! (checked by a property test at the workspace root).
 //!
 //! The walk borrows the program, as the concrete interpreter does: no
-//! procedure body or global initialiser is copied. `let`, sequencing, a
-//! decided `if` and a decided `case` bind names in place in the procedure's
-//! environment; the elaborator gives every pattern a fresh symbol, so a
-//! binding never shadows a name read later. A jump lands only in a scope
-//! (`Interp::eval_scope`), so those are walked in a loop, not by recursion.
-//! Every undecided `if` or `case`, pure or effectful, in either mode, goes
-//! through one routine, `Interp::fork`, which holds everything about a
-//! branch that differs between the modes. Effectful arms run on copies of
-//! the state and the environment, which are joined afterwards.
+//! procedure body or global initialiser is copied, and environments, globals
+//! and parked jump states are keyed by names borrowed from it. `let`,
+//! sequencing, a decided `if` and a decided `case` bind names in place in the
+//! procedure's environment; the elaborator gives every pattern a fresh
+//! symbol, so a binding never shadows a name read later. A jump lands only in
+//! a scope (`Interp::eval_scope`), so those are walked in a loop, not by
+//! recursion. Every undecided `if` or `case`, pure or effectful, in either
+//! mode, goes through one routine, `Interp::fork`, which holds everything
+//! about a branch that differs between the modes.
+//!
+//! A fork copies nothing whose size grows with the program. Effectful arms
+//! run on one environment: each binding an arm makes is logged on a trail
+//! with the value it replaced and undone when the arm ends, as a logic
+//! programming engine undoes bindings on backtracking. Allocation records
+//! are reference-counted: an arm starts from the records the fork saw,
+//! copies one only when it writes it, and the join of the arms' states
+//! skips every record they still share. A `run` snapshot shares records
+//! the same way.
 //!
 //! The pass is deliberately a *may*-analysis: when the state cannot exclude a
 //! violation it reports `May` rather than staying silent, because the corpus
@@ -53,6 +62,7 @@
 //! finding must be realised dynamically by at least one named model.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
 use cerberus_ast::ctype::{Ctype, IntegerType};
 use cerberus_ast::env::ImplEnv;
@@ -357,21 +367,31 @@ impl AllocInfo {
 }
 
 /// The abstract memory state: allocations are identified by creation index,
-/// which is deterministic because analysis order is deterministic.
+/// which is deterministic because analysis order is deterministic. A copy of
+/// the state (a fork arm's start, a `run` snapshot) copies pointers: a record
+/// stays shared until one side writes it through [`State::alloc_mut`].
 #[derive(Debug, Clone, PartialEq, Default)]
 struct State {
-    allocs: Vec<AllocInfo>,
+    allocs: Vec<Rc<AllocInfo>>,
 }
 
 impl State {
+    /// The one way to write a record: a record another state still shares
+    /// is copied first.
+    fn alloc_mut(&mut self, id: AllocId) -> &mut AllocInfo {
+        Rc::make_mut(&mut self.allocs[id])
+    }
+
+    /// Join `other` into this state. A record both still share is its own
+    /// join (x ⊔ x = x), so only records that either side wrote are joined.
     fn join_from(&mut self, other: &State) {
         let shared = self.allocs.len().min(other.allocs.len());
-        for i in 0..shared {
-            self.allocs[i].join_from(&other.allocs[i]);
+        for id in 0..shared {
+            if !Rc::ptr_eq(&self.allocs[id], &other.allocs[id]) {
+                self.alloc_mut(id).join_from(&other.allocs[id]);
+            }
         }
-        if other.allocs.len() > self.allocs.len() {
-            self.allocs.extend(other.allocs[shared..].iter().cloned());
-        }
+        self.allocs.extend(other.allocs[shared..].iter().cloned());
     }
 }
 
@@ -388,26 +408,72 @@ struct AbsAccess {
 
 /// Abstract control flow, mirroring the concrete interpreter's `Flow`.
 #[derive(Debug, Clone)]
-enum AFlow {
+enum AFlow<'a> {
     Val(AbsValue),
-    Jump(Ident),
+    Jump(&'a Ident),
     Ret,
 }
 
-type Env = HashMap<String, AbsValue>;
+/// The names bound in the procedure being analysed, borrowed from the
+/// program. One environment serves every arm of an effectful fork: while an
+/// arm runs, each binding is logged on the trail with the value it replaced,
+/// and [`Env::in_arm`] undoes the log when the arm ends, so a sibling never
+/// sees the arm's bindings.
+#[derive(Default)]
+struct Env<'a> {
+    vars: HashMap<&'a str, AbsValue>,
+    trail: Vec<(&'a str, Option<AbsValue>)>,
+    /// How many effectful fork arms are running; bindings are logged only
+    /// then, so the trail is empty outside every arm.
+    arms: usize,
+}
+
+impl<'a> Env<'a> {
+    fn get(&self, name: &str) -> Option<&AbsValue> {
+        self.vars.get(name)
+    }
+
+    fn insert(&mut self, name: &'a str, v: AbsValue) {
+        let replaced = self.vars.insert(name, v);
+        if self.arms > 0 {
+            self.trail.push((name, replaced));
+        }
+    }
+
+    fn extend(&mut self, bindings: Bindings<'a>) {
+        for (name, v) in bindings {
+            self.insert(name, v);
+        }
+    }
+
+    /// Run one fork arm, then undo every binding it made.
+    fn in_arm<R>(&mut self, arm: impl FnOnce(&mut Self) -> R) -> R {
+        let mark = self.trail.len();
+        self.arms += 1;
+        let result = arm(self);
+        self.arms -= 1;
+        for (name, replaced) in self.trail.drain(mark..).rev() {
+            match replaced {
+                Some(v) => self.vars.insert(name, v),
+                None => self.vars.remove(name),
+            };
+        }
+        result
+    }
+}
 
 /// The names a pattern match introduces, in binding order.
-type Bindings = Vec<(String, AbsValue)>;
+type Bindings<'a> = Vec<(&'a str, AbsValue)>;
 
 /// One arm of an undecided branch: the path constraint it runs under (an
 /// `if` arm's condition, `None` for a `case` arm), the names it binds, and
 /// its body.
-type Arm<'e, E> = (Option<Atom>, Bindings, &'e E);
+type Arm<'a, E> = (Option<Atom>, Bindings<'a>, &'a E);
 
 /// Result of matching a pattern against an abstract value.
-enum MatchQ {
-    Yes(Bindings),
-    Maybe(Bindings),
+enum MatchQ<'a> {
+    Yes(Bindings<'a>),
+    Maybe(Bindings<'a>),
     No,
 }
 
@@ -425,7 +491,7 @@ struct LocalFinding {
 }
 
 /// Findings of one fork branch, merged into the parent when siblings join.
-type Frame = BTreeMap<(String, UbKind), LocalFinding>;
+type Frame<'a> = BTreeMap<(&'a str, UbKind), LocalFinding>;
 
 struct Interp<'a> {
     program: &'a CoreProgram,
@@ -433,21 +499,21 @@ struct Interp<'a> {
     config: AnalysisConfig,
     solver: &'a Solver,
     state: State,
-    globals: HashMap<String, AbsValue>,
+    globals: HashMap<&'a str, AbsValue>,
     /// Fork-scoped finding frames; the bottom frame survives the whole run
     /// and is flushed into [`StaticFinding`]s at the end.
-    finding_frames: Vec<Frame>,
+    finding_frames: Vec<Frame<'a>>,
     steps: usize,
     budget_exhausted: bool,
-    cur_proc: String,
-    call_stack: Vec<String>,
+    cur_proc: &'a str,
+    call_stack: Vec<&'a str>,
     /// False once evaluation is under an imprecision the fork machinery does
     /// not model (loop widening, exit joins); findings are then `May` at
     /// best. In flow mode this also covers every undecided branch.
     definite: bool,
     /// State snapshots registered at `run l` sites, consumed by the matching
     /// `save`/`exit`.
-    jump_states: HashMap<String, State>,
+    jump_states: HashMap<&'a Ident, State>,
     /// Footprint frames for unsequenced-race detection.
     fp_stack: Vec<Vec<AbsAccess>>,
     /// Accumulated return values of the call being analyzed.
@@ -474,40 +540,19 @@ pub(crate) fn run(
     config: AnalysisConfig,
     solver: &Solver,
 ) -> AnalysisReport {
-    let mut it = Interp {
-        program,
-        ienv: env,
-        config,
-        solver,
-        state: State::default(),
-        globals: HashMap::new(),
-        finding_frames: vec![Frame::new()],
-        steps: 0,
-        budget_exhausted: false,
-        cur_proc: String::new(),
-        call_stack: Vec::new(),
-        definite: true,
-        jump_states: HashMap::new(),
-        fp_stack: Vec::new(),
-        ret_stack: Vec::new(),
-        sym_names: Vec::new(),
-        base_syms: HashMap::new(),
-        linked_syms: HashMap::new(),
-        path: Vec::new(),
-        paths_explored: 0,
-        paths_pruned: 0,
-        solver_queries: 0,
-        solver_memo_hits: 0,
-    };
+    let mut it = Interp::new(program, env, config, solver);
     it.setup_globals();
     let base_state = it.state.clone();
     let mut names: Vec<&String> = program.procs.keys().collect();
     names.sort();
-    let entry = program.main.as_ref().map(|m| m.as_str().to_owned());
+    let entry = program.main.as_ref().map(Ident::as_str);
     for name in &names {
         it.state = base_state.clone();
         it.jump_states.clear();
         it.path.clear();
+        // Allocation ids restart from the base state, so base-address
+        // symbols minted for another procedure would name its allocations.
+        it.base_syms.clear();
         // A Must finding claims every execution hits the UB. For procedures
         // other than the entry point, the standalone analysis does not know
         // the call context (or whether the procedure runs at all), so its
@@ -517,8 +562,8 @@ pub(crate) fn run(
         // everything-definite-at-top behaviour.
         it.definite = match it.config.mode {
             AnalysisMode::FlowJoin => true,
-            AnalysisMode::PathSensitive => match &entry {
-                Some(main) => main == *name,
+            AnalysisMode::PathSensitive => match entry {
+                Some(main) => main == name.as_str(),
                 None => true,
             },
         };
@@ -534,7 +579,7 @@ pub(crate) fn run(
             severity,
             span: Span::synthetic(),
             iso_clause: ub.iso_reference(),
-            proc,
+            proc: proc.to_owned(),
             witness,
             detail: lf.detail,
         });
@@ -554,6 +599,39 @@ pub(crate) fn run(
 }
 
 impl<'a> Interp<'a> {
+    fn new(
+        program: &'a CoreProgram,
+        ienv: &'a ImplEnv,
+        config: AnalysisConfig,
+        solver: &'a Solver,
+    ) -> Self {
+        Interp {
+            program,
+            ienv,
+            config,
+            solver,
+            state: State::default(),
+            globals: HashMap::new(),
+            finding_frames: vec![Frame::new()],
+            steps: 0,
+            budget_exhausted: false,
+            cur_proc: "",
+            call_stack: Vec::new(),
+            definite: true,
+            jump_states: HashMap::new(),
+            fp_stack: Vec::new(),
+            ret_stack: Vec::new(),
+            sym_names: Vec::new(),
+            base_syms: HashMap::new(),
+            linked_syms: HashMap::new(),
+            path: Vec::new(),
+            paths_explored: 0,
+            paths_pruned: 0,
+            solver_queries: 0,
+            solver_memo_hits: 0,
+        }
+    }
+
     // ----- findings and budget ---------------------------------------------------
 
     fn path_mode(&self) -> bool {
@@ -581,12 +659,12 @@ impl<'a> Interp<'a> {
             detail: detail.into(),
             path,
         };
-        self.record_local((self.cur_proc.clone(), ub), lf);
+        self.record_local((self.cur_proc, ub), lf);
     }
 
     /// Merge one finding into the innermost frame: a definite finding
     /// replaces a tentative one; otherwise the earliest record wins.
-    fn record_local(&mut self, key: (String, UbKind), lf: LocalFinding) {
+    fn record_local(&mut self, key: (&'a str, UbKind), lf: LocalFinding) {
         let frame = self.finding_frames.last_mut().expect("finding frame");
         match frame.get_mut(&key) {
             Some(existing) => {
@@ -603,9 +681,9 @@ impl<'a> Interp<'a> {
     /// Merge the finding frames of `branches` feasible fork siblings into the
     /// parent frame: a finding stays definite only if it fired definitely in
     /// every sibling; anything else downgrades to tentative (→ `May`).
-    fn merge_sibling_findings(&mut self, branches: Vec<Frame>) {
+    fn merge_sibling_findings(&mut self, branches: Vec<Frame<'a>>) {
         let n = branches.len();
-        let mut merged: BTreeMap<(String, UbKind), (LocalFinding, usize)> = BTreeMap::new();
+        let mut merged: BTreeMap<(&'a str, UbKind), (LocalFinding, usize)> = BTreeMap::new();
         for frame in branches {
             for (key, lf) in frame {
                 match merged.get_mut(&key) {
@@ -793,7 +871,7 @@ impl<'a> Interp<'a> {
         init: InitState,
         name: &str,
     ) -> AllocId {
-        self.state.allocs.push(AllocInfo {
+        self.state.allocs.push(Rc::new(AllocInfo {
             kind,
             ty,
             size,
@@ -802,7 +880,7 @@ impl<'a> Interp<'a> {
             content: AbsValue::Top,
             last_store: None,
             name: name.to_owned(),
-        });
+        }));
         self.state.allocs.len() - 1
     }
 
@@ -821,10 +899,8 @@ impl<'a> Interp<'a> {
                 InitState::Init,
                 &format!("<string literal {index}>"),
             );
-            self.globals.insert(
-                name.as_str().to_owned(),
-                AbsValue::Ptr(AbsPtr::to_target(id)),
-            );
+            self.globals
+                .insert(name.as_str(), AbsValue::Ptr(AbsPtr::to_target(id)));
         }
         for g in &program.globals {
             let size = self.size_of_ty(&g.ty);
@@ -835,33 +911,32 @@ impl<'a> Interp<'a> {
                 InitState::Uninit,
                 g.name.as_str(),
             );
-            self.globals.insert(
-                g.name.as_str().to_owned(),
-                AbsValue::Ptr(AbsPtr::to_target(id)),
-            );
+            self.globals
+                .insert(g.name.as_str(), AbsValue::Ptr(AbsPtr::to_target(id)));
         }
-        self.cur_proc = "<static init>".to_owned();
+        self.cur_proc = "<static init>";
         self.ret_stack.push(None);
         for g in &program.globals {
-            let _ = self.eval_expr(&mut Env::new(), &g.init);
+            let _ = self.eval_expr(&mut Env::default(), &g.init);
         }
         self.ret_stack.pop();
         // Objects with static storage duration are zero-initialised (6.7.9p10)
         // even without an explicit initialiser.
-        for a in &mut self.state.allocs {
+        for id in 0..self.state.allocs.len() {
+            let a = &self.state.allocs[id];
             if a.kind == StorageKind::Static && a.init == InitState::Uninit {
-                a.init = InitState::Init;
+                self.state.alloc_mut(id).init = InitState::Init;
             }
         }
     }
 
-    fn analyze_proc(&mut self, name: &str) {
+    fn analyze_proc(&mut self, name: &'a str) {
         let program: &'a CoreProgram = self.program;
         let Some(proc) = program.proc(name) else {
             return;
         };
-        self.cur_proc = name.to_owned();
-        let mut env = Env::new();
+        self.cur_proc = name;
+        let mut env = Env::default();
         let mut param_ids = Vec::new();
         for (sym, ty) in &proc.params {
             let size = self.size_of_ty(ty);
@@ -874,17 +949,14 @@ impl<'a> Interp<'a> {
                 InitState::Init,
                 sym.as_str(),
             );
-            env.insert(
-                sym.as_str().to_owned(),
-                AbsValue::Ptr(AbsPtr::to_target(id)),
-            );
+            env.insert(sym.as_str(), AbsValue::Ptr(AbsPtr::to_target(id)));
             param_ids.push(id);
         }
         self.ret_stack.push(None);
         let _ = self.eval_scope(&mut env, &proc.body, None, None, None);
         self.ret_stack.pop();
         for id in param_ids {
-            self.state.allocs[id].life = Lifetime::Dead;
+            self.state.alloc_mut(id).life = Lifetime::Dead;
         }
     }
 
@@ -898,22 +970,22 @@ impl<'a> Interp<'a> {
             };
         }
         let program: &'a CoreProgram = self.program;
-        let Some(proc) = program.proc(name) else {
+        let Some((name, proc)) = program.procs.get_key_value(name) else {
             return AbsValue::Top;
         };
         if self.call_stack.len() >= self.config.call_depth
-            || self.call_stack.iter().any(|c| c == name)
+            || self.call_stack.contains(&name.as_str())
             || self.budget_exhausted
         {
             // Widened call: the callee may write anything it can reach.
             self.havoc_memory();
             return AbsValue::Top;
         }
-        let saved_proc = self.cur_proc.clone();
+        let saved_proc = self.cur_proc;
         let saved_jumps = std::mem::take(&mut self.jump_states);
-        self.call_stack.push(name.to_owned());
-        self.cur_proc = name.to_owned();
-        let mut env = Env::new();
+        self.call_stack.push(name);
+        self.cur_proc = name;
+        let mut env = Env::default();
         let mut param_ids = Vec::new();
         for ((sym, ty), arg) in proc.params.iter().zip(args) {
             let size = self.size_of_ty(ty);
@@ -924,19 +996,17 @@ impl<'a> Interp<'a> {
                 InitState::Init,
                 sym.as_str(),
             );
-            self.state.allocs[id].content = arg;
-            self.state.allocs[id].last_store = Some(ty.clone());
-            env.insert(
-                sym.as_str().to_owned(),
-                AbsValue::Ptr(AbsPtr::to_target(id)),
-            );
+            let a = self.state.alloc_mut(id);
+            a.content = arg;
+            a.last_store = Some(ty.clone());
+            env.insert(sym.as_str(), AbsValue::Ptr(AbsPtr::to_target(id)));
             param_ids.push(id);
         }
         self.ret_stack.push(None);
         let flow = self.eval_scope(&mut env, &proc.body, None, None, None);
         let returned = self.ret_stack.pop().flatten();
         for id in param_ids {
-            self.state.allocs[id].life = Lifetime::Dead;
+            self.state.alloc_mut(id).life = Lifetime::Dead;
         }
         self.call_stack.pop();
         self.cur_proc = saved_proc;
@@ -953,10 +1023,12 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// The callee escaped analysis: anything reachable may have been written.
+    /// The callee escaped analysis, or a store went through an untracked
+    /// pointer: anything live may have been written.
     fn havoc_memory(&mut self) {
-        for a in &mut self.state.allocs {
-            if a.life != Lifetime::Dead {
+        for id in 0..self.state.allocs.len() {
+            if self.state.allocs[id].life != Lifetime::Dead {
+                let a = self.state.alloc_mut(id);
                 a.content = AbsValue::Top;
                 a.init = a.init.touched();
                 a.last_store = None;
@@ -1033,7 +1105,7 @@ impl<'a> Interp<'a> {
 
     // ----- pure expressions ------------------------------------------------------
 
-    fn eval_pexpr(&mut self, env: &mut Env, pe: &PExpr) -> AbsValue {
+    fn eval_pexpr(&mut self, env: &mut Env<'a>, pe: &'a PExpr) -> AbsValue {
         if self.tick() {
             return AbsValue::Top;
         }
@@ -1146,11 +1218,9 @@ impl<'a> Interp<'a> {
             _ => None,
         };
         if let Some(id) = p.single() {
-            let (size, name) = {
-                let a = &self.state.allocs[id];
-                (a.size, a.name.clone())
-            };
-            match (new_offset, size) {
+            let a = Rc::clone(&self.state.allocs[id]);
+            let name = &a.name;
+            match (new_offset, a.size) {
                 (Some(off), Some(size)) => {
                     // One-past (off == size) is allowed by 6.5.6p8.
                     if off < 0 || off > i128::from(size) {
@@ -1362,12 +1432,10 @@ impl<'a> Interp<'a> {
 
     // ----- pattern matching ------------------------------------------------------
 
-    fn bind(env: &mut Env, pat: &Pattern, v: AbsValue) {
+    fn bind(env: &mut Env<'a>, pat: &'a Pattern, v: AbsValue) {
         match pat {
             Pattern::Wildcard => {}
-            Pattern::Sym(name) => {
-                env.insert(name.as_str().to_owned(), v);
-            }
+            Pattern::Sym(name) => env.insert(name.as_str(), v),
             Pattern::Tuple(ps) => match v {
                 AbsValue::Tuple(vs) if vs.len() == ps.len() => {
                     for (p, item) in ps.iter().zip(vs) {
@@ -1388,10 +1456,10 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn match_quality(pat: &Pattern, v: &AbsValue) -> MatchQ {
+    fn match_quality(pat: &'a Pattern, v: &AbsValue) -> MatchQ<'a> {
         match (pat, v) {
             (Pattern::Wildcard, _) => MatchQ::Yes(Vec::new()),
-            (Pattern::Sym(name), _) => MatchQ::Yes(vec![(name.as_str().to_owned(), v.clone())]),
+            (Pattern::Sym(name), _) => MatchQ::Yes(vec![(name.as_str(), v.clone())]),
             (Pattern::Tuple(ps), AbsValue::Tuple(vs)) if ps.len() == vs.len() => {
                 let mut bindings = Vec::new();
                 let mut certain = true;
@@ -1422,11 +1490,11 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn bind_all_top(ps: &[Pattern]) -> Bindings {
+    fn bind_all_top(ps: &'a [Pattern]) -> Bindings<'a> {
         let mut out = Vec::new();
         for p in ps {
             match p {
-                Pattern::Sym(name) => out.push((name.as_str().to_owned(), AbsValue::Top)),
+                Pattern::Sym(name) => out.push((name.as_str(), AbsValue::Top)),
                 Pattern::Tuple(inner) => out.append(&mut Self::bind_all_top(inner)),
                 Pattern::Specified(inner) => {
                     out.append(&mut Self::bind_all_top(std::slice::from_ref(inner)))
@@ -1440,7 +1508,7 @@ impl<'a> Interp<'a> {
     /// The arms of a `case` that can match `v`: every arm that may match, up
     /// to and including the first that must. The flag is set when that
     /// certain match is the only candidate, so the `case` is decided.
-    fn select_arms<'e, E>(v: &AbsValue, arms: &'e [(Pattern, E)]) -> (Vec<Arm<'e, E>>, bool) {
+    fn select_arms<E>(v: &AbsValue, arms: &'a [(Pattern, E)]) -> (Vec<Arm<'a, E>>, bool) {
         let mut out = Vec::new();
         for (pat, body) in arms {
             match Self::match_quality(pat, v) {
@@ -1462,7 +1530,7 @@ impl<'a> Interp<'a> {
     /// a `let`, a decided `if` and a decided `case` is a tail position: the
     /// walk continues there in a loop, one tick per step as a recursive call
     /// would take, so a block's statements cost no host stack.
-    fn eval_expr(&mut self, env: &mut Env, e: &Expr) -> AFlow {
+    fn eval_expr(&mut self, env: &mut Env<'a>, e: &'a Expr) -> AFlow<'a> {
         let mut e = e;
         loop {
             if self.tick() {
@@ -1579,14 +1647,13 @@ impl<'a> Interp<'a> {
                 Expr::Save(l, body) => return self.eval_scope(env, body, Some(l), None, None),
                 Expr::Exit(l, body) => return self.eval_scope(env, body, None, Some(l), None),
                 Expr::Run(label) => {
-                    let snapshot = self.state.clone();
-                    match self.jump_states.get_mut(label.as_str()) {
-                        Some(existing) => existing.join_from(&snapshot),
+                    match self.jump_states.get_mut(label) {
+                        Some(existing) => existing.join_from(&self.state),
                         None => {
-                            self.jump_states.insert(label.as_str().to_owned(), snapshot);
+                            self.jump_states.insert(label, self.state.clone());
                         }
                     }
-                    return AFlow::Jump(label.clone());
+                    return AFlow::Jump(label);
                 }
                 Expr::Return(pe) => {
                     let v = self.eval_pexpr(env, pe);
@@ -1615,8 +1682,8 @@ impl<'a> Interp<'a> {
     /// the constraints and runs every arm with definiteness dropped.
     fn fork<E, R>(
         &mut self,
-        arms: Vec<Arm<'_, E>>,
-        mut run: impl FnMut(&mut Self, Bindings, &E) -> R,
+        arms: Vec<Arm<'a, E>>,
+        mut run: impl FnMut(&mut Self, Bindings<'a>, &'a E) -> R,
     ) -> Vec<R> {
         let path_mode = self.path_mode();
         let saved_definite = self.definite;
@@ -1656,7 +1723,7 @@ impl<'a> Interp<'a> {
     /// Fork over pure arms. They have no memory effects, and every name a
     /// `case` pattern binds is fresh, so each arm binds in place, as `let`
     /// does; the arms' values are joined.
-    fn fork_pure(&mut self, env: &mut Env, arms: Vec<Arm<'_, PExpr>>) -> AbsValue {
+    fn fork_pure(&mut self, env: &mut Env<'a>, arms: Vec<Arm<'a, PExpr>>) -> AbsValue {
         let values = self.fork(arms, |it, bindings, body| {
             env.extend(bindings);
             it.eval_pexpr(env, body)
@@ -1667,21 +1734,24 @@ impl<'a> Interp<'a> {
             .unwrap_or(AbsValue::Top)
     }
 
-    /// Fork over effectful arms. Each arm runs on its own copy of the state
-    /// and of `env`: a prefix that a forward `goto` skips must read `Top`,
-    /// not a sibling's binding. The surviving outcomes are joined; when no
-    /// arm survives, the branch is unreachable under the current path, and
-    /// no arm has touched the state.
-    fn fork_expr(&mut self, env: &Env, arms: Vec<Arm<'_, Expr>>) -> AFlow {
-        let saved = self.state.clone();
+    /// Fork over effectful arms. Each arm starts from the state before the
+    /// fork, whose records it shares until it writes them, and runs on `env`
+    /// with its bindings undone when it ends: a prefix that a forward `goto`
+    /// skips must read `Top`, not a sibling's binding. The surviving
+    /// outcomes are joined; when no arm survives, the branch is unreachable
+    /// under the current path, and the state is the one before the fork.
+    fn fork_expr(&mut self, env: &mut Env<'a>, arms: Vec<Arm<'a, Expr>>) -> AFlow<'a> {
+        let saved = std::mem::take(&mut self.state);
         let results = self.fork(arms, |it, bindings, body| {
             it.state = saved.clone();
-            let mut env = env.clone();
-            env.extend(bindings);
-            let flow = it.eval_expr(&mut env, body);
+            let flow = env.in_arm(|env| {
+                env.extend(bindings);
+                it.eval_expr(env, body)
+            });
             (flow, std::mem::take(&mut it.state))
         });
         if results.is_empty() {
+            self.state = saved;
             return AFlow::Val(AbsValue::Top);
         }
         self.join_results(results)
@@ -1689,44 +1759,42 @@ impl<'a> Interp<'a> {
 
     /// Join branch outcomes: the post-state is the join of the states of the
     /// branches that fall through (jumping branches parked their state in
-    /// `jump_states`; returning branches accumulated into `ret_stack`).
-    fn join_results(&mut self, results: Vec<(AFlow, State)>) -> AFlow {
+    /// `jump_states`; returning branches accumulated into `ret_stack`). When
+    /// none falls through, it joins them all, and a jump, if there is one,
+    /// propagates (its state is registered at the run site).
+    fn join_results(&mut self, results: Vec<(AFlow<'a>, State)>) -> AFlow<'a> {
+        let falls_through = results
+            .iter()
+            .any(|(flow, _)| matches!(flow, AFlow::Val(_)));
         let mut value: Option<AbsValue> = None;
-        let mut val_state: Option<State> = None;
-        for (flow, state) in &results {
-            if let AFlow::Val(v) = flow {
-                value = Some(match value {
-                    Some(j) => j.join(v),
-                    None => v.clone(),
-                });
-                match &mut val_state {
-                    Some(s) => s.join_from(state),
-                    None => val_state = Some(state.clone()),
+        let mut jump = None;
+        let mut joined: Option<State> = None;
+        for (flow, state) in results {
+            let joins = !falls_through || matches!(flow, AFlow::Val(_));
+            match flow {
+                AFlow::Val(v) => {
+                    value = Some(match value {
+                        Some(j) => j.join(&v),
+                        None => v,
+                    })
+                }
+                AFlow::Jump(l) => jump = jump.or(Some(l)),
+                AFlow::Ret => {}
+            }
+            if joins {
+                match &mut joined {
+                    Some(s) => s.join_from(&state),
+                    None => joined = Some(state),
                 }
             }
         }
-        if let Some(s) = val_state {
+        if let Some(s) = joined {
             self.state = s;
+        }
+        if falls_through {
             return AFlow::Val(value.unwrap_or(AbsValue::Top));
         }
-        // No branch falls through: propagate a jump if there is one (its
-        // state is registered at the run site), otherwise return.
-        let mut all_states: Option<State> = None;
-        for (_, state) in &results {
-            match &mut all_states {
-                Some(s) => s.join_from(state),
-                None => all_states = Some(state.clone()),
-            }
-        }
-        if let Some(s) = all_states {
-            self.state = s;
-        }
-        for (flow, _) in results {
-            if let AFlow::Jump(l) = flow {
-                return AFlow::Jump(l);
-            }
-        }
-        AFlow::Ret
+        jump.map_or(AFlow::Ret, AFlow::Jump)
     }
 
     /// Run the body of a scope, the only place a jump lands: a `save`'s body,
@@ -1746,47 +1814,46 @@ impl<'a> Interp<'a> {
     /// after its jump back, first takes one last pass.
     fn eval_scope(
         &mut self,
-        env: &mut Env,
-        body: &Expr,
-        restart: Option<&Ident>,
-        finish: Option<&Ident>,
-        seek: Option<&Ident>,
-    ) -> AFlow {
+        env: &mut Env<'a>,
+        body: &'a Expr,
+        restart: Option<&'a Ident>,
+        finish: Option<&'a Ident>,
+        mut seek: Option<&'a Ident>,
+    ) -> AFlow<'a> {
         let holds = |l: &Ident| finish != Some(l) && body.contains_save(l);
-        let mut seek = seek.cloned();
-        let mut reentered: Vec<Ident> = Vec::new();
+        let mut reentered: Vec<&Ident> = Vec::new();
         let mut passes = 0;
         // What passes left the scope with before a parked state re-entered it.
         let mut left: Vec<(AFlow, State)> = Vec::new();
         let mut flow = 'scope: loop {
-            if let (Some(l), None) = (restart, &seek) {
-                if let Some(js) = self.jump_states.remove(l.as_str()) {
+            if let (Some(l), None) = (restart, seek) {
+                if let Some(js) = self.jump_states.remove(l) {
                     self.state.join_from(&js);
                 }
             }
-            let mut flow = match &seek {
+            let mut flow = match seek {
                 Some(label) => self.eval_seeking(env, body, label),
                 None => self.eval_expr(env, body),
             };
             // The label the next pass starts from, and whether it seeks it.
             let (label, seeking) = loop {
-                let pending = restart.filter(|l| self.jump_states.contains_key(l.as_str()));
+                let pending = restart.filter(|l| self.jump_states.contains_key(l));
                 let (label, seeking) = match (&flow, pending) {
-                    (AFlow::Jump(l), _) if restart == Some(l) => (l.clone(), false),
-                    (AFlow::Jump(l), _) if holds(l) => (l.clone(), true),
-                    (_, Some(l)) => (l.clone(), false),
+                    (AFlow::Jump(l), _) if restart == Some(l) => (*l, false),
+                    (AFlow::Jump(l), _) if holds(l) => (*l, true),
+                    (_, Some(l)) => (l, false),
                     (_, None) => {
-                        let parked = self.jump_states.keys().map(Ident::new).filter(holds).min();
+                        let parked = self.jump_states.keys().copied().filter(|l| holds(l)).min();
                         let Some(l) = parked else { break 'scope flow };
-                        let js = self.jump_states.remove(l.as_str()).expect("found above");
+                        let js = self.jump_states.remove(l).expect("found above");
                         let state = std::mem::replace(&mut self.state, js);
-                        left.push((std::mem::replace(&mut flow, AFlow::Jump(l.clone())), state));
+                        left.push((std::mem::replace(&mut flow, AFlow::Jump(l)), state));
                         self.definite = false;
                         (l, true)
                     }
                 };
                 if seeking && !reentered.contains(&label) {
-                    reentered.push(label.clone());
+                    reentered.push(label);
                     break (label, seeking);
                 }
                 passes += 1;
@@ -1794,13 +1861,13 @@ impl<'a> Interp<'a> {
                 if passes < self.config.loop_bound && !self.budget_exhausted {
                     break (label, seeking);
                 }
-                self.jump_states.remove(label.as_str());
+                self.jump_states.remove(label);
                 self.widen_after_loop();
                 if seeking && passes == self.config.loop_bound && !self.budget_exhausted {
                     break (label, seeking);
                 }
                 // The loop ends: a jump to its label goes no further.
-                if matches!(&flow, AFlow::Jump(l) if *l == label) {
+                if matches!(flow, AFlow::Jump(l) if l == label) {
                     flow = AFlow::Val(AbsValue::Top);
                 }
             };
@@ -1812,9 +1879,9 @@ impl<'a> Interp<'a> {
         }
         // Some path broke out to this delimiter; its state joins whatever
         // the body ended with.
-        let Some(js) = finish.and_then(|l| self.jump_states.remove(l.as_str())) else {
+        let Some(js) = finish.and_then(|l| self.jump_states.remove(l)) else {
             return match flow {
-                AFlow::Jump(l) if finish == Some(&l) => AFlow::Val(AbsValue::Unit),
+                AFlow::Jump(l) if finish == Some(l) => AFlow::Val(AbsValue::Unit),
                 other => other,
             };
         };
@@ -1829,8 +1896,9 @@ impl<'a> Interp<'a> {
     /// The loop bound was hit: further iterations could have written anything
     /// the loop body writes, so give up on value precision.
     fn widen_after_loop(&mut self) {
-        for a in &mut self.state.allocs {
-            if a.life != Lifetime::Dead {
+        for id in 0..self.state.allocs.len() {
+            if self.state.allocs[id].life != Lifetime::Dead {
+                let a = self.state.alloc_mut(id);
                 a.content = AbsValue::Top;
                 a.init = a.init.touched();
             }
@@ -1841,7 +1909,7 @@ impl<'a> Interp<'a> {
     /// `save` (a scope re-entering its body: `goto`, `switch` dispatch),
     /// mirroring the concrete interpreter's seeking mode. Bindings on the
     /// skipped prefix stay unbound and read back as `Top`.
-    fn eval_seeking(&mut self, env: &mut Env, e: &Expr, label: &Ident) -> AFlow {
+    fn eval_seeking(&mut self, env: &mut Env<'a>, e: &'a Expr, label: &'a Ident) -> AFlow<'a> {
         let mut e = e;
         loop {
             if self.tick() {
@@ -1881,7 +1949,12 @@ impl<'a> Interp<'a> {
 
     // ----- memory actions --------------------------------------------------------
 
-    fn eval_action(&mut self, env: &mut Env, action: &MemAction, negative: bool) -> AFlow {
+    fn eval_action(
+        &mut self,
+        env: &mut Env<'a>,
+        action: &'a MemAction,
+        negative: bool,
+    ) -> AFlow<'a> {
         match action {
             MemAction::Create { ty, .. } => {
                 let tv = self.eval_pexpr(env, ty);
@@ -1896,10 +1969,10 @@ impl<'a> Interp<'a> {
                 // End-of-block kills are lenient in the concrete interpreter;
                 // abstractly they just end the lifetime.
                 if let Some(id) = p.single() {
-                    self.state.allocs[id].life = Lifetime::Dead;
+                    self.state.alloc_mut(id).life = Lifetime::Dead;
                 } else {
                     for &id in &p.targets {
-                        let a = &mut self.state.allocs[id];
+                        let a = self.state.alloc_mut(id);
                         a.life = a.life.join(Lifetime::Dead);
                     }
                 }
@@ -1987,20 +2060,10 @@ impl<'a> Interp<'a> {
         }
         let is_single = p.single().is_some();
         let access_size = ty.and_then(|t| self.size_of_ty(t));
-        let targets: Vec<AllocId> = p.targets.iter().copied().collect();
-        for id in targets {
-            let (life, kind, size, name, decl_ty, last_store) = {
-                let a = &self.state.allocs[id];
-                (
-                    a.life,
-                    a.kind,
-                    a.size,
-                    a.name.clone(),
-                    a.ty.clone(),
-                    a.last_store.clone(),
-                )
-            };
-            match life {
+        for &id in &p.targets {
+            let a = Rc::clone(&self.state.allocs[id]);
+            let name = &a.name;
+            match a.life {
                 Lifetime::Dead => self.finding(
                     UbKind::AccessOutsideLifetime,
                     is_single,
@@ -2017,7 +2080,7 @@ impl<'a> Interp<'a> {
                 ),
                 Lifetime::Live => {}
             }
-            if life != Lifetime::Live {
+            if a.life != Lifetime::Live {
                 // Models that recycle a dead region classify the same access
                 // as out of bounds rather than outside-lifetime.
                 self.finding(
@@ -2026,7 +2089,7 @@ impl<'a> Interp<'a> {
                     format!("{what} to the possibly-recycled region of `{name}`"),
                 );
             }
-            if write && kind == StorageKind::StringLit {
+            if write && a.kind == StorageKind::StringLit {
                 self.finding(
                     UbKind::StringLiteralModification,
                     is_single,
@@ -2034,7 +2097,7 @@ impl<'a> Interp<'a> {
                 );
             }
             let offset = if is_single { p.offset } else { None };
-            match (offset, size, access_size) {
+            match (offset, a.size, access_size) {
                 (Some(off), Some(size), Some(len)) => {
                     if off < 0 || off + i128::from(len) > i128::from(size) {
                         self.finding(
@@ -2064,7 +2127,7 @@ impl<'a> Interp<'a> {
             // itself, not just the later read.
             if let Some(t) = ty {
                 if !t.is_character() {
-                    let decl_mismatch = match &decl_ty {
+                    let decl_mismatch = match &a.ty {
                         None => false,
                         Some(decl) if decl == t => false,
                         // The strict effective-type models treat any
@@ -2083,7 +2146,7 @@ impl<'a> Interp<'a> {
                             ),
                         );
                     }
-                    if let Some(stored) = &last_store {
+                    if let Some(stored) = &a.last_store {
                         if !self.repr_compatible(stored, t) {
                             self.finding(
                                 UbKind::EffectiveTypeViolation,
@@ -2143,14 +2206,7 @@ impl<'a> Interp<'a> {
 
     fn apply_store(&mut self, p: &AbsPtr, ty: Option<&Ctype>, v: AbsValue) {
         if p.any {
-            // A store through an untracked pointer may hit anything live.
-            for a in &mut self.state.allocs {
-                if a.life != Lifetime::Dead {
-                    a.content = AbsValue::Top;
-                    a.init = a.init.touched();
-                    a.last_store = None;
-                }
-            }
+            self.havoc_memory();
             return;
         }
         let access_size = ty.and_then(|t| self.size_of_ty(t));
@@ -2158,7 +2214,7 @@ impl<'a> Interp<'a> {
             let whole = p.offset == Some(0)
                 && access_size.is_some()
                 && access_size == self.state.allocs[id].size;
-            let a = &mut self.state.allocs[id];
+            let a = self.state.alloc_mut(id);
             if whole && a.life == Lifetime::Live {
                 a.content = v;
                 a.init = InitState::Init;
@@ -2170,7 +2226,7 @@ impl<'a> Interp<'a> {
             return;
         }
         for &id in &p.targets {
-            let a = &mut self.state.allocs[id];
+            let a = self.state.alloc_mut(id);
             a.content = AbsValue::Top;
             a.init = a.init.touched();
             a.last_store = None;
@@ -2180,16 +2236,9 @@ impl<'a> Interp<'a> {
     fn apply_load(&mut self, p: &AbsPtr, ty: Option<&Ctype>) -> AbsValue {
         let access_size = ty.and_then(|t| self.size_of_ty(t));
         if let Some(id) = p.single() {
-            let (whole, init, content, name) = {
-                let a = &self.state.allocs[id];
-                (
-                    p.offset == Some(0) && access_size.is_some() && access_size == a.size,
-                    a.init,
-                    a.content.clone(),
-                    a.name.clone(),
-                )
-            };
-            match init {
+            let a = Rc::clone(&self.state.allocs[id]);
+            let name = &a.name;
+            match a.init {
                 InitState::Uninit => {
                     self.finding(
                         UbKind::IndeterminateValueUse,
@@ -2208,14 +2257,15 @@ impl<'a> Interp<'a> {
                 }
                 InitState::Init => {}
             }
-            if whole && matches!(content, AbsValue::Spec(_) | AbsValue::Unspec(_)) {
+            let whole = p.offset == Some(0) && access_size.is_some() && access_size == a.size;
+            if whole && matches!(a.content, AbsValue::Spec(_) | AbsValue::Unspec(_)) {
                 // A pointer representation read back at an integer type (a
                 // union pun or memcpy into an integer) materialises as an
                 // integer that merely *carries* the provenance: casting it
                 // back to a pointer is then the integer round-trip case.
                 if let Some(t) = ty {
                     if t.is_integer() {
-                        if let AbsValue::Spec(inner) = &content {
+                        if let AbsValue::Spec(inner) = &a.content {
                             if let AbsValue::Ptr(ptr) = &**inner {
                                 return AbsValue::spec(AbsValue::Int {
                                     val: None,
@@ -2226,7 +2276,7 @@ impl<'a> Interp<'a> {
                         }
                     }
                 }
-                return content;
+                return a.content.clone();
             }
             // Definitely-initialised but value-imprecise integer load: track
             // it symbolically so later branches on it accumulate constraints.
@@ -2296,7 +2346,7 @@ impl<'a> Interp<'a> {
 
     // ----- C library builtins ----------------------------------------------------
 
-    fn call_builtin(&mut self, name: &str, args: &[AbsValue]) -> Option<AFlow> {
+    fn call_builtin(&mut self, name: &str, args: &[AbsValue]) -> Option<AFlow<'a>> {
         let arg_ptr = |i: usize, it: &Interp| {
             args.get(i)
                 .map(|v| it.as_ptr(v))
@@ -2355,7 +2405,7 @@ impl<'a> Interp<'a> {
                                 ),
                                 Lifetime::Live => {}
                             }
-                            let a = &mut self.state.allocs[id];
+                            let a = self.state.alloc_mut(id);
                             a.life = if single {
                                 Lifetime::Dead
                             } else {
@@ -2393,7 +2443,7 @@ impl<'a> Interp<'a> {
                         let sa = &self.state.allocs[s];
                         (sa.content.clone(), sa.init, sa.last_store.clone())
                     };
-                    let da = &mut self.state.allocs[d];
+                    let da = self.state.alloc_mut(d);
                     da.content = content;
                     da.init = init;
                     da.last_store = last;
@@ -2410,7 +2460,7 @@ impl<'a> Interp<'a> {
                 let n = arg_int(2, self).and_then(|n| u64::try_from(n).ok());
                 if let Some(id) = dst.single() {
                     if dst.offset == Some(0) && n.is_some() && n == self.state.allocs[id].size {
-                        let a = &mut self.state.allocs[id];
+                        let a = self.state.alloc_mut(id);
                         a.content = AbsValue::Top;
                         a.init = InitState::Init;
                         a.last_store = None;
@@ -2447,7 +2497,7 @@ impl<'a> Interp<'a> {
 
     // ----- memory-involving pointer operations -----------------------------------
 
-    fn eval_memop(&mut self, env: &mut Env, op: PtrOp, args: &[PExpr]) -> AFlow {
+    fn eval_memop(&mut self, env: &mut Env<'a>, op: PtrOp, args: &'a [PExpr]) -> AFlow<'a> {
         let values: Vec<AbsValue> = args.iter().map(|a| self.eval_pexpr(env, a)).collect();
         let spec_int = |v: Option<i128>| {
             AFlow::Val(AbsValue::spec(AbsValue::Int {
@@ -2658,6 +2708,76 @@ mod tests {
                 ptr: Box::new(PExpr::sym(ptr)),
             },
         )
+    }
+
+    /// A copy of `state` that shares no record with it.
+    fn unshared(state: &State) -> State {
+        State {
+            allocs: state
+                .allocs
+                .iter()
+                .map(|a| Rc::new((**a).clone()))
+                .collect(),
+        }
+    }
+
+    /// The join skips a record both sides still share, which is exact
+    /// because x ⊔ x = x: the result equals the join of deep copies.
+    #[test]
+    fn the_join_skips_exactly_the_records_both_sides_share() {
+        let kill = MemAction::Kill(Box::new(PExpr::sym("p")));
+        let (program, ienv, solver) = (
+            CoreProgram::default(),
+            ImplEnv::default(),
+            Solver::default(),
+        );
+        let mut it = Interp::new(&program, &ienv, AnalysisConfig::default(), &solver);
+        let ids: Vec<AllocId> = ["w", "x", "y", "z"]
+            .into_iter()
+            .map(|name| {
+                it.alloc(
+                    StorageKind::Stack,
+                    Some(int_ty()),
+                    Some(4),
+                    InitState::Uninit,
+                    name,
+                )
+            })
+            .collect();
+        it.apply_store(
+            &AbsPtr::to_target(ids[0]),
+            Some(&int_ty()),
+            AbsValue::int(7),
+        );
+        it.state.alloc_mut(ids[3]).life = Lifetime::Dead;
+
+        let snapshot = it.state.clone();
+        it.state.join_from(&snapshot);
+        for (joined, before) in it.state.allocs.iter().zip(&snapshot.allocs) {
+            assert!(Rc::ptr_eq(joined, before));
+        }
+
+        // One side stores to `x`; the other kills `y` and then havocs.
+        it.apply_store(
+            &AbsPtr::to_target(ids[1]),
+            Some(&int_ty()),
+            AbsValue::int(1),
+        );
+        let stored = std::mem::replace(&mut it.state, snapshot.clone());
+        let mut env = Env::default();
+        env.insert("p", AbsValue::Ptr(AbsPtr::to_target(ids[2])));
+        it.eval_action(&mut env, &kill, false);
+        it.havoc_memory();
+        let havocked = std::mem::take(&mut it.state);
+
+        let mut joined = stored.clone();
+        joined.join_from(&havocked);
+        let mut deep = unshared(&stored);
+        deep.join_from(&unshared(&havocked));
+        assert_eq!(joined, deep);
+        assert!(Rc::ptr_eq(&joined.allocs[ids[3]], &snapshot.allocs[ids[3]]));
+        assert_eq!(joined.allocs[ids[1]].init, InitState::MaybeInit);
+        assert_eq!(joined.allocs[ids[2]].life, Lifetime::MaybeDead);
     }
 
     #[test]

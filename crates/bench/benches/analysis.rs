@@ -1,6 +1,7 @@
-//! Benchmark: the static UB analyzer over the whole litmus corpus.
+//! Benchmark: the static UB analyzer over the whole litmus corpus and over
+//! generated programs.
 //!
-//! Three timing rows plus a set of counter rows:
+//! Four timing rows plus a set of counter rows:
 //!
 //! * `corpus_path_sensitive` is the headline number: analyze every litmus
 //!   fixture with a fresh session (cold analysis memo, cold solver memo) in
@@ -11,6 +12,10 @@
 //!   calls) is measurable as the delta.
 //! * `corpus_memoized` re-analyzes the corpus through a warm session: every
 //!   report resolves from the per-source analysis memo.
+//! * `generated_large` analyzes seeds 0–39 of `GenConfig::large()` with a
+//!   fresh session per iteration. Generated programs call, loop and branch
+//!   far more than the fixtures, so this row weighs the abstract
+//!   interpreter's forks and joins, which the corpus rows barely reach.
 //!
 //! The counter rows (recorded with `samples: 0` via the criterion shim's
 //! `record_value`) snapshot one cold whole-corpus pass: fixtures analyzed,
@@ -24,6 +29,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use cerberus::analysis::AnalysisConfig;
 use cerberus::pipeline::Session;
+use cerberus_gen::{generate, to_c_source, GenConfig};
 
 fn bench_analysis(c: &mut Criterion) {
     let suite = cerberus_litmus::catalogue();
@@ -69,6 +75,21 @@ fn bench_analysis(c: &mut Criterion) {
                 }
             }
             findings
+        })
+    });
+    let generated: Vec<String> = (0..40)
+        .map(|seed| to_c_source(&generate(seed, GenConfig::large())))
+        .collect();
+    group.bench_function("generated_large", |b| {
+        b.iter(|| {
+            let session = Session::default();
+            let mut steps = 0usize;
+            for source in &generated {
+                if let Ok(report) = session.analyze(source) {
+                    steps += report.steps_used;
+                }
+            }
+            steps
         })
     });
     group.finish();

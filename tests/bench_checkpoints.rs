@@ -72,11 +72,12 @@ fn counter(rows: &[Json], bench: &str) -> i128 {
 fn analysis_checkpoint_is_committed_and_well_formed() {
     let rows = load_checkpoint("BENCH_analysis.json");
 
-    // The three timing rows the bench always emits.
+    // The four timing rows the bench always emits.
     for bench in [
         "corpus_path_sensitive",
         "corpus_flow_baseline",
         "corpus_memoized",
+        "generated_large",
     ] {
         let row = rows
             .iter()

@@ -404,6 +404,75 @@ fn the_flow_baseline_covers_the_path_report_on_goto_and_switch() {
         .contains(&UbKind::NullPointerDeref));
 }
 
+/// A `goto` from one arm of an `if` into its sibling skips the sibling's
+/// declarations, so the analyzer must not see the bindings that the sibling
+/// made when it ran as an arm of its own. In the first program the load of
+/// `y` goes through an unbound name, which reads as an unknown pointer; in
+/// the second, `y`'s slot is never created on the jumping path.
+#[test]
+fn a_branch_arm_never_sees_its_siblings_bindings() {
+    let session = Session::default();
+    let unbound = session
+        .analyze("int g; int main(void) { if (g) { int y = 1; L: return y; } else { goto L; } }")
+        .unwrap();
+    for ub in [
+        UbKind::OutOfBoundsAccess,
+        UbKind::NullPointerDeref,
+        UbKind::AccessWithoutProvenance,
+    ] {
+        let finding = unbound.findings.iter().find(|f| f.ub == ub);
+        assert!(
+            finding.is_some_and(|f| f.severity == FindingSeverity::May
+                && f.proc == "main"
+                && f.detail.starts_with("load through")),
+            "no May {ub} on the load of `y`: {unbound:#?}"
+        );
+    }
+    let clean = session
+        .analyze(
+            "int g; int main(void) { int r = 0; if (g) { int y = 1; r = y; L: r = r + 1; } \
+             else { goto L; } return r; }",
+        )
+        .unwrap();
+    assert!(
+        clean.aborted.is_none() && clean.findings.is_empty(),
+        "{clean:#?}"
+    );
+}
+
+/// Each procedure's standalone analysis mints its own base-address symbols,
+/// so a witness names the allocations of the procedure it was found in.
+#[test]
+fn a_witness_names_its_own_procedures_allocations() {
+    let src = "int f(int a, int b) { int *p = &a + 1; if (p == &b) return *p; return 0; } \
+               int g(int c, int d) { int *q = &c + 1; if (q == &d) return *q; return 0; } \
+               int main(void) { return f(1, 2) + g(3, 4); }";
+    let report = Session::default().analyze(src).unwrap();
+    let residual = |proc: &str| {
+        let finding = report
+            .findings
+            .iter()
+            .find(|f| f.proc == proc && f.ub == UbKind::OutOfBoundsAccess)
+            .unwrap_or_else(|| panic!("no Out_of_bounds_access in {proc}: {report:#?}"));
+        finding.witness.to_string()
+    };
+    for (proc, own, other) in [("f", ["a", "b"], ["c", "d"]), ("g", ["c", "d"], ["a", "b"])] {
+        let witness = residual(proc);
+        for name in own {
+            assert!(
+                witness.contains(&format!("base({name}")),
+                "{proc}: {witness}"
+            );
+        }
+        for name in other {
+            assert!(
+                !witness.contains(&format!("base({name}")),
+                "{proc}: {witness}"
+            );
+        }
+    }
+}
+
 #[test]
 fn ilp32_environment_changes_long_width() {
     let src = "int main(void) { return (int)sizeof(long); }";
